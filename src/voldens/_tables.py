@@ -8,22 +8,27 @@ the table values; that linearity is what allows the batched coefficient
 engine (`lattice_means`) to reassociate per-point interpolation into a single
 convolution without changing the result beyond float rounding.
 
-Direct adaptive quadrature implementations live next to each estimator and
-serve as independent oracles for these tables in the test suite.
+`fourier_quad` evaluates the same transforms by direct adaptive quadrature,
+one point at a time; it shares no code with the FFT path and serves as the
+independent oracle for every table in the test suite.
 """
 
 from __future__ import annotations
 
+import warnings
 from typing import Callable
 
 import numpy as np
+from scipy.integrate import IntegrationWarning, quad
 from scipy.signal import fftconvolve
 
-from .errors import NumericsError
+from .errors import DataError, NumericsError
 
 # Relative imaginary residue above which an "is real" inverse transform is
 # considered broken (a bug or overflow regime, never a data property).
 IMAG_RESIDUE_RTOL = 1e-8
+# Periodic images of a tabulated transform sit this many requested ranges away.
+OVERSAMPLE = 2.0
 
 
 class Table1D:
@@ -107,21 +112,19 @@ def fourier_table(
     s_max: float,
     dx: float,
     x_half: float,
-    oversample: float = 2.0,
     min_spectrum_samples: int = 4096,
     edge_derivatives: tuple[complex, complex, complex, complex] | None = None,
     dx_exact: bool = False,
-    imag_rtol: float = IMAG_RESIDUE_RTOL,
 ) -> Table1D:
     """Tabulate G(x) = (1/2pi) * int_{-s_max}^{s_max} q(s) e^{isx} ds by FFT.
 
     The spectrum q must be Hermitian (q(-s) = conj(q(s))) so that G is real;
-    the imaginary residue of the transform is checked against `imag_rtol` and
-    a violation raises NumericsError.
+    the imaginary residue of the transform is checked against
+    IMAG_RESIDUE_RTOL and a violation raises NumericsError.
 
     For spectra that vanish (with a couple of derivatives) at +-s_max the
     plain trapezoid-FFT is accurate: the transform decays fast enough that
-    periodic images are negligible at `oversample` times the requested range.
+    periodic images are negligible at OVERSAMPLE times the requested range.
     Spectra with nonzero boundary values produce 1/x Gibbs tails; for those,
     pass `edge_derivatives` = (q(a), q'(a), q(b), q'(b)) with a = -s_max,
     b = s_max.  A cubic Hermite bridge matching those values is removed
@@ -136,7 +139,7 @@ def fourier_table(
     """
     if s_max <= 0 or dx <= 0 or x_half <= 0:
         raise ValueError("s_max, dx and x_half must be positive")
-    ds_alias = np.pi / (oversample * x_half)
+    ds_alias = np.pi / (OVERSAMPLE * x_half)
     ds_resolve = 2.0 * s_max / min_spectrum_samples
     ds_needed = min(ds_alias, ds_resolve)
     if dx_exact:
@@ -186,12 +189,43 @@ def fourier_table(
 
     scale = np.max(np.abs(g_slice.real)) + 1e-300
     resid = np.max(np.abs(g_slice.imag))
-    if resid > imag_rtol * scale + 1e-12:
+    if resid > IMAG_RESIDUE_RTOL * scale + 1e-12:
         raise NumericsError(
             f"inverse transform expected real; imaginary residue {resid:.3e} "
             f"against magnitude {scale:.3e}"
         )
     return Table1D(x0, dx_eff, g_slice.real)
+
+
+def fourier_quad(q: Callable[[float], complex], a: float, b: float,
+                 x) -> np.ndarray | float:
+    """G(x) = (1/2pi) * int_a^b q(s) e^{isx} ds by adaptive quadrature, per point.
+
+    The oracle for `fourier_table`: slow, but independent of the FFT path.
+    q must be Hermitian on a symmetric band so that G is real; the imaginary
+    part is checked to be a pure rounding residue before it is discarded.
+    """
+    x = np.asarray(x, dtype=float)
+    scalar = x.ndim == 0
+
+    def one(xx: float) -> float:
+        def integrand(s):
+            return complex(q(s)) * np.exp(1j * s * xx)
+
+        re, _ = quad(lambda s: integrand(s).real, a, b, epsabs=1e-12, epsrel=1e-10,
+                     limit=800)
+        with warnings.catch_warnings():
+            # cancellation integral: the imaginary part is structurally zero
+            warnings.simplefilter("ignore", IntegrationWarning)
+            im, _ = quad(lambda s: integrand(s).imag, a, b, epsabs=1e-10, epsrel=1e-8,
+                         limit=800)
+        val = re / (2.0 * np.pi)
+        if abs(im) / (2.0 * np.pi) > 1e-8 * abs(val) + 1e-12:
+            raise DataError(f"transform carries imaginary residue {im:.3e} at x={xx:g}")
+        return val
+
+    out = np.array([one(float(xx)) for xx in np.atleast_1d(x)])
+    return float(out[0]) if scalar else out
 
 
 def _hermite_bridge(a, b, qa, dqa, qb, dqb):

@@ -19,7 +19,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -32,11 +32,27 @@ from .ppe import PpeConfig, select_and_estimate
 from .svsim import ObservationSeries, ScenarioConfig, parse_kv, simulate_scenario
 from .volreg import (DENOMINATOR_FLOOR, default_regression_bandwidth,
                      regression_estimate)
-from .waveletdeconv import wavelet_estimate
+from .waveletdeconv import MeyerSpec, wavelet_estimate
 
 DEFAULT_GAMMA_KERNEL = 1.0
 DEFAULT_GAMMA_REGRESSION = 3.5
 ESTIMATORS = ("kernel", "wavelet", "ppe", "regression")
+
+
+#: config-file key (= argparse dest) -> (PipelineConfig field, parser), in
+#: the order run_config.txt lists them
+_CONFIG_KEYS = {
+    "estimator": ("estimator", str), "out": ("out_dir", str),
+    "input": ("input_csv", str), "scenario": ("scenario", str),
+    "n": ("n", int), "delta": ("delta", float), "seed": ("seed", int),
+    "demean": ("demean", lambda s: s.lower() in ("1", "true", "yes", "on")),
+    "price_column": ("price_column", str),
+    "bandwidth": ("bandwidth", float), "gamma": ("gamma", float),
+    "grid_points": ("grid_points", int),
+    "level": ("level", str), "truncation": ("truncation", str),
+    "kappa": ("kappa", float), "kn": ("kn", int),
+    "denominator_floor": ("denominator_floor", float),
+}
 
 
 @dataclass
@@ -60,7 +76,6 @@ class PipelineConfig:
     kappa: float = 1.0
     kn: int | None = None
     denominator_floor: float = DENOMINATOR_FLOOR
-    extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.estimator not in ESTIMATORS:
@@ -72,26 +87,15 @@ class PipelineConfig:
             raise ParameterError("delta must be positive")
 
     def to_kv(self) -> str:
-        pairs = [
-            ("estimator", self.estimator),
-            ("out", self.out_dir),
-            ("input", self.input_csv or ""),
-            ("scenario", self.scenario or ""),
-            ("n", self.n),
-            ("delta", self.delta),
-            ("seed", self.seed),
-            ("demean", str(self.demean).lower()),
-            ("price_column", self.price_column or ""),
-            ("bandwidth", "" if self.bandwidth is None else self.bandwidth),
-            ("gamma", "" if self.gamma is None else self.gamma),
-            ("grid_points", self.grid_points),
-            ("level", self.level),
-            ("truncation", self.truncation),
-            ("kappa", self.kappa),
-            ("kn", "" if self.kn is None else self.kn),
-            ("denominator_floor", self.denominator_floor),
-        ]
-        return "".join(f"{k} = {v}\n" for k, v in pairs)
+        lines = []
+        for key, (attr, _) in _CONFIG_KEYS.items():
+            value = getattr(self, attr)
+            if value is None:
+                value = ""
+            elif isinstance(value, bool):
+                value = str(value).lower()
+            lines.append(f"{key} = {value}\n")
+        return "".join(lines)
 
 
 def ingest_prices(path, delta: float = 1.0, demean: bool = False,
@@ -194,7 +198,8 @@ def run_pipeline(config: PipelineConfig) -> list[Path]:
     elif config.estimator == "wavelet":
         level = None if config.level == "auto" else int(config.level)
         trunc = None if config.truncation == "auto" else int(config.truncation)
-        est = wavelet_estimate(y, level=level, truncation=trunc)
+        est = wavelet_estimate(y, MeyerSpec(grid_points=config.grid_points),
+                               level=level, truncation=trunc)
         density = est.density
         diag_rows += [("level", est.level), ("level_target", est.level_target),
                       ("truncation", est.truncation),
@@ -313,20 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-_CONFIG_KEYS = {
-    "input": ("input_csv", str), "scenario": ("scenario", str),
-    "estimator": ("estimator", str), "out": ("out_dir", str),
-    "n": ("n", int), "delta": ("delta", float), "seed": ("seed", int),
-    "demean": ("demean", lambda s: s.lower() in ("1", "true", "yes", "on")),
-    "price_column": ("price_column", str),
-    "bandwidth": ("bandwidth", float), "gamma": ("gamma", float),
-    "grid_points": ("grid_points", int),
-    "level": ("level", str), "truncation": ("truncation", str),
-    "kappa": ("kappa", float), "kn": ("kn", int),
-    "denominator_floor": ("denominator_floor", float),
-}
-
-
 def resolve_config(args: argparse.Namespace) -> PipelineConfig:
     """Merge a --config file (if any) with command-line flags; flags win."""
     values: dict = {}
@@ -339,19 +330,10 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
                 continue
             attr, conv = _CONFIG_KEYS[key]
             values[attr] = conv(raw)
-    flags = {
-        "input_csv": args.input, "scenario": args.scenario,
-        "estimator": args.estimator, "out_dir": args.out,
-        "n": args.n, "delta": args.delta, "seed": args.seed,
-        "demean": args.demean, "price_column": args.price_column,
-        "bandwidth": args.bandwidth, "gamma": args.gamma,
-        "grid_points": args.grid_points, "level": args.level,
-        "truncation": args.truncation, "kappa": args.kappa, "kn": args.kn,
-        "denominator_floor": args.denominator_floor,
-    }
-    for attr, val in flags.items():
-        if val is not None:
-            values[attr] = val
+    for key, (attr, _) in _CONFIG_KEYS.items():
+        flag = getattr(args, key)
+        if flag is not None:
+            values[attr] = flag
     if "estimator" not in values:
         raise ConfigError("an --estimator is required")
     if "out_dir" not in values:

@@ -16,8 +16,8 @@ structure is exact rather than asymptotic.
 
 v_h is the cost hot spot, so it is tabulated once per bandwidth by FFT and
 interpolated (the table spans the full argument range needed, so no tail is
-truncated); `deconv_kernel` keeps a direct adaptive-quadrature evaluation
-that the tests use as an independent oracle.  Because phi_k is complex, v_h
+truncated); `deconv_kernel` evaluates v_h by direct adaptive quadrature,
+which the tests use as an independent oracle.  Because phi_k is complex, v_h
 is real but NOT symmetric in its argument: the noise has nonzero mean and
 skew, and the kernel's asymmetry is what undoes them.
 """
@@ -30,16 +30,22 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
+from scipy.integrate import trapezoid
 
-from ._tables import Table1D, fourier_table
+from ._tables import Table1D, fourier_quad, fourier_table, range_bucket
 from .errors import DataError, ParameterError
 from .grids import DensityGrid
 from .noisemodel import inv_noise_charfn
-from .svsim import ObservationSeries
+from .svsim import ObservationSeries, as_log_squared
 
 # smallest usable bandwidth: 1/phi_k(s/h) must stay inside double range on |s| <= 1
 MIN_BANDWIDTH = np.pi / 700.0
+#: the only kernel shipped: Wand's, whose boundary exponent rho = 3 is what
+#: the variance theory assumes
+KERNEL_ID = "wand-rho3"
+#: v_h tabulation step in the scaled argument; v_h is band-limited to [-1, 1],
+#: so this already gives ~1e-8 interpolation accuracy
+TABLE_STEP = 0.05
 
 
 # --------------------------------------------------------------------------- Wand kernel
@@ -102,87 +108,52 @@ def deconv_kernel(x, h: float, inv_noise_cf=None) -> np.ndarray | float:
     """v_h by direct adaptive quadrature (the oracle path; slow per point).
 
     `inv_noise_cf` replaces 1/phi_k (a test hook); passing lambda t: 1.0
-    reduces v_h to the plain kernel w.  The imaginary part of the transform
-    is checked to be a pure rounding residue before it is discarded.
+    reduces v_h to the plain kernel w.
     """
+    _check_bandwidth(h)
+    inv_cf = inv_noise_charfn if inv_noise_cf is None else inv_noise_cf
+    # e^{-isx} in the definition of v_h is e^{is(-x)}
+    return fourier_quad(lambda s: wand_charfn(s) * inv_cf(s / h), -1.0, 1.0,
+                        -np.asarray(x, dtype=float))
+
+
+def _check_bandwidth(h: float) -> None:
     if h <= 0:
         raise ParameterError("bandwidth must be positive")
     if h < MIN_BANDWIDTH:
         raise ParameterError(f"bandwidth below {MIN_BANDWIDTH:.5f} overflows 1/phi_k")
-    inv_cf = inv_noise_charfn if inv_noise_cf is None else inv_noise_cf
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-
-    def one(xx: float) -> float:
-        def re_part(s):
-            a = complex(inv_cf(s / h))
-            return float((wand_charfn(s) * a * np.exp(-1j * s * xx)).real)
-
-        def im_part(s):
-            a = complex(inv_cf(s / h))
-            return float((wand_charfn(s) * a * np.exp(-1j * s * xx)).imag)
-
-        re, _ = quad(re_part, -1.0, 1.0, epsabs=1e-12, epsrel=1e-10, limit=400)
-        with warnings.catch_warnings():
-            # cancellation integral: the imaginary part is structurally zero
-            warnings.simplefilter("ignore", IntegrationWarning)
-            im, _ = quad(im_part, -1.0, 1.0, epsabs=1e-10, epsrel=1e-8, limit=400)
-        val = re / (2.0 * np.pi)
-        if abs(im) / (2.0 * np.pi) > 1e-8 * abs(val) + 1e-12:
-            raise DataError(
-                f"deconvolution kernel carries imaginary residue {im:.3e} at x={xx:g}")
-        return val
-
-    out = np.array([one(float(xx)) for xx in x])
-    return float(out[0]) if scalar else out
 
 
 @lru_cache(maxsize=32)
-def _kernel_table(h: float, x_half: float, dx: float) -> Table1D:
+def _kernel_table(h: float, x_half: float) -> Table1D:
     def spectrum(s):
         # v_h(u) = (1/2pi) int phi_w(s)/phi_k(s/h) e^{-isu} ds
         #        = (1/2pi) int phi_w(s) conj(1/phi_k(s/h)) e^{+isu} ds
         return wand_charfn(s) * np.conj(inv_noise_charfn(s / h))
 
-    return fourier_table(spectrum, s_max=1.0, dx=dx, x_half=x_half,
+    return fourier_table(spectrum, s_max=1.0, dx=TABLE_STEP, x_half=x_half,
                          min_spectrum_samples=8192)
 
 
-def deconv_kernel_table(h: float, x_half: float, dx: float = 0.05) -> Table1D:
+def deconv_kernel_table(h: float, x_half: float) -> Table1D:
     """FFT tabulation of v_h covering |u| <= x_half (cached per bandwidth)."""
-    if h <= 0:
-        raise ParameterError("bandwidth must be positive")
-    if h < MIN_BANDWIDTH:
-        raise ParameterError(f"bandwidth below {MIN_BANDWIDTH:.5f} overflows 1/phi_k")
-    # round the range up so nearby requests share one cached table
-    x_half = float(2.0 ** np.ceil(np.log2(max(x_half, 16.0))))
-    return _kernel_table(float(h), x_half, float(dx))
+    _check_bandwidth(h)
+    return _kernel_table(float(h), range_bucket(x_half))
 
 
 # --------------------------------------------------------------------------- estimator
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Kernel estimator configuration.
-
-    Only the Wand kernel is shipped (its boundary exponent rho = 3 is what
-    the variance theory assumes); `table_step` controls the v_h tabulation
-    resolution in the scaled argument, where v_h is band-limited to [-1, 1]
-    so 0.05 already gives ~1e-8 interpolation accuracy.
-    """
+    """Kernel estimator configuration (the kernel is always KERNEL_ID)."""
 
     bandwidth: float
-    kernel: str = "wand-rho3"
     grid_points: int = 512
-    table_step: float = 0.05
     clip_negative: bool = False
 
     def __post_init__(self):
         if self.bandwidth <= 0:
             raise ParameterError("bandwidth must be positive")
-        if self.kernel != "wand-rho3":
-            raise ParameterError(f"unknown kernel id {self.kernel!r}")
         if self.grid_points < 8:
             raise ParameterError("grid needs at least 8 points")
 
@@ -231,15 +202,6 @@ def check_gamma_constraint(n: int, delta: float, gamma: float) -> bool:
     return True
 
 
-def _as_y_array(y) -> tuple[np.ndarray, int]:
-    if isinstance(y, ObservationSeries):
-        return y.log_squared, y.zero_increment_count
-    arr = np.asarray(y, dtype=float)
-    if arr.ndim != 1 or arr.size < 1:
-        raise DataError("need a nonempty 1-d series of log-squared values")
-    return arr, 0
-
-
 def default_grid(y: np.ndarray, h: float, points: int) -> np.ndarray:
     """Grid spanning the sample range of Y plus 3h padding on both sides."""
     lo, hi = float(np.min(y)), float(np.max(y))
@@ -260,7 +222,7 @@ def estimate_density(y, spec: KernelSpec, grid: np.ndarray | None = None) -> Est
     negative; with ``spec.clip_negative`` the output is clipped at zero and
     renormalized (off by default, keeping the estimator faithful).
     """
-    y_arr, zero_count = _as_y_array(y)
+    y_arr = as_log_squared(y)
     h = spec.bandwidth
     if grid is None:
         grid = default_grid(y_arr, h, spec.grid_points)
@@ -269,25 +231,26 @@ def estimate_density(y, spec: KernelSpec, grid: np.ndarray | None = None) -> Est
 
     arg_half = (max(abs(float(grid[0] - np.max(y_arr))),
                     abs(float(grid[-1] - np.min(y_arr)))) / h) + 8.0
-    table = deconv_kernel_table(h, arg_half, spec.table_step)
+    table = deconv_kernel_table(h, arg_half)
 
     values = _kernel_sum(y_arr, table, grid, h)
     diag = {
         "bandwidth": h,
         "n": int(y_arr.size),
-        "zero_increment_count": zero_count,
+        "zero_increment_count": (y.zero_increment_count
+                                 if isinstance(y, ObservationSeries) else 0),
         "grid_span": (float(grid[0]), float(grid[-1])),
     }
     if spec.clip_negative:
         clipped = np.maximum(values, 0.0)
-        mass = np.trapezoid(clipped, grid)
+        mass = trapezoid(clipped, grid)
         if mass <= 0:
             raise DataError("estimate clipped to zero everywhere; cannot renormalize")
         values = clipped / mass
         diag["clipped_mass"] = float(mass)
     density = DensityGrid(grid, values, signed=not spec.clip_negative)
     return EstimateReport(density=density, config={
-        "estimator": "kernel", "kernel": spec.kernel, "bandwidth": h,
+        "estimator": "kernel", "kernel": KERNEL_ID, "bandwidth": h,
         "grid_points": int(grid.size), "clip_negative": spec.clip_negative,
     }, diagnostics=diag)
 

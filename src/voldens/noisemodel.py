@@ -16,39 +16,16 @@ Two identities are used throughout and exercised by the tests:
     |phi_k(t)|^2 = 1 / cosh(pi t)        (reflection formula for Gamma)
     1 / phi_k(t) = cosh(pi t) * conj(phi_k(t))
 
-The complex log-gamma needed for phi_k is evaluated with the Lanczos
-approximation below; no general special-function machinery is pulled in.
+The complex log-gamma needed for phi_k is scipy's `loggamma`.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import digamma, loggamma
 
 from .errors import ParameterError
 from .grids import CharFnTable
-
-# Lanczos parameters (Godfrey's set): g = 607/128 with 15 coefficients.
-# Relative accuracy of exp(log_gamma) is ~1e-13 on the half plane
-# Re z >= 1/2, comfortably better than the 1e-12 this package relies on
-# for Re z in [0.5, 1.5], |Im z| <= 50.
-LANCZOS_G = 607.0 / 128.0
-LANCZOS_COEFFS = np.array([
-    0.99999999999999709182,
-    57.156235665862923517,
-    -59.597960355475491248,
-    14.136097974741747174,
-    -0.49191381609762019978,
-    0.33994649984811888699e-4,
-    0.46523628927048575665e-4,
-    -0.98374475304879564677e-4,
-    0.15808870322491248884e-3,
-    -0.21026444172410488319e-3,
-    0.21743961811521264320e-3,
-    -0.16431810653676389022e-3,
-    0.84418223983852743293e-4,
-    -0.26190838401581408670e-4,
-    0.36899182659531622704e-5,
-])
 
 # Beyond this frequency |phi_k| < 1e-152 and downstream ratios are
 # meaningless; phi_k returns exactly 0 there.
@@ -56,42 +33,16 @@ CHARFN_CUTOFF = 700.0 / np.pi
 
 
 def complex_log_gamma(z) -> np.ndarray | complex:
-    """Principal-branch log Gamma(z) by the Lanczos approximation.
+    """Principal-branch log Gamma(z) (scipy's `loggamma`).
 
-    Guarantees relative error of exp(result) below 1e-12 on the strip
-    Re z in [0.5, 1.5], |Im z| <= 50 (checked against the reflection
-    identity and an independent implementation in the tests).  Arguments
-    with Re z < 0.5 go through the reflection formula; exp(result) is then
-    still Gamma(z), though the imaginary part is only defined modulo 2 pi.
-
-    Raises ParameterError at the poles (nonpositive integers).
+    exp(result) is Gamma(z) everywhere off the poles.  Raises ParameterError
+    at the poles (nonpositive integers).
     """
     z = np.asarray(z, dtype=complex)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
-    out = np.empty(z.shape, dtype=complex)
-
-    at_pole = (z.real <= 0) & (z.imag == 0) & (z.real == np.round(z.real))
-    if np.any(at_pole):
+    if np.any((z.real <= 0) & (z.imag == 0) & (z.real == np.round(z.real))):
         raise ParameterError("log gamma pole at nonpositive integer argument")
-
-    right = z.real >= 0.5
-    if np.any(right):
-        out[right] = _lanczos_log_gamma(z[right])
-    if np.any(~right):
-        zr = z[~right]
-        # Gamma(z) Gamma(1-z) = pi / sin(pi z)
-        out[~right] = (np.log(np.pi) - np.log(np.sin(np.pi * zr))
-                       - _lanczos_log_gamma(1.0 - zr))
-    return complex(out[0]) if scalar else out
-
-
-def _lanczos_log_gamma(z: np.ndarray) -> np.ndarray:
-    acc = np.full(z.shape, LANCZOS_COEFFS[0], dtype=complex)
-    for k in range(1, LANCZOS_COEFFS.size):
-        acc = acc + LANCZOS_COEFFS[k] / (z - 1.0 + k)
-    t = z + (LANCZOS_G - 0.5)
-    return 0.5 * np.log(2.0 * np.pi) + (z - 0.5) * np.log(t) - t + np.log(acc)
+    out = loggamma(z)
+    return complex(out) if z.ndim == 0 else out
 
 
 def noise_density(x) -> np.ndarray | float:
@@ -124,7 +75,7 @@ def noise_charfn(t) -> np.ndarray | complex:
     ok = ta <= CHARFN_CUTOFF
     if np.any(ok):
         v = np.exp(1j * ta[ok] * np.log(2.0)
-                   + _lanczos_log_gamma(0.5 + 1j * ta[ok])) / np.sqrt(np.pi)
+                   + loggamma(0.5 + 1j * ta[ok])) / np.sqrt(np.pi)
         out[ok] = v
     out = np.where(t < 0, np.conj(out), out)
     return complex(out[0]) if scalar else out
@@ -153,8 +104,6 @@ def inv_noise_charfn_derivative(t) -> np.ndarray | complex:
     The penalized-projection tables need the boundary value and slope of
     1/phi_k to peel off its spectrum-edge discontinuity before an FFT.
     """
-    from scipy.special import digamma
-
     t = np.asarray(t, dtype=float)
     scalar = t.ndim == 0
     t = np.atleast_1d(t)

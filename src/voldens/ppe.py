@@ -36,18 +36,16 @@ tails a bare FFT would alias).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
-from ._tables import Table1D, fourier_table, lattice_means, range_bucket
+from ._tables import Table1D, fourier_quad, fourier_table, lattice_means, range_bucket
 from .errors import ConfigError, DataError, ParameterError
 from .grids import DensityGrid
 from .noisemodel import inv_noise_charfn, inv_noise_charfn_derivative
-from .svsim import ObservationSeries
+from .svsim import as_log_squared
 
 #: sinh(pi^2 L) overflows double precision past this level
 MAX_LEVEL = 71
@@ -84,31 +82,8 @@ def u_basis_quad(y, L: int, j: int, inv_noise_cf=None) -> np.ndarray | float:
     if L > MAX_LEVEL:
         raise ParameterError(f"level {L} exceeds the double-precision cap {MAX_LEVEL}")
     inv_cf = inv_noise_charfn if inv_noise_cf is None else inv_noise_cf
-    y = np.asarray(y, dtype=float)
-    scalar = y.ndim == 0
-    y = np.atleast_1d(y)
-    s_max = np.pi * L
-
-    def one(z: float) -> float:
-        def re_part(s):
-            return float((complex(inv_cf(s)) * np.exp(1j * s * z)).real)
-
-        def im_part(s):
-            return float((complex(inv_cf(s)) * np.exp(1j * s * z)).imag)
-
-        re, _ = quad(re_part, -s_max, s_max, epsabs=1e-12, epsrel=1e-10, limit=800)
-        with warnings.catch_warnings():
-            # the imaginary part integrates to zero by symmetry; QUADPACK
-            # reports roundoff on such cancellation integrals
-            warnings.simplefilter("ignore", IntegrationWarning)
-            im, _ = quad(im_part, -s_max, s_max, epsabs=1e-10, epsrel=1e-8, limit=800)
-        val = re / (2.0 * np.pi * np.sqrt(L))
-        if abs(im) / (2.0 * np.pi * np.sqrt(L)) > 1e-8 * abs(val) + 1e-12:
-            raise DataError(f"u basis carries imaginary residue {im:.3e}")
-        return val
-
-    out = np.array([one(float(z - j / L)) for z in y])
-    return float(out[0]) if scalar else out
+    z = np.asarray(y, dtype=float) - j / L
+    return fourier_quad(inv_cf, -np.pi * L, np.pi * L, z) / math.sqrt(L)
 
 
 @lru_cache(maxsize=32)
@@ -138,14 +113,8 @@ def u_zero_table(L: int, z_half: float) -> Table1D:
     return _u_zero_table(int(L), range_bucket(z_half))
 
 
-def u_basis(y, L: int, j: int, inv_noise_cf=None) -> np.ndarray | float:
-    """u_{psi_{L,j}}(y), via the tabulated u_{psi_{L,0}} and the shift identity.
-
-    With an `inv_noise_cf` hook the cached table cannot be used and the
-    quadrature path runs instead.
-    """
-    if inv_noise_cf is not None:
-        return u_basis_quad(y, L, j, inv_noise_cf)
+def u_basis(y, L: int, j: int) -> np.ndarray | float:
+    """u_{psi_{L,j}}(y), via the tabulated u_{psi_{L,0}} and the shift identity."""
     if L < 1:
         raise ParameterError("level L must be >= 1")
     y = np.asarray(y, dtype=float)
@@ -158,22 +127,13 @@ def u_basis(y, L: int, j: int, inv_noise_cf=None) -> np.ndarray | float:
 
 # --------------------------------------------------------------------------- coefficients and contrast
 
-def _as_y(y) -> np.ndarray:
-    if isinstance(y, ObservationSeries):
-        return y.log_squared
-    arr = np.asarray(y, dtype=float)
-    if arr.ndim != 1 or arr.size < 1:
-        raise DataError("need a nonempty 1-d series")
-    return arr
-
-
 def ppe_coefficients(y, L: int, k_n: int) -> np.ndarray:
     """a_hat_{L,j} = (1/n) sum_i u_{psi_{L,j}}(Y_i) for |j| <= k_n.
 
     The shift structure makes this one lattice correlation against the
     tabulated u_{psi_{L,0}}; entry i corresponds to j = i - k_n.
     """
-    y_arr = _as_y(y)
+    y_arr = as_log_squared(y)
     if not (1 <= L <= MAX_LEVEL):
         raise ParameterError(f"level must be in [1, {MAX_LEVEL}]")
     if k_n < 0:
@@ -306,7 +266,7 @@ def select_and_estimate(y, config: PpeConfig = PpeConfig(),
     model); the selected estimate is rendered on `grid` (default: the data
     range with 3-unit padding).
     """
-    y_arr = _as_y(y)
+    y_arr = as_log_squared(y)
     n = y_arr.size
     if n < 3:
         raise DataError("need at least 3 observations")

@@ -282,6 +282,16 @@ class ObservationSeries:
             raise ConfigError(f"unknown export kind {kind!r}")
 
 
+def as_log_squared(y) -> np.ndarray:
+    """Estimator input: the Y values of an ObservationSeries or a nonempty 1-d array."""
+    if isinstance(y, ObservationSeries):
+        return y.log_squared
+    arr = np.asarray(y, dtype=float)
+    if arr.ndim != 1 or arr.size < 1:
+        raise DataError("need a nonempty 1-d series of log-squared values")
+    return arr
+
+
 def log_squared_transform(series) -> np.ndarray:
     """Y_i = log((X_i)^2 v floor) for an ObservationSeries or a raw increment array."""
     if isinstance(series, ObservationSeries):

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import DataError, ParameterError
 from .kerneldeconv import deconv_kernel_table, _kernel_sum
-from .svsim import ArParams, ObservationSeries, _rng
+from .svsim import ArParams, _rng, as_log_squared, simulate_ar_logvol
 
 #: |x| probes for the numerical limsup |m(x)/x| < 1 stability check
 STABILITY_PROBES = (1e2, 1e3, 1e4)
@@ -87,29 +87,21 @@ class ArScenario:
 def simulate_nonlinear_ar(scenario: ArScenario) -> tuple[np.ndarray, np.ndarray]:
     """Simulate (Y_1..Y_n, xi_1..xi_n) from the autoregression.
 
-    The chain is burned in from 0 for `burn_in` steps; the observation noise
-    eps_t = log Z_t^2 comes from a second stream, with Z_t optionally
-    correlated with the innovation eta_t at the same index.
+    The chain is `svsim.simulate_ar_logvol`, burned in from 0 for `burn_in`
+    steps; the observation noise eps_t = log Z_t^2 comes from a second
+    stream, with Z_t optionally correlated with the innovation eta_t at the
+    same index.
     """
     p = scenario.params
-    m = p.regression()
-    rng_eta = _rng(scenario.seed)
-    rng_z = _rng(scenario.seed + 1_000_003)
-
+    xi = simulate_ar_logvol(p.regression(), p.innovation_sd, scenario.n - 1,
+                            scenario.seed, scenario.burn_in)
+    # the chain's driving normals, redrawn from the same key for the Z stream
     total = scenario.burn_in + scenario.n
-    eta_std = rng_eta.standard_normal(total)
-    z_indep = rng_z.standard_normal(total)
+    eta_std = _rng(scenario.seed).standard_normal(total)
+    z_indep = _rng(scenario.seed + 1_000_003).standard_normal(total)
     rho = scenario.noise_correlation
     # Z shares rho of the innovation's driving normal
     z = rho * eta_std + math.sqrt(1.0 - rho * rho) * z_indep
-
-    xi = np.empty(scenario.n)
-    x = 0.0
-    for k in range(scenario.burn_in):
-        x = float(m(x)) + p.innovation_sd * eta_std[k]
-    for k in range(scenario.n):
-        xi[k] = x
-        x = float(m(x)) + p.innovation_sd * eta_std[scenario.burn_in + k]
     zz = z[scenario.burn_in:]
     y = xi + np.log(np.maximum(zz * zz, 1e-300))
     return y, xi
@@ -147,15 +139,6 @@ class RegressionEstimate:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _as_y(y) -> np.ndarray:
-    if isinstance(y, ObservationSeries):
-        return y.log_squared
-    arr = np.asarray(y, dtype=float)
-    if arr.ndim != 1:
-        raise DataError("need a 1-d series")
-    return arr
-
-
 def regression_estimate(y, h: float, grid: np.ndarray,
                         floor: float = DENOMINATOR_FLOOR,
                         noise_mean: float = NOISE_MEAN) -> RegressionEstimate:
@@ -171,7 +154,7 @@ def regression_estimate(y, h: float, grid: np.ndarray,
     noise_mean=0.0 for the raw uncorrected ratio.  Raises when every grid
     point is masked.
     """
-    y_arr = _as_y(y)
+    y_arr = as_log_squared(y)
     if y_arr.size < 2:
         raise DataError("regression needs at least two observations")
     if h <= 0:

@@ -37,19 +37,23 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad, trapezoid
+from scipy.integrate import trapezoid
 
-from ._tables import Table1D, fourier_table, lattice_means, range_bucket
+from ._tables import Table1D, fourier_quad, fourier_table, lattice_means, range_bucket
 from .errors import DataError, ParameterError
 from .grids import CharFnTable, DensityGrid
 from .noisemodel import inv_noise_charfn
-from .svsim import ObservationSeries
+from .svsim import as_log_squared
 
 OMEGA_MAX = 4.0 * np.pi / 3.0
 #: log n / (1 + 4 pi^2 / 3) is the theory's target for 2^{m_n}
 LEVEL_DENOMINATOR = 1.0 + 4.0 * np.pi ** 2 / 3.0
 #: 2^m * 4pi/3 must stay below the 1/phi_k overflow cutoff
 MAX_LEVEL = 5
+#: tabulation step of phi and U_m; 96 steps per unit shift
+TABLE_STEP = 1.0 / 96.0
+#: minimum spectrum samples across supp phi~ in the phi and U_m tables
+SPECTRUM_SAMPLES = 8192
 
 
 @dataclass(frozen=True)
@@ -57,20 +61,15 @@ class MeyerSpec:
     """Wavelet family configuration.
 
     bump_degree selects the smoothstep order of the auxiliary measure
-    (3 = the classical quartic-matching polynomial); table_step and
-    spectrum_samples control the tabulation accuracy of phi and U_m.
+    (3 = the classical quartic-matching polynomial).
     """
 
     bump_degree: int = 3
-    table_step: float = 1.0 / 96.0
-    spectrum_samples: int = 8192
     grid_points: int = 512
 
     def __post_init__(self):
         if self.bump_degree < 1:
             raise ParameterError("bump degree must be >= 1")
-        if self.table_step <= 0 or not (0 < self.table_step <= 0.05):
-            raise ParameterError("table step must be in (0, 0.05]")
 
 
 DEFAULT_SPEC = MeyerSpec()
@@ -125,34 +124,32 @@ def meyer_wavelet_fourier(omega, spec: MeyerSpec = DEFAULT_SPEC) -> np.ndarray |
 # --------------------------------------------------------------------------- tabulated functions
 
 @lru_cache(maxsize=32)
-def _scaling_table(degree: int, x_half: float, dx: float, samples: int) -> Table1D:
-    spec = MeyerSpec(bump_degree=degree, table_step=dx, spectrum_samples=samples)
+def _scaling_table(degree: int, x_half: float) -> Table1D:
+    spec = MeyerSpec(bump_degree=degree)
     return fourier_table(lambda w: meyer_scaling_fourier(w, spec) + 0j,
-                         s_max=OMEGA_MAX, dx=dx, x_half=x_half,
-                         min_spectrum_samples=samples, dx_exact=True)
+                         s_max=OMEGA_MAX, dx=TABLE_STEP, x_half=x_half,
+                         min_spectrum_samples=SPECTRUM_SAMPLES, dx_exact=True)
 
 
 @lru_cache(maxsize=32)
-def _um_table(degree: int, m: int, x_half: float, dx: float, samples: int) -> Table1D:
-    spec = MeyerSpec(bump_degree=degree, table_step=dx, spectrum_samples=samples)
+def _um_table(degree: int, m: int, x_half: float) -> Table1D:
+    spec = MeyerSpec(bump_degree=degree)
 
     def spectrum(w):
         return meyer_scaling_fourier(w, spec) * inv_noise_charfn((2.0 ** m) * w)
 
-    return fourier_table(spectrum, s_max=OMEGA_MAX, dx=dx, x_half=x_half,
-                         min_spectrum_samples=samples, dx_exact=True)
+    return fourier_table(spectrum, s_max=OMEGA_MAX, dx=TABLE_STEP, x_half=x_half,
+                         min_spectrum_samples=SPECTRUM_SAMPLES, dx_exact=True)
 
 
 def scaling_table(spec: MeyerSpec, x_half: float) -> Table1D:
-    return _scaling_table(spec.bump_degree, range_bucket(x_half), spec.table_step,
-                          spec.spectrum_samples)
+    return _scaling_table(spec.bump_degree, range_bucket(x_half))
 
 
 def um_table(spec: MeyerSpec, m: int, x_half: float) -> Table1D:
     if not (0 <= m <= MAX_LEVEL):
         raise ParameterError(f"detail level must be in [0, {MAX_LEVEL}]")
-    return _um_table(spec.bump_degree, int(m), range_bucket(x_half), spec.table_step,
-                     spec.spectrum_samples)
+    return _um_table(spec.bump_degree, int(m), range_bucket(x_half))
 
 
 def scaling_function(x, spec: MeyerSpec = DEFAULT_SPEC) -> np.ndarray | float:
@@ -167,40 +164,14 @@ def u_m_function(x, m: int, spec: MeyerSpec = DEFAULT_SPEC,
     """U_m by direct adaptive quadrature (oracle path).
 
     U_m(x) = (1/2pi) int phi~(omega)/k~(-2^m omega) e^{i omega x} d omega
-    over supp phi~; the integrand is Hermitian so the transform is real, and
-    the imaginary residue is checked before being dropped.  `inv_noise_cf`
-    replaces 1/phi_k (test hook; the constant 1 turns U_m into phi).
+    over supp phi~.  `inv_noise_cf` replaces 1/phi_k (test hook; the
+    constant 1 turns U_m into phi).
     """
     if not (0 <= m <= MAX_LEVEL):
         raise ParameterError(f"detail level must be in [0, {MAX_LEVEL}]")
     inv_cf = inv_noise_charfn if inv_noise_cf is None else inv_noise_cf
-    scale = 2.0 ** m
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-
-    def one(xx: float) -> float:
-        def re_part(w):
-            return float((meyer_scaling_fourier(w, spec) * complex(inv_cf(scale * w))
-                          * np.exp(1j * w * xx)).real)
-
-        def im_part(w):
-            return float((meyer_scaling_fourier(w, spec) * complex(inv_cf(scale * w))
-                          * np.exp(1j * w * xx)).imag)
-
-        re, _ = quad(re_part, -OMEGA_MAX, OMEGA_MAX, epsabs=1e-12, epsrel=1e-10, limit=400)
-        with warnings.catch_warnings():
-            # cancellation integral: the imaginary part is structurally zero
-            warnings.simplefilter("ignore", IntegrationWarning)
-            im, _ = quad(im_part, -OMEGA_MAX, OMEGA_MAX, epsabs=1e-10, epsrel=1e-8,
-                         limit=400)
-        val = re / (2.0 * np.pi)
-        if abs(im) / (2.0 * np.pi) > 1e-8 * abs(val) + 1e-12:
-            raise DataError(f"U_m carries imaginary residue {im:.3e} at x={xx:g}")
-        return val
-
-    out = np.array([one(float(xx)) for xx in x])
-    return float(out[0]) if scalar else out
+    return fourier_quad(lambda w: meyer_scaling_fourier(w, spec) * inv_cf((2.0 ** m) * w),
+                        -OMEGA_MAX, OMEGA_MAX, x)
 
 
 # --------------------------------------------------------------------------- estimator
@@ -227,15 +198,6 @@ class WaveletEstimate:
         return float(self.coefficients[l + self.truncation])
 
 
-def _as_y(y) -> np.ndarray:
-    if isinstance(y, ObservationSeries):
-        return y.log_squared
-    arr = np.asarray(y, dtype=float)
-    if arr.ndim != 1 or arr.size < 1:
-        raise DataError("need a nonempty 1-d series")
-    return arr
-
-
 def wavelet_coefficients(y, m: int, truncation: int,
                          spec: MeyerSpec = DEFAULT_SPEC) -> np.ndarray:
     """Estimated scaling coefficients a_hat_{m,l} for |l| <= truncation.
@@ -244,17 +206,14 @@ def wavelet_coefficients(y, m: int, truncation: int,
     evaluated through the tabulated U_m.  The integer shifts land exactly on
     the table lattice, so the whole family is computed as one correlation.
     """
-    y_arr = _as_y(y)
+    y_arr = as_log_squared(y)
     if truncation < 0:
         raise ParameterError("truncation must be >= 0")
     pts = (2.0 ** m) * y_arr
     x_half = float(np.max(np.abs(pts))) + truncation + 8.0
     table = um_table(spec, m, x_half)
-    stride = int(round(1.0 / table.dx))
-    if not np.isclose(stride * table.dx, 1.0, rtol=1e-9):
-        raise ParameterError("table step must divide the unit shift")
     means = lattice_means(pts, table, step=1.0, j_lo=-truncation, j_hi=truncation,
-                          stride=stride)
+                          stride=round(1.0 / TABLE_STEP))
     return (2.0 ** (m / 2.0)) * means
 
 
@@ -283,7 +242,7 @@ def wavelet_estimate(y, spec: MeyerSpec = DEFAULT_SPEC,
     `truncation_exponent` r uses L = ceil((log n)^r) instead, and explicit
     `level`/`truncation` win over both.
     """
-    y_arr = _as_y(y)
+    y_arr = as_log_squared(y)
     n = y_arr.size
     if n < 3:
         raise DataError("need at least 3 observations")

@@ -208,3 +208,41 @@ class TestMainEntry:
         code = main(["--scenario", str(sc_file), "--estimator", "kernel",
                      "--out", str(tmp_path / "s"), "--bandwidth", "0.6"])
         assert code == 0
+
+    def test_wavelet_honours_grid_points(self, tmp_path):
+        out = tmp_path / "w"
+        code = main(["--scenario", "ou-exp", "--n", "300", "--estimator", "wavelet",
+                     "--truncation", "50", "--grid-points", "64", "--out", str(out)])
+        assert code == 0
+        data = np.loadtxt(out / "density.csv", delimiter=",", skiprows=1)
+        assert data.shape == (64, 2)
+
+    @pytest.mark.parametrize("estimator, flags", [
+        ("kernel", ["--demean", "--price-column", "price", "--delta", "0.5",
+                    "--bandwidth", "0.7", "--grid-points", "96"]),
+        ("wavelet", ["--level", "1", "--truncation", "60", "--grid-points", "80"]),
+        ("ppe", ["--kappa", "2.0", "--kn", "40", "--grid-points", "72"]),
+        ("regression", ["--gamma", "4.0", "--denominator-floor", "0.001",
+                        "--grid-points", "48"]),
+    ])
+    def test_run_config_round_trip(self, tmp_path, estimator, flags):
+        # run_config.txt fed back through --config, with only `out` changed,
+        # reproduces the run byte for byte
+        if estimator == "kernel":
+            rng = np.random.default_rng(13)
+            prices = tmp_path / "prices.csv"
+            _write_prices(prices, np.exp(np.cumsum(rng.normal(0.01, 0.1, 300))))
+            source = ["--input", str(prices)]
+        else:
+            source = ["--scenario", "ou-exp", "--n", "300", "--seed", "6"]
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(source + ["--estimator", estimator, "--out", str(first)] + flags) == 0
+        text = (first / "run_config.txt").read_text()
+        assert f"out = {first}\n" in text
+        cfg_file = tmp_path / "again.conf"
+        cfg_file.write_text(text.replace(f"out = {first}\n", f"out = {second}\n"))
+        assert main(["--config", str(cfg_file)]) == 0
+        data = "regression.csv" if estimator == "regression" else "density.csv"
+        for fname in (data, "diagnostics.csv"):
+            assert (first / fname).read_bytes() == (second / fname).read_bytes()
+        assert (second / "run_config.txt").read_text() == cfg_file.read_text()

@@ -48,7 +48,7 @@ class TestSincBasis:
 class TestUBasis:
     def test_no_noise_hook_reduces_to_sinc(self):
         ys = np.linspace(-4, 4, 17)
-        np.testing.assert_allclose(u_basis(ys, 2, 1, inv_noise_cf=HOOK_ONE),
+        np.testing.assert_allclose(u_basis_quad(ys, 2, 1, inv_noise_cf=HOOK_ONE),
                                    sinc_basis(2, 1, ys), atol=1e-10)
 
     def test_table_matches_quadrature(self):

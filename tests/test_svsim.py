@@ -8,6 +8,10 @@ from voldens.svsim import (ArParams, ObservationSeries, OuParams,
                            RegimeSwitchParams, ScenarioConfig, invariant_density,
                            log_squared_transform, simulate_markov2, simulate_ou,
                            simulate_price, simulate_scenario, simulate_volatility)
+from voldens.kerneldeconv import KernelSpec, estimate_density
+from voldens.ppe import select_and_estimate
+from voldens.volreg import regression_estimate
+from voldens.waveletdeconv import wavelet_estimate
 
 
 def _philox(seed):
@@ -297,3 +301,15 @@ class TestInvariantDensity:
         grid = np.linspace(-1, 1, 101)
         with pytest.raises(ParameterError):
             invariant_density(lambda x: -x, lambda x: x, 0.0, grid)
+
+
+@pytest.mark.parametrize("estimate", [
+    lambda y: estimate_density(y, KernelSpec(bandwidth=0.5)),
+    lambda y: regression_estimate(y, 0.5, np.linspace(-2.0, 2.0, 16)),
+    wavelet_estimate,
+    select_and_estimate,
+], ids=["kernel", "regression", "wavelet", "ppe"])
+@pytest.mark.parametrize("y", [np.zeros((10, 2)), np.array([])], ids=["2d", "empty"])
+def test_estimators_reject_non_series_input(estimate, y):
+    with pytest.raises(DataError):
+        estimate(y)

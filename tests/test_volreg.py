@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from voldens.errors import DataError, ParameterError
-from voldens.svsim import ArParams
+from voldens.svsim import ArParams, simulate_ar_logvol
 from voldens.volreg import (NOISE_MEAN, ArScenario, default_regression_bandwidth,
                             regression_estimate, regression_residual_field,
                             simulate_nonlinear_ar)
@@ -60,6 +60,17 @@ class TestArScenario:
         y1, x1 = simulate_nonlinear_ar(sc)
         y2, x2 = simulate_nonlinear_ar(sc)
         assert np.array_equal(y1, y2) and np.array_equal(x1, x2)
+
+
+@pytest.mark.parametrize("function", ["linear", "tanh"])
+@pytest.mark.parametrize("burn_in", [0, 5, 1000])
+def test_xi_is_the_svsim_ar_path(function, burn_in):
+    params = ArParams(function, slope=0.6, intercept=0.1, scale=0.8, innovation_sd=0.7)
+    sc = ArScenario(params, n=800, seed=12, burn_in=burn_in, noise_correlation=0.4)
+    _, xi = simulate_nonlinear_ar(sc)
+    path = simulate_ar_logvol(params.regression(), params.innovation_sd, sc.n - 1,
+                              sc.seed, burn_in)
+    assert np.array_equal(xi, path)
 
 
 class TestRegressionBandwidth:
