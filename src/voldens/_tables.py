@@ -1,12 +1,15 @@
 """Shared numerical infrastructure for the Fourier-domain estimators.
 
 Every estimator in this package evaluates some inverse Fourier transform of a
-compactly supported spectrum at a large number of points.  The hot path is
-always the same: tabulate the transform once on a fine uniform grid by FFT,
-then interpolate.  Interpolation is a local 4-point cubic, which is linear in
-the table values; that linearity is what allows the batched coefficient
-engine (`lattice_means`) to reassociate per-point interpolation into a single
-convolution without changing the result beyond float rounding.
+compactly supported spectrum, correlated with the data on a lattice.  The hot
+path is always the same: tabulate the transform once on a fine uniform grid
+by FFT (`fourier_table`, whose step is always exactly the one requested),
+then correlate it with the data (`lattice_means`).  Interpolation is a local
+4-point cubic, which is linear in the table values; that linearity is what
+lets `lattice_means` reassociate the per-point interpolation into a single
+FFT correlation without changing the result beyond float rounding.  It is
+the one path from data to estimate: the kernel and regression sums on a
+uniform grid, and the wavelet and PPE coefficients on integer shifts.
 
 `fourier_quad` evaluates the same transforms by direct adaptive quadrature,
 one point at a time; it shares no code with the FFT path and serves as the
@@ -29,6 +32,10 @@ from .errors import DataError, NumericsError
 IMAG_RESIDUE_RTOL = 1e-8
 # Periodic images of a tabulated transform sit this many requested ranges away.
 OVERSAMPLE = 2.0
+# Minimum spectrum samples across the band of every table.  8192 would double
+# the kernel table's FFT for steps below 0.0491 and buys nothing where the
+# aliasing bound (OVERSAMPLE) already sets the frequency step.
+SPECTRUM_SAMPLES = 4096
 
 
 class Table1D:
@@ -49,16 +56,8 @@ class Table1D:
         self.x0 = float(x0) - 2.0 * dx
         self.dx = float(dx)
 
-    @property
-    def x_min(self) -> float:
-        return self.x0 + 2 * self.dx
-
-    @property
-    def x_max(self) -> float:
-        return self.x0 + (self.values.size - 3) * self.dx
-
     def grid(self) -> np.ndarray:
-        return self.x_min + self.dx * np.arange(self.values.size - 4)
+        return self.x0 + self.dx * np.arange(2, self.values.size - 2)
 
     def raw(self) -> np.ndarray:
         return self.values[2:-2]
@@ -88,23 +87,16 @@ def _cubic_weights(t):
     return w_m1, w_0, w_1, w_2
 
 
-def _next_pow2(n: int) -> int:
-    m = 1
-    while m < n:
-        m *= 2
-    return m
-
-
-def range_bucket(x_half: float, granularity: float = 512.0, floor: float = 64.0) -> float:
+def range_bucket(x_half: float) -> float:
     """Round a requested table range up to a coarse bucket (improves cache reuse).
 
-    Powers of two up to the granularity, multiples of the granularity above it:
-    small tables stay small, large ones don't double wastefully.
+    At least 64, powers of two up to 512 and multiples of 512 above it: small
+    tables stay small, large ones don't double wastefully.
     """
-    x = max(float(x_half), floor)
-    if x <= granularity:
+    x = max(float(x_half), 64.0)
+    if x <= 512.0:
         return float(2.0 ** np.ceil(np.log2(x)))
-    return float(granularity * np.ceil(x / granularity))
+    return float(512.0 * np.ceil(x / 512.0))
 
 
 def fourier_table(
@@ -112,9 +104,7 @@ def fourier_table(
     s_max: float,
     dx: float,
     x_half: float,
-    min_spectrum_samples: int = 4096,
     edge_derivatives: tuple[complex, complex, complex, complex] | None = None,
-    dx_exact: bool = False,
 ) -> Table1D:
     """Tabulate G(x) = (1/2pi) * int_{-s_max}^{s_max} q(s) e^{isx} ds by FFT.
 
@@ -131,27 +121,18 @@ def fourier_table(
     before the FFT and its transform added back in closed form, which leaves
     a remainder decaying like 1/x^3.
 
-    With `dx_exact` the output grid step is exactly the requested dx (the
-    lattice coefficient engine needs table steps that divide its shifts); the
-    frequency lattice then no longer hits +-s_max exactly, which is harmless
-    precisely when the (bridge-corrected) spectrum vanishes with its first
-    derivative at the support edge: the unsampled sliver contributes O(ds^3).
+    The output grid step is exactly the requested dx (`lattice_means` needs
+    table steps that divide its shifts); the frequency lattice then no longer
+    hits +-s_max exactly, which is harmless precisely when the
+    (bridge-corrected) spectrum vanishes with its first derivative at the
+    support edge: the unsampled sliver contributes O(ds^3).
     """
     if s_max <= 0 or dx <= 0 or x_half <= 0:
         raise ValueError("s_max, dx and x_half must be positive")
-    ds_alias = np.pi / (OVERSAMPLE * x_half)
-    ds_resolve = 2.0 * s_max / min_spectrum_samples
-    ds_needed = min(ds_alias, ds_resolve)
-    if dx_exact:
-        m = _next_pow2(int(np.ceil(2.0 * np.pi / (ds_needed * dx))))
-        ds = 2.0 * np.pi / (m * dx)
-        n_half = int(np.floor(s_max / ds * (1.0 + 1e-12)))
-        dx_eff = dx
-    else:
-        n_half = int(np.ceil(s_max / ds_needed))
-        ds = s_max / n_half
-        m = _next_pow2(int(np.ceil(2.0 * np.pi / (ds * dx))))
-        dx_eff = 2.0 * np.pi / (m * ds)
+    ds_needed = min(np.pi / (OVERSAMPLE * x_half), 2.0 * s_max / SPECTRUM_SAMPLES)
+    m = 1 << (int(np.ceil(2.0 * np.pi / (ds_needed * dx))) - 1).bit_length()  # power of 2
+    ds = 2.0 * np.pi / (m * dx)
+    n_half = int(np.floor(s_max / ds * (1.0 + 1e-12)))
     half = m // 2
     if n_half >= half:
         raise ValueError("spectrum grid does not fit the FFT size; increase dx or reduce x_half")
@@ -166,25 +147,19 @@ def fourier_table(
         qa, dqa, qb, dqb = edge_derivatives
         bridge = _hermite_bridge(-s_max, s_max, qa, dqa, qb, dqb)
         q[band] -= bridge(s[band])
-    # trapezoid end weights (no-op when the band edges are zero; in dx_exact
-    # mode the band ends strictly inside the support and the corrected
-    # spectrum already vanishes there)
-    if not dx_exact:
-        q[half - n_half] *= 0.5
-        q[half + n_half] *= 0.5
 
     signs = np.where(j % 2 == 0, 1.0, -1.0)
     spec_arr = signs * q
     transform = m * np.fft.ifft(spec_arr)
     g = (ds / (2.0 * np.pi)) * signs * transform
 
-    k_half = int(np.floor(x_half / dx_eff))
+    k_half = int(np.floor(x_half / dx))
     lo, hi = half - k_half, half + k_half + 1
-    x0 = (lo - half) * dx_eff
+    x0 = (lo - half) * dx
     g_slice = g[lo:hi]
 
     if edge_derivatives is not None:
-        x_slice = x0 + dx_eff * np.arange(g_slice.size)
+        x_slice = x0 + dx * np.arange(g_slice.size)
         g_slice = g_slice + _bridge_transform(-s_max, s_max, qa, dqa, qb, dqb, x_slice)
 
     scale = np.max(np.abs(g_slice.real)) + 1e-300
@@ -194,7 +169,24 @@ def fourier_table(
             f"inverse transform expected real; imaginary residue {resid:.3e} "
             f"against magnitude {scale:.3e}"
         )
-    return Table1D(x0, dx_eff, g_slice.real)
+    return Table1D(x0, dx, g_slice.real)
+
+
+def render_expansion(basis: Callable[[np.ndarray], np.ndarray], scale: float,
+                     coeffs: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """sum_l c_l basis(scale x - l) on the grid, l = -K..K for 2K+1 coefficients.
+
+    Dense, in blocks of at most 2e6 basis evaluations.
+    """
+    grid = np.asarray(grid, dtype=float)
+    ls = np.arange(coeffs.size) - coeffs.size // 2
+    out = np.empty(grid.size)
+    rows = max(1, 2_000_000 // ls.size)
+    for start in range(0, grid.size, rows):
+        g = grid[start:start + rows]
+        args = scale * g[:, None] - ls[None, :]
+        out[start:start + rows] = basis(args.ravel()).reshape(g.size, ls.size) @ coeffs
+    return out
 
 
 def fourier_quad(q: Callable[[float], complex], a: float, b: float,
@@ -311,15 +303,15 @@ def lattice_means(
     j_lo: int,
     j_hi: int,
     stride: int,
-    dense_threshold: int = 2_000_000,
+    weights: np.ndarray | None = None,
 ) -> np.ndarray:
-    """c_j = mean_i table(points_i - j*step) for j in [j_lo, j_hi].
+    """c_j = (1/n) sum_i w_i table(points_i - j*step) for j in [j_lo, j_hi].
 
-    Requires step = stride * table.dx exactly (callers build their tables
-    that way), so that every shift lands on the table lattice.  With that
-    alignment the per-point cubic interpolation weights are independent of j
-    and the whole family of means collapses to one cross-correlation, which
-    is evaluated by FFT when the direct product would be large.
+    The weights w_i default to 1 (plain means).  Requires step = stride *
+    table.dx exactly (callers build their tables that way), so that every
+    shift lands on the table lattice.  With that alignment the per-point
+    cubic interpolation weights are independent of j and the whole family of
+    means collapses to one cross-correlation, evaluated by FFT.
     """
     points = np.asarray(points, dtype=float)
     n = points.size
@@ -327,35 +319,23 @@ def lattice_means(
         raise ValueError("no data points")
     if not np.isclose(step, stride * table.dx, rtol=1e-12, atol=0.0):
         raise ValueError("lattice step must equal stride * table.dx")
-    j_count = j_hi - j_lo + 1
-    if j_count <= 0:
+    if j_hi < j_lo:
         raise ValueError("empty shift range")
-
-    if n * j_count <= dense_threshold:
-        js = np.arange(j_lo, j_hi + 1)
-        out = np.empty(j_count)
-        chunk = max(1, dense_threshold // max(n, 1))
-        for start in range(0, j_count, chunk):
-            sel = js[start:start + chunk]
-            args = points[None, :] - step * sel[:, None]
-            out[start:start + chunk] = table(args.ravel()).reshape(sel.size, n).mean(axis=1)
-        return out
 
     v = table.values
     pos = (points - table.x0) / table.dx
     idx = np.floor(pos).astype(np.int64)
-    t = pos - idx
-    w = np.stack(_cubic_weights(t), axis=0)  # (4, n), taps at idx-1..idx+2
-    weights = np.zeros(v.size)
+    taps = np.stack(_cubic_weights(pos - idx), axis=0)  # (4, n), at idx-1..idx+2
+    if weights is not None:
+        taps = taps * np.asarray(weights, dtype=float)
+    binned = np.zeros(v.size)
     for tap in range(4):
         tgt = idx + (tap - 1)
         ok = (tgt >= 0) & (tgt < v.size)  # off-table taps contribute zero
-        np.add.at(weights, tgt[ok], w[tap][ok])
-    # correlation R[s] = sum_m weights[m] v[m - s]; c_j = R[j*stride] / n
-    corr = fftconvolve(weights, v[::-1])
-    center = v.size - 1
-    lags = stride * np.arange(j_lo, j_hi + 1)
-    wanted = center + lags
+        np.add.at(binned, tgt[ok], taps[tap][ok])
+    # correlation R[s] = sum_m binned[m] v[m - s]; c_j = R[j*stride] / n
+    corr = fftconvolve(binned, v[::-1])
+    wanted = v.size - 1 + stride * np.arange(j_lo, j_hi + 1)
     if wanted.min() < 0 or wanted.max() >= corr.size:
         raise ValueError("table does not cover the requested shift range")
     return corr[wanted] / n

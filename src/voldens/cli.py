@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,6 +27,7 @@ import numpy as np
 
 from . import metrics as metrics_mod
 from .errors import ConfigError, DataError, ParameterError, VoldensError
+from .grids import uniform_grid
 from .kerneldeconv import (KernelSpec, check_gamma_constraint, default_bandwidth,
                            estimate_density)
 from .ppe import PpeConfig, select_and_estimate
@@ -85,6 +87,10 @@ class PipelineConfig:
             raise ConfigError("exactly one input source required: --input or --scenario")
         if self.delta <= 0:
             raise ParameterError("delta must be positive")
+        for key in ("level", "truncation"):
+            value = str(getattr(self, key))
+            if not re.fullmatch(r"auto|\s*[+-]?\d+\s*", value):
+                raise ConfigError(f"{key} must be an integer or 'auto', got {value!r}")
 
     def to_kv(self) -> str:
         lines = []
@@ -130,6 +136,8 @@ def ingest_prices(path, delta: float = 1.0, demean: bool = False,
                 rows.append(float(row[col]))
             except (ValueError, IndexError):
                 raise DataError(f"non-numeric price cell at line {lineno}") from None
+            if not np.isfinite(rows[-1]):
+                raise DataError(f"non-finite price cell at line {lineno}")
     if len(rows) < 3:
         raise DataError("need at least 3 price rows")
     prices = np.asarray(rows, dtype=float)
@@ -228,8 +236,7 @@ def run_pipeline(config: PipelineConfig) -> list[Path]:
         else:
             gamma = config.gamma if config.gamma is not None else DEFAULT_GAMMA_REGRESSION
             h = default_regression_bandwidth(n, gamma)
-        lo, hi = np.quantile(y, 0.05), np.quantile(y, 0.95)
-        grid = np.linspace(lo, hi, config.grid_points)
+        grid = uniform_grid(np.quantile(y, 0.05), np.quantile(y, 0.95), config.grid_points)
         est = regression_estimate(y, h, grid, floor=config.denominator_floor)
         diag_rows += [("bandwidth", h), ("denominator_floor", config.denominator_floor),
                       ("masked_points", int(est.mask.sum()))]

@@ -1,4 +1,4 @@
-"""Evaluated-function containers: density grids and characteristic-function tables."""
+"""Evaluated-function containers and the one rule for uniform grids."""
 
 from __future__ import annotations
 
@@ -7,7 +7,23 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import trapezoid
 
-from .errors import DataError
+from .errors import DataError, ParameterError
+
+
+def uniform_grid(lo: float, hi: float, points: int) -> np.ndarray:
+    """The default evaluation grid of every estimator: linspace(lo, hi, points)."""
+    if points < 8:
+        raise ParameterError("grid needs at least 8 points")
+    return np.linspace(lo, hi, points)
+
+
+def uniform_step(grid: np.ndarray) -> float:
+    """Step of an increasing grid that is uniform to 1e-9 of its step."""
+    grid = np.asarray(grid, dtype=float)
+    step = float(grid[-1] - grid[0]) / (grid.size - 1) if grid.ndim == 1 and grid.size > 1 else 0
+    if not (step > 0 and np.all(np.abs(np.diff(grid) - step) <= 1e-9 * step)):
+        raise DataError("grid must be a uniform increasing 1-d array of at least two points")
+    return step
 
 
 @dataclass(eq=False)

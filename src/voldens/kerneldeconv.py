@@ -14,10 +14,15 @@ phi_w(t) = (1 - t^2)^3, |t| <= 1 (Wand's kernel w, rho = 3, A = 8).  The same
 formula applies verbatim to discrete-time models, where the convolution
 structure is exact rather than asymptotic.
 
-v_h is the cost hot spot, so it is tabulated once per bandwidth by FFT and
-interpolated (the table spans the full argument range needed, so no tail is
-truncated); `deconv_kernel` evaluates v_h by direct adaptive quadrature,
-which the tests use as an independent oracle.  Because phi_k is complex, v_h
+v_h is tabulated once per bandwidth by FFT (the table spans the full
+argument range needed, so no tail is truncated), and the sums run on the
+lattice engine of `_tables`.  On a uniform grid x_g = x_0 + g Delta the
+arguments are (x_g - Y_j)/h = (x_0 - Y_j)/h + g Delta/h, so with a table step
+that divides Delta/h every grid point is a lattice shift and the whole sum is
+one FFT correlation (`kernel_sums`), exact up to the cubic interpolation that
+a direct evaluation would make anyway; grids must therefore be uniform.
+`deconv_kernel` evaluates v_h by direct adaptive quadrature, which the tests
+use as an independent oracle.  Because phi_k is complex, v_h
 is real but NOT symmetric in its argument: the noise has nonzero mean and
 skew, and the kernel's asymmetry is what undoes them.
 """
@@ -32,9 +37,9 @@ from functools import lru_cache
 import numpy as np
 from scipy.integrate import trapezoid
 
-from ._tables import Table1D, fourier_quad, fourier_table, range_bucket
+from ._tables import Table1D, fourier_quad, fourier_table, lattice_means, range_bucket
 from .errors import DataError, ParameterError
-from .grids import DensityGrid
+from .grids import DensityGrid, uniform_grid, uniform_step
 from .noisemodel import inv_noise_charfn
 from .svsim import ObservationSeries, as_log_squared
 
@@ -43,8 +48,8 @@ MIN_BANDWIDTH = np.pi / 700.0
 #: the only kernel shipped: Wand's, whose boundary exponent rho = 3 is what
 #: the variance theory assumes
 KERNEL_ID = "wand-rho3"
-#: v_h tabulation step in the scaled argument; v_h is band-limited to [-1, 1],
-#: so this already gives ~1e-8 interpolation accuracy
+#: largest v_h tabulation step in the scaled argument; v_h is band-limited to
+#: [-1, 1], so this already gives ~1e-8 interpolation accuracy
 TABLE_STEP = 0.05
 
 
@@ -125,20 +130,38 @@ def _check_bandwidth(h: float) -> None:
 
 
 @lru_cache(maxsize=32)
-def _kernel_table(h: float, x_half: float) -> Table1D:
+def _kernel_table(h: float, x_half: float, dx: float) -> Table1D:
     def spectrum(s):
         # v_h(u) = (1/2pi) int phi_w(s)/phi_k(s/h) e^{-isu} ds
         #        = (1/2pi) int phi_w(s) conj(1/phi_k(s/h)) e^{+isu} ds
         return wand_charfn(s) * np.conj(inv_noise_charfn(s / h))
 
-    return fourier_table(spectrum, s_max=1.0, dx=TABLE_STEP, x_half=x_half,
-                         min_spectrum_samples=8192)
+    return fourier_table(spectrum, s_max=1.0, dx=dx, x_half=x_half)
 
 
-def deconv_kernel_table(h: float, x_half: float) -> Table1D:
-    """FFT tabulation of v_h covering |u| <= x_half (cached per bandwidth)."""
+def deconv_kernel_table(h: float, x_half: float, dx: float = TABLE_STEP) -> Table1D:
+    """FFT tabulation of v_h at step dx covering |u| <= x_half (cached)."""
     _check_bandwidth(h)
-    return _kernel_table(float(h), range_bucket(x_half))
+    return _kernel_table(float(h), range_bucket(x_half), float(dx))
+
+
+def kernel_table_request(y: np.ndarray, grid: np.ndarray, h: float) -> tuple[float, float]:
+    """(x_half, dx) of the v_h table for `kernel_sums` of y on a uniform grid.
+
+    dx splits the scaled grid step Delta/h into ceil((Delta/h) / TABLE_STEP) parts.
+    """
+    step = uniform_step(grid) / h
+    x_half = max(abs(float(grid[0] - np.max(y))), abs(float(grid[-1] - np.min(y)))) / h
+    return x_half + 8.0, step / math.ceil(step / TABLE_STEP)
+
+
+def kernel_sums(y: np.ndarray, table: Table1D, grid: np.ndarray, h: float,
+                weights: np.ndarray | None = None) -> np.ndarray:
+    """(1/(n h)) sum_j w_j v_h((x - Y_j)/h) on the grid; table per `kernel_table_request`."""
+    step = uniform_step(grid) / h
+    sums = lattice_means((grid[0] - y) / h, table, step, 1 - grid.size, 0,
+                         round(step / table.dx), weights)
+    return sums[::-1] / h
 
 
 # --------------------------------------------------------------------------- estimator
@@ -154,8 +177,6 @@ class KernelSpec:
     def __post_init__(self):
         if self.bandwidth <= 0:
             raise ParameterError("bandwidth must be positive")
-        if self.grid_points < 8:
-            raise ParameterError("grid needs at least 8 points")
 
 
 @dataclass(eq=False)
@@ -202,12 +223,6 @@ def check_gamma_constraint(n: int, delta: float, gamma: float) -> bool:
     return True
 
 
-def default_grid(y: np.ndarray, h: float, points: int) -> np.ndarray:
-    """Grid spanning the sample range of Y plus 3h padding on both sides."""
-    lo, hi = float(np.min(y)), float(np.max(y))
-    return np.linspace(lo - 3.0 * h, hi + 3.0 * h, points)
-
-
 def estimate_density(y, spec: KernelSpec, grid: np.ndarray | None = None) -> EstimateReport:
     """Deconvolution kernel density estimate on a grid.
 
@@ -216,7 +231,8 @@ def estimate_density(y, spec: KernelSpec, grid: np.ndarray | None = None) -> Est
     y : ObservationSeries or 1-d array
         Log-squared normalized increments.
     spec : KernelSpec
-    grid : optional abscissae; default spans the data range with 3h padding.
+    grid : optional uniform abscissae (a linspace); default spans the data
+        range with 3h padding.
 
     The raw estimator is linear in the empirical measure and can be
     negative; with ``spec.clip_negative`` the output is clipped at zero and
@@ -225,15 +241,13 @@ def estimate_density(y, spec: KernelSpec, grid: np.ndarray | None = None) -> Est
     y_arr = as_log_squared(y)
     h = spec.bandwidth
     if grid is None:
-        grid = default_grid(y_arr, h, spec.grid_points)
+        grid = uniform_grid(float(np.min(y_arr)) - 3.0 * h, float(np.max(y_arr)) + 3.0 * h,
+                            spec.grid_points)
     else:
         grid = np.asarray(grid, dtype=float)
 
-    arg_half = (max(abs(float(grid[0] - np.max(y_arr))),
-                    abs(float(grid[-1] - np.min(y_arr)))) / h) + 8.0
-    table = deconv_kernel_table(h, arg_half)
-
-    values = _kernel_sum(y_arr, table, grid, h)
+    table = deconv_kernel_table(h, *kernel_table_request(y_arr, grid, h))
+    values = kernel_sums(y_arr, table, grid, h)
     diag = {
         "bandwidth": h,
         "n": int(y_arr.size),
@@ -254,19 +268,3 @@ def estimate_density(y, spec: KernelSpec, grid: np.ndarray | None = None) -> Est
         "grid_points": int(grid.size), "clip_negative": spec.clip_negative,
     }, diagnostics=diag)
 
-
-def _kernel_sum(y: np.ndarray, table: Table1D, grid: np.ndarray, h: float,
-                weights: np.ndarray | None = None,
-                chunk: int = 2_000_000) -> np.ndarray:
-    """(1/(n h)) sum_j w_j v_h((x - Y_j)/h) on the grid, chunked over x."""
-    n = y.size
-    out = np.empty(grid.size)
-    rows = max(1, chunk // max(n, 1))
-    for start in range(0, grid.size, rows):
-        g = grid[start:start + rows]
-        args = (g[:, None] - y[None, :]) / h
-        vals = table(args.ravel()).reshape(g.size, n)
-        if weights is not None:
-            vals = vals * weights[None, :]
-        out[start:start + rows] = vals.sum(axis=1)
-    return out / (n * h)

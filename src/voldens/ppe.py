@@ -41,9 +41,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._tables import Table1D, fourier_quad, fourier_table, lattice_means, range_bucket
+from ._tables import (Table1D, fourier_quad, fourier_table, lattice_means, range_bucket,
+                      render_expansion)
 from .errors import ConfigError, DataError, ParameterError
-from .grids import DensityGrid
+from .grids import DensityGrid, uniform_grid
 from .noisemodel import inv_noise_charfn, inv_noise_charfn_derivative
 from .svsim import as_log_squared
 
@@ -102,8 +103,7 @@ def _u_zero_table(L: int, z_half: float) -> Table1D:
     )
     dx = 1.0 / (TABLE_STRIDE * L)
     return fourier_table(spectrum, s_max=s_max, dx=dx, x_half=z_half,
-                         min_spectrum_samples=8192, edge_derivatives=edges,
-                         dx_exact=True)
+                         edge_derivatives=edges)
 
 
 def u_zero_table(L: int, z_half: float) -> Table1D:
@@ -241,21 +241,12 @@ class PpeEstimate:
 
 
 def render_sinc_expansion(coeffs: np.ndarray, L: int, k_n: int,
-                          grid: np.ndarray, chunk: int = 2_000_000) -> np.ndarray:
+                          grid: np.ndarray) -> np.ndarray:
     """f_hat_L(x) = sum_{|j| <= K_n} a_hat_j psi_{L,j}(x) on the grid."""
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.size != 2 * k_n + 1:
         raise DataError("coefficient array must cover j in [-K_n, K_n]")
-    grid = np.asarray(grid, dtype=float)
-    js = np.arange(-k_n, k_n + 1)
-    out = np.empty(grid.size)
-    rows = max(1, chunk // max(js.size, 1))
-    root = math.sqrt(L)
-    for start in range(0, grid.size, rows):
-        g = grid[start:start + rows]
-        basis = np.sinc(L * g[:, None] - js[None, :])
-        out[start:start + rows] = root * (basis @ coeffs)
-    return out
+    return math.sqrt(L) * render_expansion(np.sinc, L, coeffs, grid)
 
 
 def select_and_estimate(y, config: PpeConfig = PpeConfig(),
@@ -286,9 +277,8 @@ def select_and_estimate(y, config: PpeConfig = PpeConfig(),
     selected = ordered[int(np.argmin(scores))]  # argmin returns the first of ties
 
     if grid is None:
-        pad = 3.0
-        grid = np.linspace(float(np.min(y_arr)) - pad, float(np.max(y_arr)) + pad,
-                           config.grid_points)
+        grid = uniform_grid(float(np.min(y_arr)) - 3.0, float(np.max(y_arr)) + 3.0,
+                            config.grid_points)
     else:
         grid = np.asarray(grid, dtype=float)
     values = render_sinc_expansion(coefficients[selected], selected, k_n, grid)

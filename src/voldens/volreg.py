@@ -16,6 +16,10 @@ Because the response Y_{j+1} carries the known noise mean E log Z^2, the
 estimator subtracts it by default so the quotient targets m itself rather
 than m + E log Z^2 (see `regression_estimate`).
 
+Numerator and denominator are two `kerneldeconv.kernel_sums` over the same
+v_h table, the numerator weighted by the responses; like the density
+estimate they need a uniform grid.
+
 Near-zero denominators are masked rather than divided through: ratios
 against a vanishing density estimate are unbounded noise, and masking is
 the honest report.  Exactly (numerator = m_hat * denominator) holds at
@@ -37,7 +41,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DataError, ParameterError
-from .kerneldeconv import deconv_kernel_table, _kernel_sum
+from .kerneldeconv import deconv_kernel_table, kernel_sums, kernel_table_request
 from .svsim import ArParams, _rng, as_log_squared, simulate_ar_logvol
 
 #: |x| probes for the numerical limsup |m(x)/x| < 1 stability check
@@ -145,7 +149,8 @@ def regression_estimate(y, h: float, grid: np.ndarray,
     """Deconvolution Nadaraya-Watson estimate of m on the grid.
 
     Uses the n-1 transition pairs (Y_j, Y_{j+1}); numerator and denominator
-    share one tabulated v_h, so the quotient structure is exact.
+    share one tabulated v_h, so the quotient structure is exact.  The grid
+    must be uniform (a linspace).
 
     The response in the numerator is Y_{j+1} - noise_mean: the observed
     one-step-ahead value is m(xi_j) + eta_j + eps_{j+1}, and eps has the
@@ -163,11 +168,9 @@ def regression_estimate(y, h: float, grid: np.ndarray,
     y_now = y_arr[:-1]
     y_next = y_arr[1:] - noise_mean
 
-    arg_half = (max(abs(float(grid[0] - np.max(y_now))),
-                    abs(float(grid[-1] - np.min(y_now)))) / h) + 8.0
-    table = deconv_kernel_table(h, arg_half)
-    denominator = _kernel_sum(y_now, table, grid, h)
-    numerator = _kernel_sum(y_now, table, grid, h, weights=y_next)
+    table = deconv_kernel_table(h, *kernel_table_request(y_now, grid, h))
+    denominator = kernel_sums(y_now, table, grid, h)
+    numerator = kernel_sums(y_now, table, grid, h, weights=y_next)
 
     mask = np.abs(denominator) < floor
     if np.all(mask):

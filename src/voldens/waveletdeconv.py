@@ -39,9 +39,10 @@ from functools import lru_cache
 import numpy as np
 from scipy.integrate import trapezoid
 
-from ._tables import Table1D, fourier_quad, fourier_table, lattice_means, range_bucket
+from ._tables import (Table1D, fourier_quad, fourier_table, lattice_means, range_bucket,
+                      render_expansion)
 from .errors import DataError, ParameterError
-from .grids import CharFnTable, DensityGrid
+from .grids import CharFnTable, DensityGrid, uniform_grid
 from .noisemodel import inv_noise_charfn
 from .svsim import as_log_squared
 
@@ -52,8 +53,6 @@ LEVEL_DENOMINATOR = 1.0 + 4.0 * np.pi ** 2 / 3.0
 MAX_LEVEL = 5
 #: tabulation step of phi and U_m; 96 steps per unit shift
 TABLE_STEP = 1.0 / 96.0
-#: minimum spectrum samples across supp phi~ in the phi and U_m tables
-SPECTRUM_SAMPLES = 8192
 
 
 @dataclass(frozen=True)
@@ -127,8 +126,7 @@ def meyer_wavelet_fourier(omega, spec: MeyerSpec = DEFAULT_SPEC) -> np.ndarray |
 def _scaling_table(degree: int, x_half: float) -> Table1D:
     spec = MeyerSpec(bump_degree=degree)
     return fourier_table(lambda w: meyer_scaling_fourier(w, spec) + 0j,
-                         s_max=OMEGA_MAX, dx=TABLE_STEP, x_half=x_half,
-                         min_spectrum_samples=SPECTRUM_SAMPLES, dx_exact=True)
+                         s_max=OMEGA_MAX, dx=TABLE_STEP, x_half=x_half)
 
 
 @lru_cache(maxsize=32)
@@ -138,8 +136,7 @@ def _um_table(degree: int, m: int, x_half: float) -> Table1D:
     def spectrum(w):
         return meyer_scaling_fourier(w, spec) * inv_noise_charfn((2.0 ** m) * w)
 
-    return fourier_table(spectrum, s_max=OMEGA_MAX, dx=TABLE_STEP, x_half=x_half,
-                         min_spectrum_samples=SPECTRUM_SAMPLES, dx_exact=True)
+    return fourier_table(spectrum, s_max=OMEGA_MAX, dx=TABLE_STEP, x_half=x_half)
 
 
 def scaling_table(spec: MeyerSpec, x_half: float) -> Table1D:
@@ -262,9 +259,8 @@ def wavelet_estimate(y, spec: MeyerSpec = DEFAULT_SPEC,
     coeffs = wavelet_coefficients(y_arr, m, truncation, spec)
 
     if grid is None:
-        pad = 3.0
-        grid = np.linspace(float(np.min(y_arr)) - pad, float(np.max(y_arr)) + pad,
-                           spec.grid_points)
+        grid = uniform_grid(float(np.min(y_arr)) - 3.0, float(np.max(y_arr)) + 3.0,
+                            spec.grid_points)
     else:
         grid = np.asarray(grid, dtype=float)
 
@@ -278,26 +274,14 @@ def wavelet_estimate(y, spec: MeyerSpec = DEFAULT_SPEC,
 
 
 def render_scaling_expansion(coeffs: np.ndarray, m: int, truncation: int,
-                             grid: np.ndarray, spec: MeyerSpec = DEFAULT_SPEC,
-                             chunk: int = 2_000_000) -> np.ndarray:
+                             grid: np.ndarray, spec: MeyerSpec = DEFAULT_SPEC) -> np.ndarray:
     """sum_l c_l phi_{m,l}(x) on the grid, phi_{m,l}(x) = 2^{m/2} phi(2^m x - l)."""
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.size != 2 * truncation + 1:
         raise DataError("coefficient array must cover l in [-L, L]")
-    grid = np.asarray(grid, dtype=float)
-    scale = 2.0 ** m
-    ls = np.arange(-truncation, truncation + 1)
-    x_half = scale * float(np.max(np.abs(grid))) + truncation + 8.0
+    x_half = (2.0 ** m) * float(np.max(np.abs(grid))) + truncation + 8.0
     table = scaling_table(spec, x_half)
-    out = np.empty(grid.size)
-    rows = max(1, chunk // max(ls.size, 1))
-    root = 2.0 ** (m / 2.0)
-    for start in range(0, grid.size, rows):
-        g = grid[start:start + rows]
-        args = scale * g[:, None] - ls[None, :]
-        phi_vals = table(args.ravel()).reshape(g.size, ls.size)
-        out[start:start + rows] = root * (phi_vals @ coeffs)
-    return out
+    return 2.0 ** (m / 2.0) * render_expansion(table, 2.0 ** m, coeffs, grid)
 
 
 # --------------------------------------------------------------------------- Sobolev norm

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from voldens.cli import (PipelineConfig, build_parser, ingest_prices, main,
+from voldens.cli import (ESTIMATORS, PipelineConfig, build_parser, ingest_prices, main,
                          resolve_config, run_pipeline)
 from voldens.errors import ConfigError, DataError
 
@@ -216,6 +216,39 @@ class TestMainEntry:
         assert code == 0
         data = np.loadtxt(out / "density.csv", delimiter=",", skiprows=1)
         assert data.shape == (64, 2)
+
+    @pytest.mark.parametrize("flag", ["--level", "--truncation"])
+    def test_non_integer_level_or_truncation_is_a_config_error(self, tmp_path, capsys,
+                                                               flag):
+        code = main(["--scenario", "ou-exp", "--n", "300", "--estimator", "wavelet",
+                     flag, "abc", "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "config"
+
+    @pytest.mark.parametrize("estimator", ESTIMATORS)
+    def test_grid_below_eight_points_is_a_parameter_error(self, tmp_path, capsys,
+                                                          estimator):
+        code = main(["--scenario", "ou-exp", "--n", "300", "--estimator", estimator,
+                     "--grid-points", "3", "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "parameter"
+
+    @pytest.mark.parametrize("estimator", ESTIMATORS)
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_price_cell_is_a_data_error(self, tmp_path, capsys, estimator,
+                                                   cell):
+        rng = np.random.default_rng(17)
+        prices = list(np.exp(np.cumsum(rng.normal(0.0, 0.1, 300))))
+        prices[3] = cell  # line 5: the header is line 1
+        path = tmp_path / "prices.csv"
+        _write_prices(path, prices)
+        code = main(["--input", str(path), "--estimator", estimator,
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "data" and "line 5" in err["message"]
 
     @pytest.mark.parametrize("estimator, flags", [
         ("kernel", ["--demean", "--price-column", "price", "--delta", "0.5",

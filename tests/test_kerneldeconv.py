@@ -7,7 +7,8 @@ from scipy.integrate import quad
 from voldens.errors import DataError, ParameterError
 from voldens.kerneldeconv import (KernelSpec, check_gamma_constraint, deconv_kernel,
                                   deconv_kernel_table, default_bandwidth,
-                                  estimate_density, wand_charfn, wand_kernel)
+                                  estimate_density, kernel_table_request, wand_charfn,
+                                  wand_kernel)
 from voldens.metrics import PureConvolution, mise
 from voldens.grids import DensityGrid
 from voldens.svsim import OuParams, ScenarioConfig, simulate_scenario
@@ -97,11 +98,28 @@ class TestEstimateDensity:
         h = 0.6
         grid = np.linspace(-2, 4, 41)
         rep = estimate_density(y, KernelSpec(bandwidth=h), grid)
-        # same argument-range request as the estimator makes internally, so the
-        # cached table is shared and the identity is exact
-        arg_half = max(abs(grid[0] - y.max()), abs(grid[-1] - y.min())) / h + 8.0
-        table = deconv_kernel_table(h, arg_half)
-        np.testing.assert_array_equal(rep.density.values, table((grid - 1.3) / h) / h)
+        # the table the estimator requests; the FFT correlation reproduces its
+        # interpolated values up to float rounding
+        table = deconv_kernel_table(h, *kernel_table_request(y, grid, h))
+        np.testing.assert_allclose(rep.density.values, table((grid - 1.3) / h) / h,
+                                   rtol=1e-12)
+
+    def test_strided_lattice_matches_quadrature_sums(self):
+        # grid step / h = 1.43, so 29 table steps lie between grid points
+        rng = np.random.default_rng(21)
+        y = rng.normal(0.0, 1.5, 8)
+        h = 0.4
+        grid = np.linspace(-3, 5, 15)
+        _, dx = kernel_table_request(y, grid, h)
+        assert round((grid[1] - grid[0]) / (h * dx)) == 29
+        est = estimate_density(y, KernelSpec(bandwidth=h), grid).density.values
+        direct = np.array([np.mean(deconv_kernel((x - y) / h, h)) / h for x in grid])
+        assert np.max(np.abs(est - direct)) <= 1e-7 * np.max(np.abs(direct))
+
+    def test_non_uniform_grid_rejected(self):
+        y = np.array([0.1, 0.5, 1.2])
+        with pytest.raises(DataError):
+            estimate_density(y, KernelSpec(bandwidth=0.5), np.array([-1.0, 0.0, 0.5, 2.0]))
 
     def test_shift_equivariance(self):
         # exact as a change of variables; float addition leaves ~1e-16 residue

@@ -54,8 +54,9 @@ class TestFourierTable:
                                    atol=1e-10)
 
     def test_dx_exact_mode_pins_step(self):
+        # the table step is always exactly the requested dx
         table = fourier_table(lambda s: np.exp(-s * s / 2) + 0j, s_max=12.0,
-                              dx=0.015625, x_half=8.0, dx_exact=True)
+                              dx=0.015625, x_half=8.0)
         assert table.dx == 0.015625
 
     def test_edge_correction_handles_jump_spectrum(self):
@@ -75,14 +76,24 @@ class TestFourierTable:
 
 class TestLatticeMeans:
     def test_dense_and_fft_paths_agree(self):
+        # the FFT correlation against the pointwise definition on a larger case
         rng = np.random.default_rng(0)
         grid = -50.0 + 0.0125 * np.arange(8001)
         table = Table1D(-50.0, 0.0125, np.exp(-(grid / 8.0) ** 2) * np.cos(grid))
         pts = rng.normal(0.0, 5.0, 300)
-        dense = lattice_means(pts, table, step=1.0, j_lo=-20, j_hi=20, stride=80,
-                              dense_threshold=10 ** 9)
+        fft = lattice_means(pts, table, step=1.0, j_lo=-20, j_hi=20, stride=80)
+        dense = [np.mean(table(pts - j)) for j in range(-20, 21)]
+        np.testing.assert_allclose(fft, dense, rtol=1e-10, atol=1e-13)
+
+    def test_weighted_means_match_pointwise_definition(self):
+        rng = np.random.default_rng(1)
+        grid = -50.0 + 0.0125 * np.arange(8001)
+        table = Table1D(-50.0, 0.0125, np.exp(-(grid / 8.0) ** 2) * np.cos(grid))
+        pts = rng.normal(0.0, 5.0, 300)
+        w = rng.normal(2.0, 1.0, 300)
         fft = lattice_means(pts, table, step=1.0, j_lo=-20, j_hi=20, stride=80,
-                            dense_threshold=1)
+                            weights=w)
+        dense = [np.mean(w * table(pts - j)) for j in range(-20, 21)]
         np.testing.assert_allclose(fft, dense, rtol=1e-10, atol=1e-13)
 
     def test_matches_pointwise_definition(self):

@@ -99,6 +99,11 @@ class TestRegressionEstimate:
         assert unmasked.any()
         np.testing.assert_allclose(est.m_hat[unmasked], c, rtol=1e-12)
 
+    def test_non_uniform_grid_rejected(self):
+        y = np.random.default_rng(4).normal(size=50)
+        with pytest.raises(DataError):
+            regression_estimate(y, 0.5, np.array([-1.0, 0.0, 0.5, 2.0]))
+
     def test_quotient_structure_exact(self):
         rng = np.random.default_rng(1)
         y = rng.normal(size=300)
