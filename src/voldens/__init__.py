@@ -3,7 +3,7 @@
 Estimate the invariant density of an unobserved stochastic volatility
 process from discretely sampled asset prices.  Three density estimators
 (Fourier-kernel, Meyer-wavelet, penalized sinc-projection) and a regression
-estimator for nonlinear AR log-volatility, validated against built-in
+estimator for nonlinear AR log-volatility, checked against built-in
 stochastic-volatility simulators with known ground-truth densities.
 """
 

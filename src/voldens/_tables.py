@@ -10,6 +10,10 @@ lets `lattice_means` reassociate the per-point interpolation into a single
 FFT correlation without changing the result beyond float rounding.  It is
 the one path from data to estimate: the kernel and regression sums on a
 uniform grid, and the wavelet and PPE coefficients on integer shifts.
+Callers give only the shift step; `lattice_means` derives the stride in
+table steps.  Spectra that jump at the edges of their symmetric band
+[-s_max, s_max] get a cubic bridge, removed before the FFT and added back
+in closed form.
 
 `fourier_quad` evaluates the same transforms by direct adaptive quadrature,
 one point at a time; it shares no code with the FFT path and serves as the
@@ -116,10 +120,10 @@ def fourier_table(
     plain trapezoid-FFT is accurate: the transform decays fast enough that
     periodic images are negligible at OVERSAMPLE times the requested range.
     Spectra with nonzero boundary values produce 1/x Gibbs tails; for those,
-    pass `edge_derivatives` = (q(a), q'(a), q(b), q'(b)) with a = -s_max,
-    b = s_max.  A cubic Hermite bridge matching those values is removed
-    before the FFT and its transform added back in closed form, which leaves
-    a remainder decaying like 1/x^3.
+    pass `edge_derivatives` = (q(-s_max), q'(-s_max), q(s_max), q'(s_max)).
+    A cubic Hermite bridge matching those values is removed before the FFT
+    and its transform added back in closed form, which leaves a remainder
+    decaying like 1/x^3.
 
     The output grid step is exactly the requested dx (`lattice_means` needs
     table steps that divide its shifts); the frequency lattice then no longer
@@ -144,9 +148,9 @@ def fourier_table(
     q[band] = spectrum(s[band])
 
     if edge_derivatives is not None:
-        qa, dqa, qb, dqb = edge_derivatives
-        bridge = _hermite_bridge(-s_max, s_max, qa, dqa, qb, dqb)
-        q[band] -= bridge(s[band])
+        beta = _bridge_coeffs(s_max, *edge_derivatives)
+        sigma = s[band] / s_max
+        q[band] -= ((beta[3] * sigma + beta[2]) * sigma + beta[1]) * sigma + beta[0]
 
     signs = np.where(j % 2 == 0, 1.0, -1.0)
     spec_arr = signs * q
@@ -160,7 +164,7 @@ def fourier_table(
 
     if edge_derivatives is not None:
         x_slice = x0 + dx * np.arange(g_slice.size)
-        g_slice = g_slice + _bridge_transform(-s_max, s_max, qa, dqa, qb, dqb, x_slice)
+        g_slice = g_slice + _bridge_transform(beta, s_max, x_slice)
 
     scale = np.max(np.abs(g_slice.real)) + 1e-300
     resid = np.max(np.abs(g_slice.imag))
@@ -220,25 +224,11 @@ def fourier_quad(q: Callable[[float], complex], a: float, b: float,
     return float(out[0]) if scalar else out
 
 
-def _hermite_bridge(a, b, qa, dqa, qb, dqb):
-    """Cubic through (a, qa) and (b, qb) with slopes dqa, dqb, as a callable."""
-    beta = _bridge_coeffs(a, b, qa, dqa, qb, dqb)
-    half_w = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-
-    def p(s):
-        sigma = (np.asarray(s) - mid) / half_w
-        return ((beta[3] * sigma + beta[2]) * sigma + beta[1]) * sigma + beta[0]
-
-    return p
-
-
-def _bridge_coeffs(a, b, qa, dqa, qb, dqb):
-    """Coefficients of the Hermite cubic in the scaled variable sigma in [-1, 1]."""
-    half_w = 0.5 * (b - a)
+def _bridge_coeffs(s_max, qa, dqa, qb, dqb):
+    """Hermite cubic in sigma = s / s_max taking qa, qb (slopes dqa, dqb) at s = -+s_max."""
     # p(sigma) = b0 + b1 s + b2 s^2 + b3 s^3 with p(+-1), p'(+-1) prescribed
     va, vb = qa, qb
-    da, db = dqa * half_w, dqb * half_w
+    da, db = dqa * s_max, dqb * s_max
     b0 = 0.5 * (va + vb) + 0.25 * (da - db)
     b1 = 0.75 * (vb - va) - 0.25 * (da + db)
     b2 = 0.25 * (db - da)
@@ -246,15 +236,15 @@ def _bridge_coeffs(a, b, qa, dqa, qb, dqb):
     return np.array([b0, b1, b2, b3], dtype=complex)
 
 
-def _osc_moments(theta: np.ndarray, kmax: int = 3) -> np.ndarray:
-    """M_k(theta) = int_{-1}^{1} sigma^k e^{i theta sigma} d sigma for k <= kmax.
+def _osc_moments(theta: np.ndarray) -> np.ndarray:
+    """M_k(theta) = int_{-1}^{1} sigma^k e^{i theta sigma} d sigma for k <= 3.
 
-    Returns array of shape (kmax+1, len(theta)).  Uses the upward recurrence
-    for |theta| >= 0.5 and a Taylor series below it (the recurrence loses all
-    accuracy near zero).
+    Returns array of shape (4, len(theta)), one row per power of the cubic
+    bridge.  Uses the upward recurrence for |theta| >= 0.5 and a Taylor
+    series below it (the recurrence loses all accuracy near zero).
     """
     theta = np.asarray(theta, dtype=float)
-    out = np.zeros((kmax + 1, theta.size), dtype=complex)
+    out = np.zeros((4, theta.size), dtype=complex)
     big = np.abs(theta) >= 0.5
     th = theta[big]
     if th.size:
@@ -263,7 +253,7 @@ def _osc_moments(theta: np.ndarray, kmax: int = 3) -> np.ndarray:
         e_minus = np.exp(-it)
         m_prev = (e_plus - e_minus) / it
         out[0, big] = m_prev
-        for k in range(1, kmax + 1):
+        for k in range(1, 4):
             bnd = (e_plus - ((-1.0) ** k) * e_minus) / it
             m_prev = bnd - (k / it) * m_prev
             out[k, big] = m_prev
@@ -271,7 +261,7 @@ def _osc_moments(theta: np.ndarray, kmax: int = 3) -> np.ndarray:
     th = theta[sm]
     if th.size:
         it = 1j * th
-        for k in range(kmax + 1):
+        for k in range(4):
             acc = np.zeros(th.size, dtype=complex)
             term = np.ones(th.size, dtype=complex)
             for mth in range(0, 40):
@@ -282,18 +272,13 @@ def _osc_moments(theta: np.ndarray, kmax: int = 3) -> np.ndarray:
     return out
 
 
-def _bridge_transform(a, b, qa, dqa, qb, dqb, x: np.ndarray) -> np.ndarray:
-    """(1/2pi) * int_a^b p(s) e^{isx} ds for the Hermite bridge p, in closed form."""
-    beta = _bridge_coeffs(a, b, qa, dqa, qb, dqb)
-    half_w = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    theta = half_w * np.asarray(x, dtype=float)
-    mom = _osc_moments(theta, kmax=3)
-    quadsum = np.zeros(theta.size, dtype=complex)
+def _bridge_transform(beta, s_max, x: np.ndarray) -> np.ndarray:
+    """(1/2pi) * int_{-s_max}^{s_max} p(s) e^{isx} ds for the bridge p, in closed form."""
+    mom = _osc_moments(s_max * np.asarray(x, dtype=float))
+    quadsum = np.zeros(mom.shape[1], dtype=complex)
     for k in range(4):
         quadsum = quadsum + beta[k] * mom[k]
-    phase = np.exp(1j * mid * np.asarray(x, dtype=float)) if mid != 0.0 else 1.0
-    return (half_w / (2.0 * np.pi)) * phase * quadsum
+    return (s_max / (2.0 * np.pi)) * quadsum
 
 
 def lattice_means(
@@ -302,14 +287,13 @@ def lattice_means(
     step: float,
     j_lo: int,
     j_hi: int,
-    stride: int,
     weights: np.ndarray | None = None,
 ) -> np.ndarray:
     """c_j = (1/n) sum_i w_i table(points_i - j*step) for j in [j_lo, j_hi].
 
-    The weights w_i default to 1 (plain means).  Requires step = stride *
-    table.dx exactly (callers build their tables that way), so that every
-    shift lands on the table lattice.  With that alignment the per-point
+    The weights w_i default to 1 (plain means).  The stride round(step /
+    table.dx) must be exact (callers build their tables that way), so that
+    every shift lands on the table lattice.  With that alignment the per-point
     cubic interpolation weights are independent of j and the whole family of
     means collapses to one cross-correlation, evaluated by FFT.
     """
@@ -317,6 +301,7 @@ def lattice_means(
     n = points.size
     if n == 0:
         raise ValueError("no data points")
+    stride = round(step / table.dx)
     if not np.isclose(step, stride * table.dx, rtol=1e-12, atol=0.0):
         raise ValueError("lattice step must equal stride * table.dx")
     if j_hi < j_lo:

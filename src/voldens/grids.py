@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import trapezoid
@@ -75,13 +75,12 @@ class DensityGrid:
 class CharFnTable:
     """Complex characteristic-function values on a symmetric frequency grid.
 
-    Hermitian symmetry phi(-t) = conj(phi(t)) and phi(0) = 1 are structural
-    for characteristic functions and validated here with a small tolerance.
+    phi(0) = 1 is structural for characteristic functions and always
+    checked here, to 1e-6.
     """
 
     t: np.ndarray
     values: np.ndarray
-    validate: bool = field(default=True, repr=False)
 
     def __post_init__(self):
         self.t = np.asarray(self.t, dtype=float)
@@ -90,10 +89,9 @@ class CharFnTable:
             raise DataError("frequency grid and values must be 1-d arrays of equal length")
         if not np.all(np.diff(self.t) > 0):
             raise DataError("frequency grid must be strictly increasing")
-        if self.validate:
-            at0 = np.flatnonzero(self.t == 0.0)
-            if at0.size and abs(self.values[at0[0]] - 1.0) > 1e-6:
-                raise DataError("characteristic function must equal 1 at t = 0")
+        at0 = np.flatnonzero(self.t == 0.0)
+        if at0.size and abs(self.values[at0[0]] - 1.0) > 1e-6:
+            raise DataError("characteristic function must equal 1 at t = 0")
 
     def to_csv(self, path):
         arr = np.column_stack([self.t, self.values.real, self.values.imag])

@@ -20,11 +20,14 @@ lattice engine of `_tables`.  On a uniform grid x_g = x_0 + g Delta the
 arguments are (x_g - Y_j)/h = (x_0 - Y_j)/h + g Delta/h, so with a table step
 that divides Delta/h every grid point is a lattice shift and the whole sum is
 one FFT correlation (`kernel_sums`), exact up to the cubic interpolation that
-a direct evaluation would make anyway; grids must therefore be uniform.
+a direct evaluation would make anyway; grids must therefore be uniform.  A
+grid with Delta/h < TABLE_STEP/2 runs as k interleaved sub-lattices
+grid[r::k], which bounds the table's FFT (and memory) however fine the grid.
 `deconv_kernel` evaluates v_h by direct adaptive quadrature, which the tests
 use as an independent oracle.  Because phi_k is complex, v_h
 is real but NOT symmetric in its argument: the noise has nonzero mean and
-skew, and the kernel's asymmetry is what undoes them.
+skew, and the kernel's asymmetry is what undoes them.  Wand's kernel itself
+is 48 j_3(|x|) / (pi |x|^3), through scipy's spherical Bessel function j_3.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import trapezoid
+from scipy.special import spherical_jn
 
 from ._tables import Table1D, fourier_quad, fourier_table, lattice_means, range_bucket
 from .errors import DataError, ParameterError
@@ -55,42 +59,20 @@ TABLE_STEP = 0.05
 
 # --------------------------------------------------------------------------- Wand kernel
 
-#: Taylor coefficients of w around 0: w(x) = (1/2pi) sum_k (-1)^k c_k x^{2k} / (2k)!
-#: with c_0 = 32/35 and c_k = c_{k-1} (k - 1/2) / (k + 7/2).
-_WAND_SWITCH = 0.5
-
-
 def wand_kernel(x) -> np.ndarray | float:
     """Wand's kernel w with characteristic function (1 - t^2)^3 on [-1, 1].
 
-    Closed form
-
-        w(x) = (48 x (x^2 - 15) cos x - 144 (2 x^2 - 5) sin x) / (pi x^7)
-
-    for |x| > 0.5; an 8-term Taylor series below that (the closed form loses
-    ~6 digits to cancellation near the removable singularity at 0, the series
-    is exact to machine precision there).  w(0) = 16/(35 pi).
+    w(x) = 48 j_3(|x|) / (pi |x|^3) to full precision, where the elementary
+    form (48 x (x^2 - 15) cos x - 144 (2 x^2 - 5) sin x) / (pi x^7) cancels
+    for |x| below about 1.  Below |x| = 1e-8, where j_3 underflows, w is its
+    limit w(0) = 16/(35 pi).
     """
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    out = np.empty_like(x)
-    small = np.abs(x) <= _WAND_SWITCH
-    xs = x[small]
-    if xs.size:
-        acc = np.zeros_like(xs)
-        c = 32.0 / 35.0
-        fact = 1.0
-        for k in range(8):
-            if k > 0:
-                c *= (k - 0.5) / (k + 3.5)
-                fact *= (2 * k) * (2 * k - 1)
-            acc += ((-1.0) ** k) * c * xs ** (2 * k) / fact
-        out[small] = acc / (2.0 * np.pi)
-    xl = x[~small]
-    if xl.size:
-        out[~small] = (48.0 * xl * (xl * xl - 15.0) * np.cos(xl)
-                       - 144.0 * (2.0 * xl * xl - 5.0) * np.sin(xl)) / (np.pi * xl ** 7)
+    ax = np.abs(np.atleast_1d(x))
+    tiny = ax < 1e-8
+    ax = np.where(tiny, 1.0, ax)
+    out = np.where(tiny, 16.0 / (35.0 * np.pi), 48.0 * spherical_jn(3, ax) / (np.pi * ax ** 3))
     return float(out[0]) if scalar else out
 
 
@@ -145,12 +127,19 @@ def deconv_kernel_table(h: float, x_half: float, dx: float = TABLE_STEP) -> Tabl
     return _kernel_table(float(h), range_bucket(x_half), float(dx))
 
 
+def _sublattices(grid: np.ndarray, h: float) -> tuple[int, float]:
+    """(k, s): k = max(1, floor(TABLE_STEP h / Delta)) lattices grid[r::k] of scaled step s."""
+    step = uniform_step(grid) / h
+    k = max(1, math.floor(TABLE_STEP / step))
+    return k, k * step
+
+
 def kernel_table_request(y: np.ndarray, grid: np.ndarray, h: float) -> tuple[float, float]:
     """(x_half, dx) of the v_h table for `kernel_sums` of y on a uniform grid.
 
-    dx splits the scaled grid step Delta/h into ceil((Delta/h) / TABLE_STEP) parts.
+    dx splits the scaled sub-lattice step s into ceil(s / TABLE_STEP) parts.
     """
-    step = uniform_step(grid) / h
+    _, step = _sublattices(grid, h)
     x_half = max(abs(float(grid[0] - np.max(y))), abs(float(grid[-1] - np.min(y)))) / h
     return x_half + 8.0, step / math.ceil(step / TABLE_STEP)
 
@@ -158,10 +147,13 @@ def kernel_table_request(y: np.ndarray, grid: np.ndarray, h: float) -> tuple[flo
 def kernel_sums(y: np.ndarray, table: Table1D, grid: np.ndarray, h: float,
                 weights: np.ndarray | None = None) -> np.ndarray:
     """(1/(n h)) sum_j w_j v_h((x - Y_j)/h) on the grid; table per `kernel_table_request`."""
-    step = uniform_step(grid) / h
-    sums = lattice_means((grid[0] - y) / h, table, step, 1 - grid.size, 0,
-                         round(step / table.dx), weights)
-    return sums[::-1] / h
+    k, step = _sublattices(grid, h)
+    out = np.empty(grid.size)
+    for r in range(min(k, grid.size)):
+        sub = grid[r::k]
+        sums = lattice_means((sub[0] - y) / h, table, step, 1 - sub.size, 0, weights)
+        out[r::k] = sums[::-1] / h
+    return out
 
 
 # --------------------------------------------------------------------------- estimator

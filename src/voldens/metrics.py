@@ -187,7 +187,6 @@ class ExperimentSpec:
     metrics: tuple[str, ...] = ("mise",)
     grid_points: int = 512
     mse_point: float = 0.0
-    mode_prominence: float = 0.05
 
     def __post_init__(self):
         if self.replications < 1:
@@ -272,7 +271,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
                 f0 = float(np.interp(spec.mse_point, truth_grid.x, truth_grid.values))
                 row["mse_at_point"] = (fhat - f0) ** 2
             elif name == "mode_count":
-                row["mode_count"] = mode_count(est, spec.mode_prominence)
+                row["mode_count"] = mode_count(est)
             elif name == "normal_fit_mean":
                 row["normal_fit_mean"] = normal_fit(est)[0]
             elif name == "normal_fit_var":

@@ -140,8 +140,7 @@ def ppe_coefficients(y, L: int, k_n: int) -> np.ndarray:
         raise ParameterError("coefficient truncation must be >= 0")
     z_half = float(np.max(np.abs(y_arr))) + k_n / L + 8.0
     table = u_zero_table(L, z_half)
-    return lattice_means(y_arr, table, step=1.0 / L, j_lo=-k_n, j_hi=k_n,
-                         stride=TABLE_STRIDE)
+    return lattice_means(y_arr, table, step=1.0 / L, j_lo=-k_n, j_hi=k_n)
 
 
 def contrast(coefficients: np.ndarray) -> float:
@@ -240,11 +239,10 @@ class PpeEstimate:
     diagnostics: dict = field(default_factory=dict)
 
 
-def render_sinc_expansion(coeffs: np.ndarray, L: int, k_n: int,
-                          grid: np.ndarray) -> np.ndarray:
-    """f_hat_L(x) = sum_{|j| <= K_n} a_hat_j psi_{L,j}(x) on the grid."""
+def render_sinc_expansion(coeffs: np.ndarray, L: int, grid: np.ndarray) -> np.ndarray:
+    """sum_{|j| <= K_n} a_j psi_{L,j}(x) on the grid, for 2K_n+1 coefficients a_j."""
     coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.size != 2 * k_n + 1:
+    if coeffs.size % 2 == 0:
         raise DataError("coefficient array must cover j in [-K_n, K_n]")
     return math.sqrt(L) * render_expansion(np.sinc, L, coeffs, grid)
 
@@ -281,7 +279,7 @@ def select_and_estimate(y, config: PpeConfig = PpeConfig(),
                             config.grid_points)
     else:
         grid = np.asarray(grid, dtype=float)
-    values = render_sinc_expansion(coefficients[selected], selected, k_n, grid)
+    values = render_sinc_expansion(coefficients[selected], selected, grid)
     density = DensityGrid(grid, values, signed=True)
     return PpeEstimate(
         selected_level=selected, k_n=k_n,

@@ -130,7 +130,6 @@ class ScenarioConfig:
     drift: float = 0.0
     vol_seed: int = 1
     price_seed: int = 2
-    zero_floor: float = LOG_FLOOR_DEFAULT
 
     def __post_init__(self):
         if self.model not in MODEL_TAGS:
@@ -228,9 +227,9 @@ class ObservationSeries:
     """Log prices on a uniform grid and their derived transforms.
 
     increments are X_i = (S_{i Delta} - S_{(i-1) Delta}) / sqrt(Delta); the
-    log-squared values Y_i = log(X_i^2 v floor) guard exact-zero increments
-    with a configurable floor (probability zero in the models, but real CSV
-    files can contain ties).  `xi` carries the simulation ground truth
+    log-squared values Y_i = log(X_i^2 v LOG_FLOOR_DEFAULT) guard exact-zero
+    increments (probability zero in the models, but real CSV files can
+    contain ties).  `xi` carries the simulation ground truth
     log sigma^2 at the left endpoint of each increment interval and is absent
     for ingested data.
     """
@@ -238,7 +237,6 @@ class ObservationSeries:
     log_prices: np.ndarray
     delta: float
     xi: np.ndarray | None = None
-    zero_floor: float = LOG_FLOOR_DEFAULT
 
     def __post_init__(self):
         self.log_prices = np.asarray(self.log_prices, dtype=float)
@@ -267,7 +265,7 @@ class ObservationSeries:
     @property
     def log_squared(self) -> np.ndarray:
         x = self.increments
-        return np.log(np.maximum(x * x, self.zero_floor))
+        return np.log(np.maximum(x * x, LOG_FLOOR_DEFAULT))
 
     def to_csv(self, path, kind: str = "prices"):
         if kind == "prices":
@@ -283,12 +281,13 @@ class ObservationSeries:
 
 
 def as_log_squared(y) -> np.ndarray:
-    """Estimator input: the Y values of an ObservationSeries or a nonempty 1-d array."""
-    if isinstance(y, ObservationSeries):
-        return y.log_squared
-    arr = np.asarray(y, dtype=float)
+    """Estimator input: the Y values of an ObservationSeries or a nonempty finite 1-d array."""
+    arr = y.log_squared if isinstance(y, ObservationSeries) else np.asarray(y, dtype=float)
     if arr.ndim != 1 or arr.size < 1:
         raise DataError("need a nonempty 1-d series of log-squared values")
+    bad = int(np.count_nonzero(~np.isfinite(arr)))
+    if bad:
+        raise DataError(f"{bad} non-finite log-squared value(s) in the series")
     return arr
 
 
@@ -363,13 +362,13 @@ def simulate_markov2(rate_01: float, rate_10: float, steps: int, dt: float,
 
 def simulate_ar_logvol(m: Callable[[float], float], innovation_sd: float,
                        steps: int, seed: int | np.random.Generator,
-                       burn_in: int = 1000, x_init: float = 0.0) -> np.ndarray:
-    """Iterate xi_{t+1} = m(xi_t) + eta_t and return xi_0..xi_steps after burn-in."""
+                       burn_in: int = 1000) -> np.ndarray:
+    """Iterate xi_{t+1} = m(xi_t) + eta_t from xi = 0; return xi_0..xi_steps after burn-in."""
     if innovation_sd <= 0:
         raise ParameterError("innovation standard deviation must be positive")
     rng = seed if isinstance(seed, np.random.Generator) else _rng(seed)
     eta = innovation_sd * rng.standard_normal(burn_in + steps)
-    x = float(x_init)
+    x = 0.0
     for k in range(burn_in):
         x = float(m(x)) + eta[k]
     path = np.empty(steps + 1)
@@ -489,8 +488,7 @@ def simulate_price(sigma2_path: np.ndarray, config: ScenarioConfig,
     s_fine = np.concatenate([[0.0], np.cumsum(increments)])
     s = s_fine[:: config.substeps]
     xi = np.log(sigma2_path[: fine_steps : config.substeps])
-    return ObservationSeries(log_prices=s, delta=config.delta, xi=xi,
-                             zero_floor=config.zero_floor)
+    return ObservationSeries(log_prices=s, delta=config.delta, xi=xi)
 
 
 def simulate_scenario(config: ScenarioConfig) -> tuple[ObservationSeries, VolatilityPath]:
@@ -505,15 +503,14 @@ def simulate_scenario(config: ScenarioConfig) -> tuple[ObservationSeries, Volati
 def invariant_density(drift: Callable[[float], float],
                       diffusion: Callable[[float], float],
                       x0: float,
-                      grid: np.ndarray,
-                      quad_tol: float = 1e-12) -> DensityGrid:
+                      grid: np.ndarray) -> DensityGrid:
     """Invariant density of dX = b(X) dt + a(X) dB on the given grid.
 
     Evaluates the scale/speed formula
 
         pi(x) ~ exp( 2 * int_{x0}^{x} b(y)/a^2(y) dy ) / a^2(x)
 
-    by adaptive quadrature of the inner integral (accumulated over grid
+    by adaptive quadrature of the inner integral (to 1e-12, accumulated over grid
     segments, so the anchor x0 only shifts a constant), then normalizes the
     trapezoid integral over the grid to 1.  The anchor must lie inside the
     grid span and a() must not vanish on it.
@@ -538,9 +535,9 @@ def invariant_density(drift: Callable[[float], float],
     seg = np.empty(grid.size)
     seg[0] = 0.0
     for k in range(1, grid.size):
-        val, _ = quad(ratio, grid[k - 1], grid[k], epsabs=quad_tol, epsrel=quad_tol, limit=200)
+        val, _ = quad(ratio, grid[k - 1], grid[k], epsabs=1e-12, epsrel=1e-12, limit=200)
         seg[k] = seg[k - 1] + val
-    anchor, _ = quad(ratio, grid[0], x0, epsabs=quad_tol, epsrel=quad_tol, limit=200)
+    anchor, _ = quad(ratio, grid[0], x0, epsabs=1e-12, epsrel=1e-12, limit=200)
     exponent = 2.0 * (seg - anchor)
 
     exponent -= exponent.max()  # multiplicative constant is fixed by normalization

@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import DataError, ParameterError
 from .kerneldeconv import deconv_kernel_table, kernel_sums, kernel_table_request
-from .svsim import ArParams, _rng, as_log_squared, simulate_ar_logvol
+from .svsim import LOG_FLOOR_DEFAULT, ArParams, _rng, as_log_squared, simulate_ar_logvol
 
 #: |x| probes for the numerical limsup |m(x)/x| < 1 stability check
 STABILITY_PROBES = (1e2, 1e3, 1e4)
@@ -107,7 +107,7 @@ def simulate_nonlinear_ar(scenario: ArScenario) -> tuple[np.ndarray, np.ndarray]
     # Z shares rho of the innovation's driving normal
     z = rho * eta_std + math.sqrt(1.0 - rho * rho) * z_indep
     zz = z[scenario.burn_in:]
-    y = xi + np.log(np.maximum(zz * zz, 1e-300))
+    y = xi + np.log(np.maximum(zz * zz, LOG_FLOOR_DEFAULT))
     return y, xi
 
 

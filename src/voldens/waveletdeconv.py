@@ -9,14 +9,14 @@ f~(omega) = int e^{-i omega x} f(x) dx, the scaling function and wavelet are
     psi~(omega) = e^{-i omega / 2} ( mu(|omega|/2 - pi, |omega| - pi] )^{1/2}
 
 so supp phi~ = [-4pi/3, 4pi/3] and supp psi~ = +-[2pi/3, 8pi/3].  mu is
-realized through the smoothstep CDF family; the default cubic-matching bump
+realized through the smoothstep CDF of degree BUMP_DEGREE = 3, the classical
+cubic-matching bump
 
     nu(x) = x^4 (35 - 84 x + 70 x^2 - 20 x^3)
 
-rescaled to [-pi/3, pi/3] is the classical choice.  (Note the square root
-makes phi~ only C^1 at the outer support edge for this bump; pass
-bump_degree >= 4 for a genuinely C^2 phi~.  None of the identities used
-here depend on that.)
+rescaled to [-pi/3, pi/3].  The degree is fixed: every table, oracle and
+estimate uses this one family.  (The square root makes phi~ only C^1 at the
+outer support edge; none of the identities used here depend on more.)
 
 Estimation works through the functions U_m with U_m~(omega) =
 phi~(omega) / k~(-2^m omega), where k~(omega) = conj(phi_k(omega)) bridges
@@ -53,22 +53,15 @@ LEVEL_DENOMINATOR = 1.0 + 4.0 * np.pi ** 2 / 3.0
 MAX_LEVEL = 5
 #: tabulation step of phi and U_m; 96 steps per unit shift
 TABLE_STEP = 1.0 / 96.0
+#: order k of the C^k smoothstep CDF of the auxiliary measure mu
+BUMP_DEGREE = 3
 
 
 @dataclass(frozen=True)
 class MeyerSpec:
-    """Wavelet family configuration.
+    """Wavelet estimator configuration: the size of the default evaluation grid."""
 
-    bump_degree selects the smoothstep order of the auxiliary measure
-    (3 = the classical quartic-matching polynomial).
-    """
-
-    bump_degree: int = 3
     grid_points: int = 512
-
-    def __post_init__(self):
-        if self.bump_degree < 1:
-            raise ParameterError("bump degree must be >= 1")
 
 
 DEFAULT_SPEC = MeyerSpec()
@@ -87,13 +80,13 @@ def _smoothstep(u: np.ndarray, k: int) -> np.ndarray:
     return u ** (k + 1) * acc
 
 
-def bump_cdf(x, degree: int = 3) -> np.ndarray:
+def bump_cdf(x) -> np.ndarray:
     """CDF of the auxiliary measure mu on [-pi/3, pi/3]."""
     x = np.asarray(x, dtype=float)
-    return _smoothstep((x + np.pi / 3.0) / (2.0 * np.pi / 3.0), degree)
+    return _smoothstep((x + np.pi / 3.0) / (2.0 * np.pi / 3.0), BUMP_DEGREE)
 
 
-def meyer_scaling_fourier(omega, spec: MeyerSpec = DEFAULT_SPEC) -> np.ndarray | float:
+def meyer_scaling_fourier(omega) -> np.ndarray | float:
     """phi~(omega): square root of the mu-mass of the window (omega-pi, omega+pi].
 
     Equals 1 on [-2pi/3, 2pi/3] and vanishes for |omega| >= 4pi/3; the
@@ -102,19 +95,19 @@ def meyer_scaling_fourier(omega, spec: MeyerSpec = DEFAULT_SPEC) -> np.ndarray |
     omega = np.asarray(omega, dtype=float)
     scalar = omega.ndim == 0
     omega = np.atleast_1d(omega)
-    mass = bump_cdf(omega + np.pi, spec.bump_degree) - bump_cdf(omega - np.pi, spec.bump_degree)
+    mass = bump_cdf(omega + np.pi) - bump_cdf(omega - np.pi)
     mass = np.where(mass > _MASS_FLOOR, mass, 0.0)
     out = np.sqrt(np.clip(mass, 0.0, 1.0))
     return float(out[0]) if scalar else out
 
 
-def meyer_wavelet_fourier(omega, spec: MeyerSpec = DEFAULT_SPEC) -> np.ndarray | complex:
+def meyer_wavelet_fourier(omega) -> np.ndarray | complex:
     """psi~(omega) = e^{-i omega/2} ( mu(|omega|/2 - pi, |omega| - pi] )^{1/2}."""
     omega = np.asarray(omega, dtype=float)
     scalar = omega.ndim == 0
     omega = np.atleast_1d(omega)
     a = np.abs(omega)
-    mass = bump_cdf(a - np.pi, spec.bump_degree) - bump_cdf(0.5 * a - np.pi, spec.bump_degree)
+    mass = bump_cdf(a - np.pi) - bump_cdf(0.5 * a - np.pi)
     mass = np.where(mass > _MASS_FLOOR, mass, 0.0)
     out = np.exp(-0.5j * omega) * np.sqrt(np.clip(mass, 0.0, 1.0))
     return complex(out[0]) if scalar else out
@@ -123,41 +116,37 @@ def meyer_wavelet_fourier(omega, spec: MeyerSpec = DEFAULT_SPEC) -> np.ndarray |
 # --------------------------------------------------------------------------- tabulated functions
 
 @lru_cache(maxsize=32)
-def _scaling_table(degree: int, x_half: float) -> Table1D:
-    spec = MeyerSpec(bump_degree=degree)
-    return fourier_table(lambda w: meyer_scaling_fourier(w, spec) + 0j,
+def _scaling_table(x_half: float) -> Table1D:
+    return fourier_table(lambda w: meyer_scaling_fourier(w) + 0j,
                          s_max=OMEGA_MAX, dx=TABLE_STEP, x_half=x_half)
 
 
 @lru_cache(maxsize=32)
-def _um_table(degree: int, m: int, x_half: float) -> Table1D:
-    spec = MeyerSpec(bump_degree=degree)
-
+def _um_table(m: int, x_half: float) -> Table1D:
     def spectrum(w):
-        return meyer_scaling_fourier(w, spec) * inv_noise_charfn((2.0 ** m) * w)
+        return meyer_scaling_fourier(w) * inv_noise_charfn((2.0 ** m) * w)
 
     return fourier_table(spectrum, s_max=OMEGA_MAX, dx=TABLE_STEP, x_half=x_half)
 
 
-def scaling_table(spec: MeyerSpec, x_half: float) -> Table1D:
-    return _scaling_table(spec.bump_degree, range_bucket(x_half))
+def scaling_table(x_half: float) -> Table1D:
+    return _scaling_table(range_bucket(x_half))
 
 
-def um_table(spec: MeyerSpec, m: int, x_half: float) -> Table1D:
+def um_table(m: int, x_half: float) -> Table1D:
     if not (0 <= m <= MAX_LEVEL):
         raise ParameterError(f"detail level must be in [0, {MAX_LEVEL}]")
-    return _um_table(spec.bump_degree, int(m), range_bucket(x_half))
+    return _um_table(int(m), range_bucket(x_half))
 
 
-def scaling_function(x, spec: MeyerSpec = DEFAULT_SPEC) -> np.ndarray | float:
+def scaling_function(x) -> np.ndarray | float:
     """The scaling function phi(x), via its cached tabulation."""
     x = np.asarray(x, dtype=float)
     x_half = float(np.max(np.abs(x))) + 8.0 if x.size else 32.0
-    return scaling_table(spec, x_half)(x)
+    return scaling_table(x_half)(x)
 
 
-def u_m_function(x, m: int, spec: MeyerSpec = DEFAULT_SPEC,
-                 inv_noise_cf=None) -> np.ndarray | float:
+def u_m_function(x, m: int, inv_noise_cf=None) -> np.ndarray | float:
     """U_m by direct adaptive quadrature (oracle path).
 
     U_m(x) = (1/2pi) int phi~(omega)/k~(-2^m omega) e^{i omega x} d omega
@@ -167,7 +156,7 @@ def u_m_function(x, m: int, spec: MeyerSpec = DEFAULT_SPEC,
     if not (0 <= m <= MAX_LEVEL):
         raise ParameterError(f"detail level must be in [0, {MAX_LEVEL}]")
     inv_cf = inv_noise_charfn if inv_noise_cf is None else inv_noise_cf
-    return fourier_quad(lambda w: meyer_scaling_fourier(w, spec) * inv_cf((2.0 ** m) * w),
+    return fourier_quad(lambda w: meyer_scaling_fourier(w) * inv_cf((2.0 ** m) * w),
                         -OMEGA_MAX, OMEGA_MAX, x)
 
 
@@ -195,8 +184,7 @@ class WaveletEstimate:
         return float(self.coefficients[l + self.truncation])
 
 
-def wavelet_coefficients(y, m: int, truncation: int,
-                         spec: MeyerSpec = DEFAULT_SPEC) -> np.ndarray:
+def wavelet_coefficients(y, m: int, truncation: int) -> np.ndarray:
     """Estimated scaling coefficients a_hat_{m,l} for |l| <= truncation.
 
     Sample-mean structure: a_hat_{m,l} = (1/n) sum_i 2^{m/2} U_m(2^m Y_i - l),
@@ -208,9 +196,8 @@ def wavelet_coefficients(y, m: int, truncation: int,
         raise ParameterError("truncation must be >= 0")
     pts = (2.0 ** m) * y_arr
     x_half = float(np.max(np.abs(pts))) + truncation + 8.0
-    table = um_table(spec, m, x_half)
-    means = lattice_means(pts, table, step=1.0, j_lo=-truncation, j_hi=truncation,
-                          stride=round(1.0 / TABLE_STEP))
+    table = um_table(m, x_half)
+    means = lattice_means(pts, table, step=1.0, j_lo=-truncation, j_hi=truncation)
     return (2.0 ** (m / 2.0)) * means
 
 
@@ -256,7 +243,7 @@ def wavelet_estimate(y, spec: MeyerSpec = DEFAULT_SPEC,
             truncation = n
     truncation = int(truncation)
 
-    coeffs = wavelet_coefficients(y_arr, m, truncation, spec)
+    coeffs = wavelet_coefficients(y_arr, m, truncation)
 
     if grid is None:
         grid = uniform_grid(float(np.min(y_arr)) - 3.0, float(np.max(y_arr)) + 3.0,
@@ -264,7 +251,7 @@ def wavelet_estimate(y, spec: MeyerSpec = DEFAULT_SPEC,
     else:
         grid = np.asarray(grid, dtype=float)
 
-    values = render_scaling_expansion(coeffs, m, truncation, grid, spec)
+    values = render_scaling_expansion(coeffs, m, grid)
     density = DensityGrid(grid, values, signed=True)
     return WaveletEstimate(
         level=m, level_target=target, truncation=truncation,
@@ -273,27 +260,25 @@ def wavelet_estimate(y, spec: MeyerSpec = DEFAULT_SPEC,
     )
 
 
-def render_scaling_expansion(coeffs: np.ndarray, m: int, truncation: int,
-                             grid: np.ndarray, spec: MeyerSpec = DEFAULT_SPEC) -> np.ndarray:
-    """sum_l c_l phi_{m,l}(x) on the grid, phi_{m,l}(x) = 2^{m/2} phi(2^m x - l)."""
+def render_scaling_expansion(coeffs: np.ndarray, m: int, grid: np.ndarray) -> np.ndarray:
+    """sum_{|l| <= L} c_l 2^{m/2} phi(2^m x - l) on the grid, for 2L+1 coefficients."""
     coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.size != 2 * truncation + 1:
+    if coeffs.size % 2 == 0:
         raise DataError("coefficient array must cover l in [-L, L]")
-    x_half = (2.0 ** m) * float(np.max(np.abs(grid))) + truncation + 8.0
-    table = scaling_table(spec, x_half)
+    x_half = (2.0 ** m) * float(np.max(np.abs(grid))) + coeffs.size // 2 + 8.0
+    table = scaling_table(x_half)
     return 2.0 ** (m / 2.0) * render_expansion(table, 2.0 ** m, coeffs, grid)
 
 
 # --------------------------------------------------------------------------- Sobolev norm
 
-def sobolev_norm(table: CharFnTable, alpha: float,
-                 truncation_rtol: float = 1e-6) -> float:
+def sobolev_norm(table: CharFnTable, alpha: float) -> float:
     """|| g ||_alpha = ( int |g~(omega)|^2 (omega^2 + 1)^alpha d omega )^{1/2}.
 
     The integral runs over the table's frequency grid by the trapezoid rule
     (no 1/2pi factor: at alpha = 0 the square equals 2 pi * int g^2 by
-    Plancherel).  A warning is emitted when the endpoint integrand suggests
-    the tabulated range truncates the integral materially.
+    Plancherel).  A warning is emitted when the endpoint integrand carries
+    more than 1e-6 of the total, i.e. the tabulated range truncates it.
     """
     if alpha < 0:
         raise ParameterError("alpha must be >= 0")
@@ -301,7 +286,7 @@ def sobolev_norm(table: CharFnTable, alpha: float,
     total = float(trapezoid(w, table.t))
     dt = np.diff(table.t)
     edge = float(w[0] * dt[0] + w[-1] * dt[-1])
-    if total > 0 and edge > truncation_rtol * total:
+    if total > 0 and edge > 1e-6 * total:
         warnings.warn(
             f"Sobolev integral looks truncation-dominated: edge contribution "
             f"{edge:.3e} vs total {total:.3e}; extend the frequency grid",

@@ -235,6 +235,7 @@ def test_criterion_06_wavelet_coefficients_unbiased():
 
 # --------------------------------------------------------------------- 7
 
+@pytest.mark.slow
 def test_criterion_07_wavelet_mise_direction():
     reps = 20
     results = {100: [], 10_000: []}
@@ -284,6 +285,7 @@ def test_criterion_08_ppe_contrast_identity():
 
 # --------------------------------------------------------------------- 9
 
+@pytest.mark.slow
 def test_criterion_09_ppe_adaptive_selection():
     reps, n = 20, 10_000
     wins = 0
@@ -299,7 +301,7 @@ def test_criterion_09_ppe_adaptive_selection():
         level_ok &= 1 <= est.selected_level <= l_max
         ises = {}
         for L, coeffs in est.coefficients.items():
-            vals = render_sinc_expansion(coeffs, L, est.k_n, grid)
+            vals = render_sinc_expansion(coeffs, L, grid)
             ises[L] = mise(DensityGrid(grid, vals), truth)
         ratio = ises[est.selected_level] / min(ises.values())
         worst_ratio = max(worst_ratio, ratio)

@@ -5,8 +5,8 @@ import pytest
 from scipy.integrate import quad
 
 from voldens.errors import DataError, ParameterError
-from voldens.kerneldeconv import (KernelSpec, check_gamma_constraint, deconv_kernel,
-                                  deconv_kernel_table, default_bandwidth,
+from voldens.kerneldeconv import (TABLE_STEP, KernelSpec, check_gamma_constraint,
+                                  deconv_kernel, deconv_kernel_table, default_bandwidth,
                                   estimate_density, kernel_table_request, wand_charfn,
                                   wand_kernel)
 from voldens.metrics import PureConvolution, mise
@@ -23,8 +23,8 @@ class TestWandKernel:
         xs = np.array([0.1, 0.3, 0.49, 0.51, 1.7, 6.0, 25.0])
         np.testing.assert_array_equal(wand_kernel(xs), wand_kernel(-xs))
 
-    def test_series_matches_closed_form_at_switch(self):
-        # both branches are accurate near the switch point |x| = 0.5
+    def test_matches_elementary_closed_form(self):
+        # the j_3 form and the elementary closed form are the same function
         for x in (0.45, 0.5, 0.55, 0.6):
             closed = (48 * x * (x * x - 15) * np.cos(x)
                       - 144 * (2 * x * x - 5) * np.sin(x)) / (np.pi * x ** 7)
@@ -36,6 +36,11 @@ class TestWandKernel:
             val, _ = quad(lambda t: (1 - t * t) ** 3 * np.cos(t * x), 0, 1,
                           epsabs=1e-13)
             assert wand_kernel(x) == pytest.approx(val / np.pi, abs=1e-12)
+
+    @pytest.mark.parametrize("x", [0.51, 0.544, 0.6, 1.0])
+    def test_full_precision_where_closed_form_cancels(self, x):
+        val, _ = quad(lambda t: (1 - t * t) ** 3 * np.cos(t * x), 0, 1, epsabs=1e-13)
+        assert wand_kernel(x) == pytest.approx(val / np.pi, abs=1e-14)
 
 
 class TestWandCharFn:
@@ -120,6 +125,21 @@ class TestEstimateDensity:
         y = np.array([0.1, 0.5, 1.2])
         with pytest.raises(DataError):
             estimate_density(y, KernelSpec(bandwidth=0.5), np.array([-1.0, 0.0, 0.5, 2.0]))
+
+    def test_fine_grid_keeps_a_coarse_table(self):
+        # grid step / h ~ 1.7e-3: the grid runs as interleaved sub-lattices,
+        # so the table step (and the FFT size behind it) stays near TABLE_STEP
+        config = ScenarioConfig("ou-exp", OuParams(0.5, 0.0, 1.0), 0.05, 300)
+        series, _ = simulate_scenario(config)
+        y = series.log_squared
+        h = np.pi / np.log(y.size)
+        spec = KernelSpec(bandwidth=h, grid_points=20_000)
+        est = estimate_density(y, spec).density
+        x_half, dx = kernel_table_request(y, est.x, h)
+        assert dx >= TABLE_STEP / 2
+        fine = deconv_kernel_table(h, x_half, TABLE_STEP / 8)
+        direct = np.mean([fine((est.x - yj) / h) for yj in y], axis=0) / h
+        assert np.max(np.abs(est.values - direct)) <= 1e-8 * np.max(np.abs(direct))
 
     def test_shift_equivariance(self):
         # exact as a change of variables; float addition leaves ~1e-16 residue

@@ -209,6 +209,11 @@ class TestSelection:
                            for x in est.density.x])
         np.testing.assert_allclose(est.density.values, manual, rtol=1e-10, atol=1e-12)
 
+    def test_render_rejects_even_coefficient_count(self):
+        # K_n is read from the 2K_n+1 coefficients; an even count covers no [-K_n, K_n]
+        with pytest.raises(DataError):
+            render_sinc_expansion(np.ones(6), 2, np.linspace(-3, 3, 16))
+
     def test_short_series_rejected(self):
         with pytest.raises(DataError):
             select_and_estimate(np.array([1.0, 2.0]), PpeConfig())

@@ -313,3 +313,22 @@ class TestInvariantDensity:
 def test_estimators_reject_non_series_input(estimate, y):
     with pytest.raises(DataError):
         estimate(y)
+
+
+@pytest.mark.parametrize("estimate", [
+    lambda y: estimate_density(y, KernelSpec(bandwidth=0.5)),
+    lambda y: regression_estimate(y, 0.5, np.linspace(-2.0, 2.0, 16)),
+    wavelet_estimate,
+    select_and_estimate,
+], ids=["kernel", "regression", "wavelet", "ppe"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_estimators_reject_non_finite_input(estimate, bad):
+    # one bad value among 200, as an array and inside an ObservationSeries
+    y = _philox(3).normal(size=200)
+    y[57] = bad
+    with pytest.raises(DataError, match="1 non-finite"):
+        estimate(y)
+    prices = np.cumsum(_philox(4).normal(size=201))
+    prices[57] = bad
+    with pytest.raises(DataError, match="non-finite"):
+        estimate(ObservationSeries(prices, delta=1.0))

@@ -37,7 +37,7 @@ class TestTable1D:
 class TestOscMoments:
     @pytest.mark.parametrize("theta", [0.01, 0.3, 0.5, 2.0, 41.7])
     def test_against_quadrature(self, theta):
-        mom = _osc_moments(np.array([theta]), kmax=3)
+        mom = _osc_moments(np.array([theta]))
         for k in range(4):
             re, _ = quad(lambda s: s ** k * np.cos(theta * s), -1, 1, epsabs=1e-14)
             im, _ = quad(lambda s: s ** k * np.sin(theta * s), -1, 1, epsabs=1e-14)
@@ -81,7 +81,7 @@ class TestLatticeMeans:
         grid = -50.0 + 0.0125 * np.arange(8001)
         table = Table1D(-50.0, 0.0125, np.exp(-(grid / 8.0) ** 2) * np.cos(grid))
         pts = rng.normal(0.0, 5.0, 300)
-        fft = lattice_means(pts, table, step=1.0, j_lo=-20, j_hi=20, stride=80)
+        fft = lattice_means(pts, table, step=1.0, j_lo=-20, j_hi=20)
         dense = [np.mean(table(pts - j)) for j in range(-20, 21)]
         np.testing.assert_allclose(fft, dense, rtol=1e-10, atol=1e-13)
 
@@ -91,7 +91,7 @@ class TestLatticeMeans:
         table = Table1D(-50.0, 0.0125, np.exp(-(grid / 8.0) ** 2) * np.cos(grid))
         pts = rng.normal(0.0, 5.0, 300)
         w = rng.normal(2.0, 1.0, 300)
-        fft = lattice_means(pts, table, step=1.0, j_lo=-20, j_hi=20, stride=80,
+        fft = lattice_means(pts, table, step=1.0, j_lo=-20, j_hi=20,
                             weights=w)
         dense = [np.mean(w * table(pts - j)) for j in range(-20, 21)]
         np.testing.assert_allclose(fft, dense, rtol=1e-10, atol=1e-13)
@@ -100,15 +100,14 @@ class TestLatticeMeans:
         grid = -10.0 + 0.01 * np.arange(2001)
         table = Table1D(-10.0, 0.01, np.sin(grid) * np.exp(-np.abs(grid)))
         pts = np.array([0.3, -1.2, 4.4])
-        out = lattice_means(pts, table, step=0.5, j_lo=-3, j_hi=3, stride=50)
+        out = lattice_means(pts, table, step=0.5, j_lo=-3, j_hi=3)
         expect = [np.mean(table(pts - 0.5 * j)) for j in range(-3, 4)]
         np.testing.assert_allclose(out, expect, rtol=1e-12)
 
     def test_step_misaligned_with_table_rejected(self):
         table = Table1D(0.0, 0.1, np.ones(32))
         with pytest.raises(ValueError):
-            lattice_means(np.array([1.0]), table, step=0.35, j_lo=0, j_hi=1,
-                          stride=3)
+            lattice_means(np.array([1.0]), table, step=0.35, j_lo=0, j_hi=1)
 
 
 def test_range_bucket():

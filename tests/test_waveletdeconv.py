@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from voldens.errors import ParameterError
+from voldens.errors import DataError, ParameterError
 from voldens.grids import CharFnTable
 from voldens.noisemodel import inv_noise_charfn
-from voldens.waveletdeconv import (DEFAULT_SPEC, LEVEL_DENOMINATOR, OMEGA_MAX,
-                                   MeyerSpec, default_level, meyer_scaling_fourier,
-                                   meyer_wavelet_fourier, scaling_function,
+from voldens.waveletdeconv import (LEVEL_DENOMINATOR, OMEGA_MAX, default_level,
+                                   meyer_scaling_fourier, meyer_wavelet_fourier,
+                                   render_scaling_expansion, scaling_function,
                                    scaling_table, sobolev_norm, u_m_function,
                                    um_table, wavelet_coefficients, wavelet_estimate)
 
@@ -52,12 +52,6 @@ class TestMeyerFourier:
             assert meyer_wavelet_fourier(-omega) == pytest.approx(
                 np.conj(meyer_wavelet_fourier(omega)), abs=1e-14)
 
-    def test_higher_bump_degree_still_partitions(self):
-        spec = MeyerSpec(bump_degree=4)
-        total = sum(meyer_scaling_fourier(0.7 + 2 * np.pi * l, spec) ** 2
-                    for l in range(-3, 4))
-        assert total == pytest.approx(1.0, abs=1e-10)
-
 
 class TestUmFunction:
     def test_no_noise_hook_gives_scaling_function(self):
@@ -68,7 +62,7 @@ class TestUmFunction:
     def test_table_matches_quadrature(self):
         xs = np.array([-5.0, -1.0, 0.0, 0.4, 2.2, 8.0])
         for m in (0, 1):
-            tab = um_table(DEFAULT_SPEC, m, 16.0)
+            tab = um_table(m, 16.0)
             qv = u_m_function(xs, m)
             np.testing.assert_allclose(tab(xs), qv,
                                        atol=1e-6 * np.max(np.abs(qv)))
@@ -78,7 +72,7 @@ class TestUmFunction:
         # 1/|phi_k| amplification at the spectral edge within a factor 10
         maxes = {}
         for m in (0, 1, 2):
-            tab = um_table(DEFAULT_SPEC, m, 64.0)
+            tab = um_table(m, 64.0)
             g = tab.grid()
             maxes[m] = float(np.max(np.abs(tab(g[np.abs(g) <= 40]))))
         for m in (0, 1):
@@ -98,7 +92,7 @@ class TestOrthonormality:
         # limit plus decayed tails is a quadrature accurate beyond 1e-8
         step = 0.25
         xg = np.arange(-320.0, 320.0, step)
-        tab = scaling_table(DEFAULT_SPEC, 340.0)
+        tab = scaling_table(340.0)
         base = tab(xg)
         for l in range(0, 4):
             for lp in range(0, 4):
@@ -121,7 +115,7 @@ class TestOrthonormality:
                                 l - 60, l + 60, limit=300)[0] for l in (-2, 0, 3)])
         np.testing.assert_allclose(coeffs, g(np.array([-2.0, 0.0, 3.0])), atol=1e-6)
         xs = np.array([-1.7, -0.4, 0.0, 0.9, 2.5])
-        tab = scaling_table(DEFAULT_SPEC, 512.0)
+        tab = scaling_table(512.0)
         recon = np.array([np.sum(g(ls) * tab(x - ls)) for x in xs])
         np.testing.assert_allclose(recon, g(xs), atol=1e-6)
 
@@ -130,7 +124,7 @@ class TestCoefficients:
     def test_single_observation(self):
         y = np.array([0.7])
         coeffs = wavelet_coefficients(y, 1, 2)
-        tab = um_table(DEFAULT_SPEC, 1, 2 * 0.7 + 2 + 8)
+        tab = um_table(1, 2 * 0.7 + 2 + 8)
         expect = np.array([np.sqrt(2) * tab(2 * 0.7 - l) for l in range(-2, 3)])
         np.testing.assert_allclose(coeffs, expect, rtol=1e-12)
 
@@ -184,6 +178,11 @@ class TestEstimate:
         assert est.coefficient(-3) == est.coefficients[0]
         with pytest.raises(Exception):
             est.coefficient(4)
+
+    def test_render_rejects_even_coefficient_count(self):
+        # L is read from the 2L+1 coefficients; an even count covers no [-L, L]
+        with pytest.raises(DataError):
+            render_scaling_expansion(np.ones(6), 0, np.linspace(-3, 3, 16))
 
 
 class TestSobolevNorm:
