@@ -31,7 +31,7 @@ from .grids import uniform_grid
 from .kerneldeconv import (KernelSpec, check_gamma_constraint, default_bandwidth,
                            estimate_density)
 from .ppe import PpeConfig, select_and_estimate
-from .svsim import ObservationSeries, ScenarioConfig, parse_kv, simulate_scenario
+from .svsim import ObservationSeries, ScenarioConfig, parse_kv, parse_value, simulate_scenario
 from .volreg import (DENOMINATOR_FLOOR, default_regression_bandwidth,
                      regression_estimate)
 from .waveletdeconv import MeyerSpec, wavelet_estimate
@@ -336,7 +336,7 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
             if raw == "":
                 continue
             attr, conv = _CONFIG_KEYS[key]
-            values[attr] = conv(raw)
+            values[attr] = parse_value(key, raw, conv)
     for key, (attr, _) in _CONFIG_KEYS.items():
         flag = getattr(args, key)
         if flag is not None:

@@ -91,16 +91,11 @@ def wand_charfn(t) -> np.ndarray | float:
 
 # --------------------------------------------------------------------------- deconvolution kernel
 
-def deconv_kernel(x, h: float, inv_noise_cf=None) -> np.ndarray | float:
-    """v_h by direct adaptive quadrature (the oracle path; slow per point).
-
-    `inv_noise_cf` replaces 1/phi_k (a test hook); passing lambda t: 1.0
-    reduces v_h to the plain kernel w.
-    """
+def deconv_kernel(x, h: float) -> np.ndarray | float:
+    """v_h by direct adaptive quadrature (the oracle path; slow per point)."""
     _check_bandwidth(h)
-    inv_cf = inv_noise_charfn if inv_noise_cf is None else inv_noise_cf
     # e^{-isx} in the definition of v_h is e^{is(-x)}
-    return fourier_quad(lambda s: wand_charfn(s) * inv_cf(s / h), -1.0, 1.0,
+    return fourier_quad(lambda s: wand_charfn(s) * inv_noise_charfn(s / h), -1.0, 1.0,
                         -np.asarray(x, dtype=float))
 
 

@@ -29,8 +29,8 @@ from .grids import DensityGrid
 from .kerneldeconv import KernelSpec, estimate_density
 from .noisemodel import sample_noise
 from .ppe import PpeConfig, select_and_estimate
-from .svsim import (ArParams, OuParams, RegimeSwitchParams, ScenarioConfig,
-                    _rng, simulate_scenario)
+from .svsim import (ArParams, OuParams, RegimeSwitchParams, ScenarioConfig, _rng,
+                    simulate_scenario)
 from .waveletdeconv import wavelet_estimate
 
 THREADS_ENV = "VOLDENS_THREADS"
@@ -107,20 +107,15 @@ class PureConvolution:
             self.sd * np.sqrt(2 * np.pi))
 
 
-def scenario_preset(name: str, n: int, delta: float = 0.05,
-                    substeps: int = 16) -> ScenarioConfig | PureConvolution:
-    """The three shipped scenario presets."""
+def scenario_preset(name: str, n: int, delta: float = 0.05) -> ScenarioConfig | PureConvolution:
+    """The three shipped scenario presets, and the pure-convolution benchmark."""
     if name == "ou-exp":
-        return ScenarioConfig("ou-exp", OuParams(0.5, 0.0, 1.0), delta, n, substeps)
+        return ScenarioConfig("ou-exp", OuParams(0.5), delta, n)
     if name == "regime-switch":
-        params = RegimeSwitchParams(
-            regime0=OuParams(2.0, -2.0, 1.0),
-            regime1=OuParams(2.0, 2.0, 1.0),
-            rate_01=0.2, rate_10=0.2,
-        )
-        return ScenarioConfig("regime-switch-exp", params, delta, n, substeps)
+        params = RegimeSwitchParams(OuParams(2.0, -2.0), OuParams(2.0, 2.0), 0.2, 0.2)
+        return ScenarioConfig("regime-switch-exp", params, delta, n)
     if name == "nonlinear-ar":
-        return ScenarioConfig("nonlinear-ar", ArParams(), delta, n, substeps)
+        return ScenarioConfig("nonlinear-ar", ArParams(), delta, n)
     if name == "pure-convolution":
         return PureConvolution(n=n)
     raise ConfigError(f"unknown scenario preset {name!r}")
@@ -145,24 +140,16 @@ def _draw(scenario) -> tuple[np.ndarray, object]:
 
 
 def default_evaluation_grid(scenario, points: int = 512) -> np.ndarray:
-    """A fixed grid wide enough for the scenario's invariant density."""
+    """Six standard deviations past every component of the stationary law
+    ([-10, 10] when the law has no closed form, as for the tanh AR)."""
     if isinstance(scenario, PureConvolution):
         lo, hi = scenario.mean - 6 * scenario.sd, scenario.mean + 6 * scenario.sd
+    elif (law := scenario.params.stationary_law()) is None:
+        lo, hi = -10.0, 10.0
     else:
-        p = scenario.params
-        if isinstance(p, OuParams):
-            sd = np.sqrt(p.stationary_variance)
-            lo, hi = p.level - 6 * sd, p.level + 6 * sd
-        elif isinstance(p, RegimeSwitchParams):
-            sds = [np.sqrt(q.stationary_variance) for q in (p.regime0, p.regime1)]
-            lo = min(p.regime0.level - 6 * sds[0], p.regime1.level - 6 * sds[1])
-            hi = max(p.regime0.level + 6 * sds[0], p.regime1.level + 6 * sds[1])
-        elif isinstance(p, ArParams) and p.function == "linear" and abs(p.slope) < 1:
-            mean = p.intercept / (1 - p.slope)
-            sd = p.innovation_sd / np.sqrt(1 - p.slope ** 2)
-            lo, hi = mean - 6 * sd, mean + 6 * sd
-        else:
-            lo, hi = -10.0, 10.0
+        _, means, variances = law
+        lo = min(mean - 6 * np.sqrt(var) for mean, var in zip(means, variances))
+        hi = max(mean + 6 * np.sqrt(var) for mean, var in zip(means, variances))
     return np.linspace(lo, hi, points)
 
 
@@ -255,20 +242,17 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
         est = _estimate(spec.estimator, dict(spec.estimator_config), y, grid)
         row: dict = {"replication": rep,
                      "seed": sc.seed if isinstance(sc, PureConvolution) else sc.vol_seed}
-        if truth is not None:
-            truth_grid = DensityGrid(grid, truth(grid), signed=False)
-        else:
-            truth_grid = None
+        true_grid = None if truth is None else DensityGrid(grid, truth(grid), signed=False)
         for name in spec.metrics:
             if name == "mise":
-                if truth_grid is None:
+                if true_grid is None:
                     raise ConfigError("mise metric needs a scenario with a known truth")
-                row["mise"] = mise(est, truth_grid)
+                row["mise"] = mise(est, true_grid)
             elif name == "mse_at_point":
-                if truth_grid is None:
+                if true_grid is None:
                     raise ConfigError("mse_at_point needs a scenario with a known truth")
                 fhat = float(np.interp(spec.mse_point, est.x, est.values))
-                f0 = float(np.interp(spec.mse_point, truth_grid.x, truth_grid.values))
+                f0 = float(np.interp(spec.mse_point, true_grid.x, true_grid.values))
                 row["mse_at_point"] = (fhat - f0) ** 2
             elif name == "mode_count":
                 row["mode_count"] = mode_count(est)

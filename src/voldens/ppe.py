@@ -70,21 +70,16 @@ def sinc_basis(L: int, j: int, x) -> np.ndarray | float:
 
 # --------------------------------------------------------------------------- u functions
 
-def u_basis_quad(y, L: int, j: int, inv_noise_cf=None) -> np.ndarray | float:
+def u_basis_quad(y, L: int, j: int) -> np.ndarray | float:
     """u_{psi_{L,j}} by direct adaptive quadrature (oracle path).
 
     u_{psi_{L,j}}(y) = (1/(2 pi sqrt(L))) int_{-pi L}^{pi L}
                           e^{is (y - j/L)} / phi_k(s) ds.
-
-    `inv_noise_cf` replaces 1/phi_k; the constant 1 reduces u to psi_{L,j}.
     """
-    if L < 1:
-        raise ParameterError("level L must be >= 1")
-    if L > MAX_LEVEL:
-        raise ParameterError(f"level {L} exceeds the double-precision cap {MAX_LEVEL}")
-    inv_cf = inv_noise_charfn if inv_noise_cf is None else inv_noise_cf
+    if not (1 <= L <= MAX_LEVEL):
+        raise ParameterError(f"level must be in [1, {MAX_LEVEL}]")
     z = np.asarray(y, dtype=float) - j / L
-    return fourier_quad(inv_cf, -np.pi * L, np.pi * L, z) / math.sqrt(L)
+    return fourier_quad(inv_noise_charfn, -np.pi * L, np.pi * L, z) / math.sqrt(L)
 
 
 @lru_cache(maxsize=32)

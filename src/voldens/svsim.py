@@ -16,11 +16,16 @@ Euler-Maruyama, on a fine grid of `substeps` intervals per Delta.  Random
 numbers come from counter-based Philox streams keyed separately for the
 volatility and price noise, so a ScenarioConfig reproduces its output
 bit-for-bit.
+
+Each model is described once, by the parameter class that `MODELS` maps its
+tag to: defaults, validity checks (stability included) and the stationary
+law that both the truth density and `metrics.default_evaluation_grid` read.
+Scenario files go through one key table, `SCENARIO_KEYS`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -58,13 +63,18 @@ class OuParams:
     def stationary_variance(self) -> float:
         return self.diffusion ** 2 / (2.0 * self.mean_reversion)
 
+    def stationary_law(self) -> tuple[tuple, tuple, tuple]:
+        """(weights, means, variances) of the normal mixture that is the law of X."""
+        return (1.0,), (self.level,), (self.stationary_variance,)
+
 
 @dataclass(frozen=True)
 class RegimeSwitchParams:
     """Two OU factors selected by a two-state Markov chain.
 
     rate_01 is the 0 -> 1 switching intensity, rate_10 the reverse; the
-    stationary probability of state 1 is rate_01 / (rate_01 + rate_10).
+    stationary probability of state 1 is rate_01 / (rate_01 + rate_10), and
+    the stationary law is the two-component normal mixture, regime 1 first.
     """
 
     regime0: OuParams
@@ -80,14 +90,20 @@ class RegimeSwitchParams:
     def stationary_prob_1(self) -> float:
         return self.rate_01 / (self.rate_01 + self.rate_10)
 
+    def stationary_law(self) -> tuple[tuple, tuple, tuple]:
+        pi1, r0, r1 = self.stationary_prob_1, self.regime0, self.regime1
+        return ((pi1, 1.0 - pi1), (r1.level, r0.level),
+                (r1.stationary_variance, r0.stationary_variance))
+
 
 @dataclass(frozen=True)
 class ArParams:
     """Nonlinear autoregression xi_{t+1} = m(xi_t) + eta_t at the Delta grid.
 
-    `function` selects the regression shape: "linear" gives
-    m(x) = slope*x + intercept, "tanh" the saturating
-    m(x) = scale*tanh(x) + intercept.
+    `function` selects the regression shape: "linear" gives m(x) = slope*x +
+    intercept, "tanh" the saturating m(x) = scale*tanh(x) + intercept.  The
+    stability condition limsup_{|x| -> oo} |m(x)/x| < 1 is checked exactly:
+    the limsup is |slope| for the linear map and 0 for the bounded tanh map.
     """
 
     function: str = "linear"
@@ -101,6 +117,8 @@ class ArParams:
             raise ParameterError("innovation standard deviation must be positive")
         if self.function not in ("linear", "tanh"):
             raise ParameterError(f"unknown regression function {self.function!r}")
+        if self.function == "linear" and not abs(self.slope) < 1.0:
+            raise ParameterError(f"slope {self.slope!r} breaks the stability condition |slope| < 1")
 
     def regression(self) -> Callable[[np.ndarray], np.ndarray]:
         if self.function == "linear":
@@ -109,8 +127,17 @@ class ArParams:
         s, c = self.scale, self.intercept
         return lambda x: s * np.tanh(x) + c
 
+    def stationary_law(self) -> tuple[tuple, tuple, tuple] | None:
+        """The stationary normal of the linear map; tanh has no closed form (None)."""
+        if self.function == "tanh":
+            return None
+        return ((1.0,), (self.intercept / (1.0 - self.slope),),
+                (self.innovation_sd ** 2 / (1.0 - self.slope ** 2),))
 
-MODEL_TAGS = ("ou-exp", "regime-switch-exp", "nonlinear-ar")
+
+#: model tag -> the parameter class that describes it
+MODELS = {"ou-exp": OuParams, "regime-switch-exp": RegimeSwitchParams,
+          "nonlinear-ar": ArParams}
 
 
 @dataclass(frozen=True)
@@ -132,8 +159,10 @@ class ScenarioConfig:
     price_seed: int = 2
 
     def __post_init__(self):
-        if self.model not in MODEL_TAGS:
-            raise ConfigError(f"unknown model tag {self.model!r}; expected one of {MODEL_TAGS}")
+        if self.model not in MODELS:
+            raise ConfigError(f"unknown model tag {self.model!r}; expected one of {tuple(MODELS)}")
+        if not isinstance(self.params, MODELS[self.model]):
+            raise ConfigError(f"{self.model} needs {MODELS[self.model].__name__} parameters")
         if self.delta <= 0:
             raise ParameterError("sampling gap delta must be positive")
         if self.n < 2:
@@ -148,62 +177,70 @@ class ScenarioConfig:
 
     # -- plain-text key = value serialization ------------------------------
     def to_kv(self) -> str:
-        lines = [
-            f"model = {self.model}",
-            f"delta = {self.delta!r}",
-            f"n = {self.n}",
-            f"substeps = {self.substeps}",
-            f"drift = {self.drift!r}",
-            f"vol_seed = {self.vol_seed}",
-            f"price_seed = {self.price_seed}",
-        ]
-        p = self.params
-        if isinstance(p, OuParams):
-            lines += [f"ou.b = {p.mean_reversion!r}", f"ou.mu = {p.level!r}",
-                      f"ou.a = {p.diffusion!r}"]
-            if p.x0 is not None:
-                lines.append(f"ou.x0 = {p.x0!r}")
-        elif isinstance(p, RegimeSwitchParams):
-            for tag, q in (("regime0", p.regime0), ("regime1", p.regime1)):
-                lines += [f"{tag}.b = {q.mean_reversion!r}", f"{tag}.mu = {q.level!r}",
-                          f"{tag}.a = {q.diffusion!r}"]
-            lines += [f"rate_01 = {p.rate_01!r}", f"rate_10 = {p.rate_10!r}"]
-        else:
-            lines += [f"ar.function = {p.function}", f"ar.slope = {p.slope!r}",
-                      f"ar.intercept = {p.intercept!r}", f"ar.scale = {p.scale!r}",
-                      f"ar.innovation_sd = {p.innovation_sd!r}"]
-        return "\n".join(lines) + "\n"
+        groups = [(self, "", COMMON_KEYS)] + [
+            (self.params if nested is None else getattr(self.params, nested), prefix, keys)
+            for prefix, nested, _, keys in SCENARIO_KEYS[self.model]]
+        return "".join(f"{prefix}{key} = {repr(value) if conv is float else value}\n"
+                       for obj, prefix, keys in groups for key, (name, conv) in keys.items()
+                       if (value := getattr(obj, name)) is not None)
 
     @staticmethod
     def from_kv(text: str) -> "ScenarioConfig":
         kv = parse_kv(text)
         model = kv.get("model")
-        if model == "ou-exp":
-            params = OuParams(float(kv["ou.b"]), float(kv.get("ou.mu", 0.0)),
-                              float(kv.get("ou.a", 1.0)),
-                              float(kv["ou.x0"]) if "ou.x0" in kv else None)
-        elif model == "regime-switch-exp":
-            r0 = OuParams(float(kv["regime0.b"]), float(kv.get("regime0.mu", 0.0)),
-                          float(kv.get("regime0.a", 1.0)))
-            r1 = OuParams(float(kv["regime1.b"]), float(kv.get("regime1.mu", 0.0)),
-                          float(kv.get("regime1.a", 1.0)))
-            params = RegimeSwitchParams(r0, r1, float(kv["rate_01"]), float(kv["rate_10"]))
-        elif model == "nonlinear-ar":
-            params = ArParams(kv.get("ar.function", "linear"),
-                              float(kv.get("ar.slope", 0.5)),
-                              float(kv.get("ar.intercept", 0.0)),
-                              float(kv.get("ar.scale", 1.0)),
-                              float(kv.get("ar.innovation_sd", 1.0)))
-        else:
-            raise ConfigError(f"unknown model tag {model!r} in scenario document")
-        return ScenarioConfig(
-            model=model, params=params,
-            delta=float(kv["delta"]), n=int(kv["n"]),
-            substeps=int(kv.get("substeps", 16)),
-            drift=float(kv.get("drift", 0.0)),
-            vol_seed=int(kv.get("vol_seed", 1)),
-            price_seed=int(kv.get("price_seed", 2)),
-        )
+        if model not in MODELS:
+            raise ConfigError(f"model = {model!r} is not one of {tuple(MODELS)}")
+        groups = SCENARIO_KEYS[model]
+        known = set(COMMON_KEYS) | {prefix + key for prefix, _, _, keys in groups for key in keys}
+        if unknown := sorted(set(kv) - known):
+            raise ConfigError(f"unknown key(s) {unknown} in {model} scenario document")
+        params = {}
+        for prefix, nested, cls, keys in groups:
+            group = _read_group(kv, prefix, keys, cls)
+            params.update(group if nested is None else {nested: cls(**group)})
+        return ScenarioConfig(params=MODELS[model](**params),
+                              **_read_group(kv, "", COMMON_KEYS, ScenarioConfig))
+
+
+#: scenario-file keys in file order, {key: (field, parser)}: the common keys,
+#: then per model tag its groups (key prefix, field of the parameter class
+#: holding the group or None, class the group fills, keys).  Defaults live
+#: on the dataclasses: a key left out takes its field's default.
+COMMON_KEYS = {"model": ("model", str), "delta": ("delta", float), "n": ("n", int),
+               "substeps": ("substeps", int), "drift": ("drift", float),
+               "vol_seed": ("vol_seed", int), "price_seed": ("price_seed", int)}
+_OU_KEYS = {"b": ("mean_reversion", float), "mu": ("level", float), "a": ("diffusion", float)}
+SCENARIO_KEYS = {
+    "ou-exp": (("ou.", None, OuParams, {**_OU_KEYS, "x0": ("x0", float)}),),
+    "regime-switch-exp": (("regime0.", "regime0", OuParams, _OU_KEYS),
+                          ("regime1.", "regime1", OuParams, _OU_KEYS),
+                          ("", None, RegimeSwitchParams,
+                           {"rate_01": ("rate_01", float), "rate_10": ("rate_10", float)})),
+    "nonlinear-ar": (("ar.", None, ArParams, {"function": ("function", str), **{
+        name: (name, float) for name in ("slope", "intercept", "scale", "innovation_sd")}}),),
+}
+
+
+def _read_group(kv: dict[str, str], prefix: str, keys: dict, cls) -> dict:
+    """Parse the present keys of one group; name any missing required one."""
+    required = {f.name for f in fields(cls)
+                if f.default is MISSING and f.default_factory is MISSING}
+    out = {}
+    for suffix, (name, conv) in keys.items():
+        key = prefix + suffix
+        if key in kv:
+            out[name] = parse_value(key, kv[key], conv)
+        elif name in required:
+            raise ConfigError(f"scenario document lacks the required key {key!r}")
+    return out
+
+
+def parse_value(key: str, raw: str, conv):
+    """conv(raw), with a ConfigError naming the key when the value does not parse."""
+    try:
+        return conv(raw)
+    except ValueError:
+        raise ConfigError(f"cannot parse {key} = {raw!r} as {conv.__name__}") from None
 
 
 def parse_kv(text: str) -> dict[str, str]:
@@ -392,11 +429,6 @@ class VolatilityPath:
     dt_fine: float
     truth: Callable[[np.ndarray], np.ndarray] | None
 
-    def truth_grid(self, x: np.ndarray) -> DensityGrid:
-        if self.truth is None:
-            raise ConfigError("scenario has no closed-form invariant density")
-        return DensityGrid(x, self.truth(np.asarray(x, dtype=float)), signed=False)
-
 
 def _normal_pdf(x, mean, var):
     return np.exp(-(x - mean) ** 2 / (2.0 * var)) / np.sqrt(2.0 * np.pi * var)
@@ -420,50 +452,29 @@ def simulate_volatility(config: ScenarioConfig) -> VolatilityPath:
 
     Returns sigma_t^2 = exp(xi_t) at n*substeps + 1 points spaced
     delta/substeps apart, together with the exact invariant density of
-    log sigma^2 (normal for ou-exp, a two-component normal mixture for
-    regime switching, and the linear-AR stationary normal when available).
+    log sigma^2: the normal mixture of the parameters' `stationary_law`, or
+    None for the tanh autoregression, which has no closed form.
     """
     fine_steps = config.n * config.substeps
     dt = config.delta / config.substeps
     p = config.params
 
     if config.model == "ou-exp":
-        if not isinstance(p, OuParams):
-            raise ConfigError("ou-exp scenario needs OuParams")
         xi = simulate_ou(p, fine_steps, dt, config.vol_seed)
-        truth = normal_mixture_density([1.0], [p.level], [p.stationary_variance])
     elif config.model == "regime-switch-exp":
-        if not isinstance(p, RegimeSwitchParams):
-            raise ConfigError("regime-switch-exp scenario needs RegimeSwitchParams")
         rng = _rng(config.vol_seed)
         x0 = simulate_ou(p.regime0, fine_steps, dt, rng)
         x1 = simulate_ou(p.regime1, fine_steps, dt, rng)
         u = simulate_markov2(p.rate_01, p.rate_10, fine_steps, dt, rng)
         xi = np.where(u == 1, x1, x0)
-        pi1 = p.stationary_prob_1
-        truth = normal_mixture_density(
-            [pi1, 1.0 - pi1],
-            [p.regime1.level, p.regime0.level],
-            [p.regime1.stationary_variance, p.regime0.stationary_variance],
-        )
-    elif config.model == "nonlinear-ar":
-        if not isinstance(p, ArParams):
-            raise ConfigError("nonlinear-ar scenario needs ArParams")
-        m = p.regression()
-        coarse = simulate_ar_logvol(m, p.innovation_sd, config.n, config.vol_seed)
+    else:
+        coarse = simulate_ar_logvol(p.regression(), p.innovation_sd, config.n, config.vol_seed)
         # piecewise constant over each Delta interval; the final fine point
         # replicates the last coarse value to keep the grid length uniform
-        xi = np.repeat(coarse[:-1], config.substeps)
-        xi = np.concatenate([xi, [coarse[-1]]])
-        if p.function == "linear" and abs(p.slope) < 1.0:
-            mean = p.intercept / (1.0 - p.slope)
-            var = p.innovation_sd ** 2 / (1.0 - p.slope ** 2)
-            truth = normal_mixture_density([1.0], [mean], [var])
-        else:
-            truth = None
-    else:  # pragma: no cover - guarded by ScenarioConfig
-        raise ConfigError(f"unknown model tag {config.model!r}")
+        xi = np.concatenate([np.repeat(coarse[:-1], config.substeps), coarse[-1:]])
 
+    law = p.stationary_law()
+    truth = None if law is None else normal_mixture_density(*law)
     return VolatilityPath(sigma2=np.exp(xi), log_sigma2=xi, dt_fine=dt, truth=truth)
 
 

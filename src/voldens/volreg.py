@@ -5,9 +5,9 @@ The discrete-time model is X_t = sigma_t Z_t with
     log sigma_{t+1}^2 = m(log sigma_t^2) + eta_t,
 
 eta i.i.d. centered Gaussian, under the stability condition
-limsup_{|x| -> oo} |m(x)/x| < 1.  With Y_t = log X_t^2 the regression
-function m is estimated by mimicking Nadaraya-Watson with the deconvoluting
-kernel v_h of the kernel module:
+limsup_{|x| -> oo} |m(x)/x| < 1, which `svsim.ArParams` checks exactly.
+With Y_t = log X_t^2 the regression function m is estimated by mimicking
+Nadaraya-Watson with the deconvoluting kernel v_h of the kernel module:
 
     m_nh(x) = [ (1/(n h)) sum_j v_h((x - Y_j)/h) Y_{j+1} ] / f_nh(x),
 
@@ -44,8 +44,6 @@ from .errors import DataError, ParameterError
 from .kerneldeconv import deconv_kernel_table, kernel_sums, kernel_table_request
 from .svsim import LOG_FLOOR_DEFAULT, ArParams, _rng, as_log_squared, simulate_ar_logvol
 
-#: |x| probes for the numerical limsup |m(x)/x| < 1 stability check
-STABILITY_PROBES = (1e2, 1e3, 1e4)
 DENOMINATOR_FLOOR = 1e-4
 #: E log Z^2 for standard normal Z: psi(1/2) + log 2 = -(euler_gamma + log 2).
 #: The response Y_{j+1} carries this known constant; the estimator removes it
@@ -76,16 +74,6 @@ class ArScenario:
             raise ParameterError("burn-in must be >= 0")
         if not (-1.0 < self.noise_correlation < 1.0):
             raise ParameterError("noise correlation must be in (-1, 1)")
-        m = self.params.regression()
-        worst = max(abs(float(m(s * x)) / (s * x))
-                    for x in STABILITY_PROBES for s in (-1.0, 1.0))
-        if worst >= 1.0:
-            raise ParameterError(
-                f"regression violates the stability condition: |m(x)/x| reaches "
-                f"{worst:.4f} on the probe set {STABILITY_PROBES}")
-
-    def regression(self) -> Callable[[np.ndarray], np.ndarray]:
-        return self.params.regression()
 
 
 def simulate_nonlinear_ar(scenario: ArScenario) -> tuple[np.ndarray, np.ndarray]:

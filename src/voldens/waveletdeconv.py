@@ -49,8 +49,10 @@ from .svsim import as_log_squared
 OMEGA_MAX = 4.0 * np.pi / 3.0
 #: log n / (1 + 4 pi^2 / 3) is the theory's target for 2^{m_n}
 LEVEL_DENOMINATOR = 1.0 + 4.0 * np.pi ** 2 / 3.0
-#: 2^m * 4pi/3 must stay below the 1/phi_k overflow cutoff
-MAX_LEVEL = 5
+#: highest detail level whose U_m table builds at every range bucket: 1/phi_k
+#: reaches about e^{2 pi^2 2^m / 3} on supp phi~, and from m = 4 on the FFT
+#: table fails its imaginary-residue check at most buckets
+MAX_LEVEL = 3
 #: tabulation step of phi and U_m; 96 steps per unit shift
 TABLE_STEP = 1.0 / 96.0
 #: order k of the C^k smoothstep CDF of the auxiliary measure mu
@@ -146,17 +148,15 @@ def scaling_function(x) -> np.ndarray | float:
     return scaling_table(x_half)(x)
 
 
-def u_m_function(x, m: int, inv_noise_cf=None) -> np.ndarray | float:
+def u_m_function(x, m: int) -> np.ndarray | float:
     """U_m by direct adaptive quadrature (oracle path).
 
     U_m(x) = (1/2pi) int phi~(omega)/k~(-2^m omega) e^{i omega x} d omega
-    over supp phi~.  `inv_noise_cf` replaces 1/phi_k (test hook; the
-    constant 1 turns U_m into phi).
+    over supp phi~.
     """
     if not (0 <= m <= MAX_LEVEL):
         raise ParameterError(f"detail level must be in [0, {MAX_LEVEL}]")
-    inv_cf = inv_noise_charfn if inv_noise_cf is None else inv_noise_cf
-    return fourier_quad(lambda w: meyer_scaling_fourier(w) * inv_cf((2.0 ** m) * w),
+    return fourier_quad(lambda w: meyer_scaling_fourier(w) * inv_noise_charfn((2.0 ** m) * w),
                         -OMEGA_MAX, OMEGA_MAX, x)
 
 
@@ -233,9 +233,7 @@ def wavelet_estimate(y, spec: MeyerSpec = DEFAULT_SPEC,
     if level is None:
         m, target = default_level(n)
     else:
-        m, target = int(level), float(2 ** int(level))
-        if not (0 <= m <= MAX_LEVEL):
-            raise ParameterError(f"detail level must be in [0, {MAX_LEVEL}]")
+        m, target = int(level), float(2 ** int(level))  # um_table checks the cap
     if truncation is None:
         if truncation_exponent is not None:
             truncation = int(np.ceil(math.log(n) ** truncation_exponent))

@@ -279,3 +279,41 @@ class TestMainEntry:
         for fname in (data, "diagnostics.csv"):
             assert (first / fname).read_bytes() == (second / fname).read_bytes()
         assert (second / "run_config.txt").read_text() == cfg_file.read_text()
+
+    def test_wavelet_level_above_the_cap_is_a_parameter_error(self, tmp_path, capsys):
+        code = main(["--scenario", "ou-exp", "--n", "300", "--estimator", "wavelet",
+                     "--level", "4", "--truncation", "20", "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "parameter"
+
+    @pytest.mark.parametrize("model, edit, kind, needle", [
+        ("nonlinear-ar", ("ar.slope = 0.5", "ar.slope = 1.5"), "parameter", "stability"),
+        ("ou-exp", ("delta = 0.05\n", ""), "config", "'delta'"),
+        ("ou-exp", ("ou.b = 0.5", "ou.b = abc"), "config", "ou.b"),
+        ("ou-exp", ("ou.b = 0.5", "ou.bb = 0.5"), "config", "ou.bb"),
+        ("ou-exp", ("ou.b = 0.5\n", ""), "config", "'ou.b'"),
+        ("ou-exp", ("n = 300", "n = 12.5"), "config", "n = '12.5'"),
+    ])
+    def test_bad_scenario_file_is_a_json_error(self, tmp_path, capsys, model, edit,
+                                               kind, needle):
+        from voldens.metrics import scenario_preset
+        text = scenario_preset(model, 300).to_kv()
+        assert edit[0] in text
+        sc_file = tmp_path / "scenario.conf"
+        sc_file.write_text(text.replace(*edit))
+        code = main(["--scenario", str(sc_file), "--estimator", "kernel",
+                     "--out", str(tmp_path / "o")])
+        assert code == (1 if kind == "parameter" else 2)
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == kind and needle in err["message"]
+
+    @pytest.mark.parametrize("line, key", [("n = abc", "n"), ("grid_points = 12.5", "grid_points")])
+    def test_unparsable_config_value_is_a_config_error(self, tmp_path, capsys, line, key):
+        cfg_file = tmp_path / "run.conf"
+        cfg_file.write_text(f"estimator = kernel\nscenario = ou-exp\n{line}\n"
+                            f"out = {tmp_path / 'o'}\n")
+        code = main(["--config", str(cfg_file)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "config" and f"{key} = " in err["message"]

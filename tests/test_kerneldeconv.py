@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from voldens._tables import fourier_quad
 from voldens.errors import DataError, ParameterError
 from voldens.kerneldeconv import (TABLE_STEP, KernelSpec, check_gamma_constraint,
                                   deconv_kernel, deconv_kernel_table, default_bandwidth,
@@ -63,10 +64,10 @@ class TestWandCharFn:
 
 
 class TestDeconvKernel:
-    def test_no_noise_hook_reduces_to_wand(self):
-        hook = lambda t: np.ones_like(np.asarray(t, dtype=float)) + 0j
+    def test_no_noise_reduces_to_wand(self):
+        # the quadrature with the noise-free spectrum phi_w is the plain kernel w
         xs = np.array([-2.0, -0.4, 0.0, 1.3, 5.0])
-        np.testing.assert_allclose(deconv_kernel(xs, 0.5, inv_noise_cf=hook),
+        np.testing.assert_allclose(fourier_quad(wand_charfn, -1.0, 1.0, -xs),
                                    wand_kernel(xs), atol=1e-10)
 
     def test_table_matches_direct_quadrature(self):

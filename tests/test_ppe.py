@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from voldens._tables import fourier_quad
 from voldens.errors import ConfigError, DataError, ParameterError
 from voldens.metrics import PureConvolution
 from voldens.ppe import (MAX_LEVEL, PpeConfig, contrast, empirical_contrast,
                          penalty, phi_k_integral, ppe_coefficients,
                          render_sinc_expansion, select_and_estimate, sinc_basis,
                          u_basis, u_basis_quad, u_zero_table)
-
-HOOK_ONE = lambda t: np.ones_like(np.asarray(t, dtype=float)) + 0j
 
 
 class TestSincBasis:
@@ -46,10 +45,12 @@ class TestSincBasis:
 
 
 class TestUBasis:
-    def test_no_noise_hook_reduces_to_sinc(self):
+    def test_no_noise_reduces_to_sinc(self):
+        # u_{psi_{L,j}} with the noise-free spectrum 1 is psi_{L,j} (L = 2, j = 1)
         ys = np.linspace(-4, 4, 17)
-        np.testing.assert_allclose(u_basis_quad(ys, 2, 1, inv_noise_cf=HOOK_ONE),
-                                   sinc_basis(2, 1, ys), atol=1e-10)
+        np.testing.assert_allclose(
+            fourier_quad(lambda s: 1.0, -2 * np.pi, 2 * np.pi, ys - 0.5) / np.sqrt(2),
+            sinc_basis(2, 1, ys), atol=1e-10)
 
     def test_table_matches_quadrature(self):
         ys = np.array([-9.0, -2.0, -0.3, 0.0, 1.1, 4.4, 20.0])

@@ -263,6 +263,24 @@ class TestScenarioSerialization:
                              n=250, substeps=1)
         assert ScenarioConfig.from_kv(cfg.to_kv()) == cfg
 
+    def test_kv_text_is_stable(self):
+        cfg = ScenarioConfig("ou-exp", OuParams(0.5, x0=0.25), delta=0.05, n=10)
+        assert cfg.to_kv() == ("model = ou-exp\ndelta = 0.05\nn = 10\nsubsteps = 16\n"
+                               "drift = 0.0\nvol_seed = 1\nprice_seed = 2\n"
+                               "ou.b = 0.5\nou.mu = 0.0\nou.a = 1.0\nou.x0 = 0.25\n")
+        ar = ScenarioConfig("nonlinear-ar", ArParams("tanh"), delta=1.0, n=10)
+        assert "ar.function = tanh\n" in ar.to_kv()
+
+    def test_kv_defaults_come_from_the_dataclasses(self):
+        cfg = ScenarioConfig.from_kv("model = nonlinear-ar\ndelta = 1.0\nn = 50\n")
+        assert cfg == ScenarioConfig("nonlinear-ar", ArParams(), delta=1.0, n=50)
+
+    def test_params_of_the_wrong_class_rejected(self):
+        with pytest.raises(ConfigError, match="OuParams"):
+            ScenarioConfig("ou-exp", ArParams(), delta=0.05, n=10)
+        with pytest.raises(ConfigError, match="ArParams"):
+            ScenarioConfig("nonlinear-ar", OuParams(0.5), delta=0.05, n=10)
+
     def test_kv_comments_and_errors(self):
         from voldens.svsim import parse_kv
         assert parse_kv("a = 1  # comment\n\n# full line\nb = x\n") == {"a": "1", "b": "x"}

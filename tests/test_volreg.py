@@ -19,6 +19,15 @@ class TestArScenario:
         ArScenario(ArParams("linear", slope=0.9), n=100)
         ArScenario(ArParams("tanh", scale=50.0), n=100)
 
+    def test_stability_is_exact_for_a_large_intercept(self):
+        # AR(1) with |slope| < 1 is stationary whatever its intercept
+        ArScenario(ArParams("linear", slope=0.99, intercept=10.0), n=100)
+
+    @pytest.mark.parametrize("slope", [1.5, -1.0, float("nan")])
+    def test_unstable_slope_rejected_by_the_parameters(self, slope):
+        with pytest.raises(ParameterError, match="stability"):
+            ArParams("linear", slope=slope)
+
     def test_constant_regression_stationary_law(self):
         # m == c: xi_t = c + eta_{t-1}, stationary N(c, sd^2)
         sc = ArScenario(ArParams("linear", slope=0.0, intercept=1.4,

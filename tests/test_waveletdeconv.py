@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from voldens._tables import fourier_quad
 from voldens.errors import DataError, ParameterError
 from voldens.grids import CharFnTable
 from voldens.noisemodel import inv_noise_charfn
-from voldens.waveletdeconv import (LEVEL_DENOMINATOR, OMEGA_MAX, default_level,
+from voldens.waveletdeconv import (LEVEL_DENOMINATOR, MAX_LEVEL, OMEGA_MAX, default_level,
                                    meyer_scaling_fourier, meyer_wavelet_fourier,
                                    render_scaling_expansion, scaling_function,
                                    scaling_table, sobolev_norm, u_m_function,
                                    um_table, wavelet_coefficients, wavelet_estimate)
-
-HOOK_ONE = lambda t: np.ones_like(np.asarray(t, dtype=float)) + 0j
 
 
 class TestMeyerFourier:
@@ -54,10 +53,20 @@ class TestMeyerFourier:
 
 
 class TestUmFunction:
-    def test_no_noise_hook_gives_scaling_function(self):
+    def test_no_noise_gives_scaling_function(self):
+        # the quadrature with the noise-free spectrum phi~ is the scaling function
         xs = np.array([-2.0, -0.3, 0.0, 0.8, 3.1])
-        np.testing.assert_allclose(u_m_function(xs, 1, inv_noise_cf=HOOK_ONE),
+        np.testing.assert_allclose(fourier_quad(meyer_scaling_fourier, -OMEGA_MAX, OMEGA_MAX, xs),
                                    scaling_function(xs), atol=1e-8)
+
+    def test_level_cap_admits_only_tables_that_build(self):
+        # every range bucket from 64 to 4096 builds at the top level
+        for r in (64.0, 128.0, 256.0, 512.0, *range(1024, 4097, 512)):
+            assert np.all(np.isfinite(um_table(MAX_LEVEL, float(r)).raw()))
+        with pytest.raises(ParameterError):
+            um_table(4, 64.0)
+        with pytest.raises(ParameterError):
+            wavelet_estimate(np.linspace(-3.0, 1.0, 50), level=4, truncation=5)
 
     def test_table_matches_quadrature(self):
         xs = np.array([-5.0, -1.0, 0.0, 0.4, 2.2, 8.0])
