@@ -10,9 +10,8 @@ stochastic-volatility simulators with known ground-truth densities.
 from .errors import (ConfigError, DataError, NumericsError, ParameterError,
                      VoldensError)
 from .grids import CharFnTable, DensityGrid
-from .kerneldeconv import (EstimateReport, KernelSpec, deconv_kernel,
-                           default_bandwidth, estimate_density, wand_charfn,
-                           wand_kernel)
+from .kerneldeconv import (EstimateReport, KernelSpec, default_bandwidth,
+                           estimate_density, wand_charfn, wand_kernel)
 from .metrics import (ExperimentSpec, PureConvolution, mise, mode_count,
                       normal_fit, run_experiment, scenario_preset)
 from .noisemodel import (complex_log_gamma, inv_noise_charfn, noise_charfn,
@@ -26,7 +25,7 @@ from .svsim import (ArParams, ObservationSeries, OuParams, RegimeSwitchParams,
 from .volreg import (ArScenario, RegressionEstimate, default_regression_bandwidth,
                      regression_estimate, simulate_nonlinear_ar)
 from .waveletdeconv import (MeyerSpec, WaveletEstimate, meyer_scaling_fourier,
-                            meyer_wavelet_fourier, sobolev_norm, u_m_function,
-                            wavelet_coefficients, wavelet_estimate)
+                            meyer_wavelet_fourier, sobolev_norm, wavelet_coefficients,
+                            wavelet_estimate)
 
 __version__ = "0.1.0"

@@ -15,14 +15,23 @@ table steps.  Spectra that jump at the edges of their symmetric band
 [-s_max, s_max] get a cubic bridge, removed before the FFT and added back
 in closed form.
 
-`fourier_quad` evaluates the same transforms by direct adaptive quadrature,
-one point at a time; it shares no code with the FFT path and serves as the
-independent oracle for every table in the test suite.
+Each tabulated transform is described once, by a frozen `Band`: its
+spectrum (a module-level function of (s, param)), the band edge s_max, the
+table step and, for spectra that jump at the edge, the edge values to
+bridge.  `Band.table` is the FFT path, through the one table cache keyed
+on the band, the range bucket and the build function; every table spans
+GUARD beyond the extent its caller needs, so the transform has decayed
+before the table ends.  `Band.quad` evaluates the same transform by direct
+adaptive quadrature (`fourier_quad`), one point at a time; it shares no
+code with the FFT path and serves as the independent oracle for every
+table in the test suite.
 """
 
 from __future__ import annotations
 
 import warnings
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -40,6 +49,8 @@ OVERSAMPLE = 2.0
 # the kernel table's FFT for steps below 0.0491 and buys nothing where the
 # aliasing bound (OVERSAMPLE) already sets the frequency step.
 SPECTRUM_SAMPLES = 4096
+#: every table spans this much beyond the extent its caller needs
+GUARD = 8.0
 
 
 class Table1D:
@@ -222,6 +233,38 @@ def fourier_quad(q: Callable[[float], complex], a: float, b: float,
 
     out = np.array([one(float(xx)) for xx in np.atleast_1d(x)])
     return float(out[0]) if scalar else out
+
+
+@dataclass(frozen=True)
+class Band:
+    """G(x) = (1/2pi) int_{-s_max}^{s_max} spectrum(s, param) e^{isx} ds, described once.
+
+    `spectrum` and `edges` are module-level functions of (s, param) and
+    (s_max, param), so equal Bands hash equal; `edges`, when given, returns
+    the (q(-s_max), q'(-s_max), q(s_max), q'(s_max)) that `fourier_table`
+    bridges.  `step` is the table step.
+    """
+
+    spectrum: Callable[[np.ndarray, object], np.ndarray]
+    param: object
+    s_max: float
+    step: float
+    edges: Callable[[float, object], tuple] | None = None
+
+    def quad(self, x) -> np.ndarray | float:
+        """G at x by adaptive quadrature: the oracle for `table`."""
+        return fourier_quad(lambda s: self.spectrum(s, self.param), -self.s_max, self.s_max, x)
+
+    def table(self, extent: float, build: Callable[..., Table1D]) -> Table1D:
+        """G tabulated by `build` (a `fourier_table`) over |x| <= extent + GUARD, cached."""
+        return _cached_table(self, range_bucket(extent + GUARD), build)
+
+
+@lru_cache(maxsize=128)
+def _cached_table(band: Band, x_half: float, build: Callable[..., Table1D]) -> Table1D:
+    edges = None if band.edges is None else band.edges(band.s_max, band.param)
+    return build(lambda s: band.spectrum(s, band.param), s_max=band.s_max, dx=band.step,
+                 x_half=x_half, edge_derivatives=edges)
 
 
 def _bridge_coeffs(s_max, qa, dqa, qb, dqb):

@@ -20,7 +20,7 @@ import csv
 import json
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -153,11 +153,8 @@ def ingest_prices(path, delta: float = 1.0, demean: bool = False,
 
 # --------------------------------------------------------------------------- pipeline
 
-def _resolve_series(config: PipelineConfig) -> tuple[ObservationSeries, object]:
-    if config.input_csv is not None:
-        series = ingest_prices(config.input_csv, config.delta, config.demean,
-                               config.price_column)
-        return series, None
+def _resolve_scenario(config: PipelineConfig) -> ScenarioConfig:
+    """The preset or scenario file that config.scenario names, seeded by config.seed."""
     name = config.scenario
     if name in metrics_mod.PRESET_NAMES and name != "pure-convolution":
         scenario = metrics_mod.scenario_preset(name, config.n, config.delta)
@@ -166,9 +163,7 @@ def _resolve_series(config: PipelineConfig) -> tuple[ObservationSeries, object]:
     else:
         raise ConfigError(f"scenario {name!r} is neither a preset "
                           f"{metrics_mod.PRESET_NAMES[:-1]} nor a readable file")
-    scenario = scenario.with_seeds(config.seed * 2 + 1, config.seed * 2 + 2)
-    series, vol = simulate_scenario(scenario)
-    return series, vol.truth
+    return scenario.with_seeds(config.seed * 2 + 1, config.seed * 2 + 2)
 
 
 def _kernel_bandwidth(config: PipelineConfig, n: int) -> float:
@@ -183,7 +178,14 @@ def run_pipeline(config: PipelineConfig) -> list[Path]:
     """Execute one run and return the list of files written."""
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    series, truth = _resolve_series(config)
+    if config.input_csv is not None:
+        series = ingest_prices(config.input_csv, config.delta, config.demean,
+                               config.price_column)
+    else:
+        scenario = _resolve_scenario(config)
+        # a scenario file carries its own n and delta; report the ones simulated
+        config = replace(config, n=scenario.n, delta=scenario.delta)
+        series = simulate_scenario(scenario)[0]
     y = series.log_squared
     n = y.size
     written: list[Path] = []

@@ -14,8 +14,9 @@ phi_w(t) = (1 - t^2)^3, |t| <= 1 (Wand's kernel w, rho = 3, A = 8).  The same
 formula applies verbatim to discrete-time models, where the convolution
 structure is exact rather than asymptotic.
 
-v_h is tabulated once per bandwidth by FFT (the table spans the full
-argument range needed, so no tail is truncated), and the sums run on the
+v_h is described once, by `kernel_band(h, dx)`: a `_tables.Band` whose FFT
+table (cached per bandwidth, step and range bucket, and spanning the full
+argument range needed plus `_tables.GUARD`, so no tail is truncated) feeds the
 lattice engine of `_tables`.  On a uniform grid x_g = x_0 + g Delta the
 arguments are (x_g - Y_j)/h = (x_0 - Y_j)/h + g Delta/h, so with a table step
 that divides Delta/h every grid point is a lattice shift and the whole sum is
@@ -23,11 +24,11 @@ one FFT correlation (`kernel_sums`), exact up to the cubic interpolation that
 a direct evaluation would make anyway; grids must therefore be uniform.  A
 grid with Delta/h < TABLE_STEP/2 runs as k interleaved sub-lattices
 grid[r::k], which bounds the table's FFT (and memory) however fine the grid.
-`deconv_kernel` evaluates v_h by direct adaptive quadrature, which the tests
-use as an independent oracle.  Because phi_k is complex, v_h
-is real but NOT symmetric in its argument: the noise has nonzero mean and
-skew, and the kernel's asymmetry is what undoes them.  Wand's kernel itself
-is 48 j_3(|x|) / (pi |x|^3), through scipy's spherical Bessel function j_3.
+`kernel_band(h).quad` evaluates v_h by direct adaptive quadrature, which the
+tests use as an independent oracle.  Because phi_k is complex, v_h is real but
+NOT symmetric in its argument: the noise has nonzero mean and skew, and the
+kernel's asymmetry is what undoes them.  Wand's kernel itself is
+48 j_3(|x|) / (pi |x|^3), through scipy's spherical Bessel function j_3.
 """
 
 from __future__ import annotations
@@ -35,13 +36,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import trapezoid
 from scipy.special import spherical_jn
 
-from ._tables import Table1D, fourier_quad, fourier_table, lattice_means, range_bucket
+from ._tables import Band, Table1D, fourier_table, lattice_means
 from .errors import DataError, ParameterError
 from .grids import DensityGrid, uniform_grid, uniform_step
 from .noisemodel import inv_noise_charfn
@@ -91,35 +91,24 @@ def wand_charfn(t) -> np.ndarray | float:
 
 # --------------------------------------------------------------------------- deconvolution kernel
 
-def deconv_kernel(x, h: float) -> np.ndarray | float:
-    """v_h by direct adaptive quadrature (the oracle path; slow per point)."""
-    _check_bandwidth(h)
-    # e^{-isx} in the definition of v_h is e^{is(-x)}
-    return fourier_quad(lambda s: wand_charfn(s) * inv_noise_charfn(s / h), -1.0, 1.0,
-                        -np.asarray(x, dtype=float))
+def _kernel_spectrum(s, h):
+    # v_h(u) = (1/2pi) int phi_w(s)/phi_k(s/h) e^{-isu} ds
+    #        = (1/2pi) int phi_w(s) conj(1/phi_k(s/h)) e^{+isu} ds
+    return wand_charfn(s) * np.conj(inv_noise_charfn(s / h))
 
 
-def _check_bandwidth(h: float) -> None:
+def kernel_band(h: float, dx: float = TABLE_STEP) -> Band:
+    """v_h as a `Band` on [-1, 1], tabulated at step dx."""
     if h <= 0:
         raise ParameterError("bandwidth must be positive")
     if h < MIN_BANDWIDTH:
         raise ParameterError(f"bandwidth below {MIN_BANDWIDTH:.5f} overflows 1/phi_k")
+    return Band(_kernel_spectrum, float(h), 1.0, float(dx))
 
 
-@lru_cache(maxsize=32)
-def _kernel_table(h: float, x_half: float, dx: float) -> Table1D:
-    def spectrum(s):
-        # v_h(u) = (1/2pi) int phi_w(s)/phi_k(s/h) e^{-isu} ds
-        #        = (1/2pi) int phi_w(s) conj(1/phi_k(s/h)) e^{+isu} ds
-        return wand_charfn(s) * np.conj(inv_noise_charfn(s / h))
-
-    return fourier_table(spectrum, s_max=1.0, dx=dx, x_half=x_half)
-
-
-def deconv_kernel_table(h: float, x_half: float, dx: float = TABLE_STEP) -> Table1D:
-    """FFT tabulation of v_h at step dx covering |u| <= x_half (cached)."""
-    _check_bandwidth(h)
-    return _kernel_table(float(h), range_bucket(x_half), float(dx))
+def deconv_kernel_table(h: float, extent: float, dx: float = TABLE_STEP) -> Table1D:
+    """FFT tabulation of v_h at step dx covering |u| <= extent (cached)."""
+    return kernel_band(h, dx).table(extent, fourier_table)
 
 
 def _sublattices(grid: np.ndarray, h: float) -> tuple[int, float]:
@@ -130,13 +119,13 @@ def _sublattices(grid: np.ndarray, h: float) -> tuple[int, float]:
 
 
 def kernel_table_request(y: np.ndarray, grid: np.ndarray, h: float) -> tuple[float, float]:
-    """(x_half, dx) of the v_h table for `kernel_sums` of y on a uniform grid.
+    """(extent, dx) of the v_h table for `kernel_sums` of y on a uniform grid.
 
     dx splits the scaled sub-lattice step s into ceil(s / TABLE_STEP) parts.
     """
     _, step = _sublattices(grid, h)
-    x_half = max(abs(float(grid[0] - np.max(y))), abs(float(grid[-1] - np.min(y)))) / h
-    return x_half + 8.0, step / math.ceil(step / TABLE_STEP)
+    extent = max(abs(float(grid[0] - np.max(y))), abs(float(grid[-1] - np.min(y)))) / h
+    return extent, step / math.ceil(step / TABLE_STEP)
 
 
 def kernel_sums(y: np.ndarray, table: Table1D, grid: np.ndarray, h: float,

@@ -37,12 +37,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
-from ._tables import (Table1D, fourier_quad, fourier_table, lattice_means, range_bucket,
-                      render_expansion)
+from ._tables import Band, Table1D, fourier_table, lattice_means, render_expansion
 from .errors import ConfigError, DataError, ParameterError
 from .grids import DensityGrid, uniform_grid
 from .noisemodel import inv_noise_charfn, inv_noise_charfn_derivative
@@ -70,54 +68,34 @@ def sinc_basis(L: int, j: int, x) -> np.ndarray | float:
 
 # --------------------------------------------------------------------------- u functions
 
-def u_basis_quad(y, L: int, j: int) -> np.ndarray | float:
-    """u_{psi_{L,j}} by direct adaptive quadrature (oracle path).
+def _u_spectrum(s, L):
+    return inv_noise_charfn(s) / math.sqrt(L)
 
-    u_{psi_{L,j}}(y) = (1/(2 pi sqrt(L))) int_{-pi L}^{pi L}
-                          e^{is (y - j/L)} / phi_k(s) ds.
+
+def _u_edges(s_max, L):
+    return tuple(complex(f(s)) / math.sqrt(L) for s in (-s_max, s_max)
+                 for f in (inv_noise_charfn, inv_noise_charfn_derivative))
+
+
+def u_band(L: int) -> Band:
+    """u_{psi_{L,0}} as a `Band`:
+
+    u_{psi_{L,0}}(z) = (1/(2 pi sqrt(L))) int_{-pi L}^{pi L} e^{isz} / phi_k(s) ds.
     """
     if not (1 <= L <= MAX_LEVEL):
         raise ParameterError(f"level must be in [1, {MAX_LEVEL}]")
-    z = np.asarray(y, dtype=float) - j / L
-    return fourier_quad(inv_noise_charfn, -np.pi * L, np.pi * L, z) / math.sqrt(L)
+    return Band(_u_spectrum, L, np.pi * L, 1.0 / (TABLE_STRIDE * L), _u_edges)
 
 
-@lru_cache(maxsize=32)
-def _u_zero_table(L: int, z_half: float) -> Table1D:
-    s_max = np.pi * L
-    root = math.sqrt(L)
-
-    def spectrum(s):
-        return inv_noise_charfn(s) / root
-
-    edges = (
-        complex(inv_noise_charfn(-s_max)) / root,
-        complex(inv_noise_charfn_derivative(-s_max)) / root,
-        complex(inv_noise_charfn(s_max)) / root,
-        complex(inv_noise_charfn_derivative(s_max)) / root,
-    )
-    dx = 1.0 / (TABLE_STRIDE * L)
-    return fourier_table(spectrum, s_max=s_max, dx=dx, x_half=z_half,
-                         edge_derivatives=edges)
-
-
-def u_zero_table(L: int, z_half: float) -> Table1D:
-    """Cached tabulation of u_{psi_{L,0}} covering |z| <= z_half."""
-    if not (1 <= L <= MAX_LEVEL):
-        raise ParameterError(f"level must be in [1, {MAX_LEVEL}]")
-    return _u_zero_table(int(L), range_bucket(z_half))
+def u_zero_table(L: int, extent: float) -> Table1D:
+    """Cached tabulation of u_{psi_{L,0}} covering |z| <= extent."""
+    return u_band(L).table(extent, fourier_table)
 
 
 def u_basis(y, L: int, j: int) -> np.ndarray | float:
     """u_{psi_{L,j}}(y), via the tabulated u_{psi_{L,0}} and the shift identity."""
-    if L < 1:
-        raise ParameterError("level L must be >= 1")
-    y = np.asarray(y, dtype=float)
-    scalar = y.ndim == 0
-    z = np.atleast_1d(y) - j / L
-    table = u_zero_table(L, float(np.max(np.abs(z))) + 8.0 if z.size else 64.0)
-    out = table(z)
-    return float(out[0]) if scalar else out
+    z = np.asarray(y, dtype=float) - j / L
+    return u_zero_table(L, float(np.max(np.abs(z), initial=0.0)))(z)
 
 
 # --------------------------------------------------------------------------- coefficients and contrast
@@ -129,12 +107,9 @@ def ppe_coefficients(y, L: int, k_n: int) -> np.ndarray:
     tabulated u_{psi_{L,0}}; entry i corresponds to j = i - k_n.
     """
     y_arr = as_log_squared(y)
-    if not (1 <= L <= MAX_LEVEL):
-        raise ParameterError(f"level must be in [1, {MAX_LEVEL}]")
     if k_n < 0:
         raise ParameterError("coefficient truncation must be >= 0")
-    z_half = float(np.max(np.abs(y_arr))) + k_n / L + 8.0
-    table = u_zero_table(L, z_half)
+    table = u_zero_table(L, float(np.max(np.abs(y_arr))) + k_n / L)
     return lattice_means(y_arr, table, step=1.0 / L, j_lo=-k_n, j_hi=k_n)
 
 

@@ -301,8 +301,7 @@ class ObservationSeries:
 
     @property
     def log_squared(self) -> np.ndarray:
-        x = self.increments
-        return np.log(np.maximum(x * x, LOG_FLOOR_DEFAULT))
+        return log_squared_transform(self.increments)
 
     def to_csv(self, path, kind: str = "prices"):
         if kind == "prices":

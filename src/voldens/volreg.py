@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import DataError, ParameterError
 from .kerneldeconv import deconv_kernel_table, kernel_sums, kernel_table_request
-from .svsim import LOG_FLOOR_DEFAULT, ArParams, _rng, as_log_squared, simulate_ar_logvol
+from .svsim import ArParams, _rng, as_log_squared, log_squared_transform, simulate_ar_logvol
 
 DENOMINATOR_FLOOR = 1e-4
 #: E log Z^2 for standard normal Z: psi(1/2) + log 2 = -(euler_gamma + log 2).
@@ -95,7 +95,7 @@ def simulate_nonlinear_ar(scenario: ArScenario) -> tuple[np.ndarray, np.ndarray]
     # Z shares rho of the innovation's driving normal
     z = rho * eta_std + math.sqrt(1.0 - rho * rho) * z_indep
     zz = z[scenario.burn_in:]
-    y = xi + np.log(np.maximum(zz * zz, LOG_FLOOR_DEFAULT))
+    y = xi + log_squared_transform(zz)
     return y, xi
 
 

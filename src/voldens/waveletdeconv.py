@@ -34,13 +34,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import trapezoid
 
-from ._tables import (Table1D, fourier_quad, fourier_table, lattice_means, range_bucket,
-                      render_expansion)
+from ._tables import Band, Table1D, fourier_table, lattice_means, render_expansion
 from .errors import DataError, ParameterError
 from .grids import CharFnTable, DensityGrid, uniform_grid
 from .noisemodel import inv_noise_charfn
@@ -117,47 +115,33 @@ def meyer_wavelet_fourier(omega) -> np.ndarray | complex:
 
 # --------------------------------------------------------------------------- tabulated functions
 
-@lru_cache(maxsize=32)
-def _scaling_table(x_half: float) -> Table1D:
-    return fourier_table(lambda w: meyer_scaling_fourier(w) + 0j,
-                         s_max=OMEGA_MAX, dx=TABLE_STEP, x_half=x_half)
+def _scaling_spectrum(w, _):
+    return meyer_scaling_fourier(w) + 0j
 
 
-@lru_cache(maxsize=32)
-def _um_table(m: int, x_half: float) -> Table1D:
-    def spectrum(w):
-        return meyer_scaling_fourier(w) * inv_noise_charfn((2.0 ** m) * w)
-
-    return fourier_table(spectrum, s_max=OMEGA_MAX, dx=TABLE_STEP, x_half=x_half)
+def _um_spectrum(w, m):
+    return meyer_scaling_fourier(w) * inv_noise_charfn((2.0 ** m) * w)
 
 
-def scaling_table(x_half: float) -> Table1D:
-    return _scaling_table(range_bucket(x_half))
+#: the scaling function phi, band-limited to supp phi~
+SCALING_BAND = Band(_scaling_spectrum, None, OMEGA_MAX, TABLE_STEP)
 
 
-def um_table(m: int, x_half: float) -> Table1D:
+def um_band(m: int) -> Band:
+    """U_m(x) = (1/2pi) int phi~(omega)/k~(-2^m omega) e^{i omega x} d omega, as a `Band`."""
     if not (0 <= m <= MAX_LEVEL):
         raise ParameterError(f"detail level must be in [0, {MAX_LEVEL}]")
-    return _um_table(int(m), range_bucket(x_half))
+    return Band(_um_spectrum, int(m), OMEGA_MAX, TABLE_STEP)
 
 
-def scaling_function(x) -> np.ndarray | float:
-    """The scaling function phi(x), via its cached tabulation."""
-    x = np.asarray(x, dtype=float)
-    x_half = float(np.max(np.abs(x))) + 8.0 if x.size else 32.0
-    return scaling_table(x_half)(x)
+def scaling_table(extent: float) -> Table1D:
+    """Cached tabulation of phi covering |x| <= extent."""
+    return SCALING_BAND.table(extent, fourier_table)
 
 
-def u_m_function(x, m: int) -> np.ndarray | float:
-    """U_m by direct adaptive quadrature (oracle path).
-
-    U_m(x) = (1/2pi) int phi~(omega)/k~(-2^m omega) e^{i omega x} d omega
-    over supp phi~.
-    """
-    if not (0 <= m <= MAX_LEVEL):
-        raise ParameterError(f"detail level must be in [0, {MAX_LEVEL}]")
-    return fourier_quad(lambda w: meyer_scaling_fourier(w) * inv_noise_charfn((2.0 ** m) * w),
-                        -OMEGA_MAX, OMEGA_MAX, x)
+def um_table(m: int, extent: float) -> Table1D:
+    """Cached tabulation of U_m covering |x| <= extent."""
+    return um_band(m).table(extent, fourier_table)
 
 
 # --------------------------------------------------------------------------- estimator
@@ -195,8 +179,7 @@ def wavelet_coefficients(y, m: int, truncation: int) -> np.ndarray:
     if truncation < 0:
         raise ParameterError("truncation must be >= 0")
     pts = (2.0 ** m) * y_arr
-    x_half = float(np.max(np.abs(pts))) + truncation + 8.0
-    table = um_table(m, x_half)
+    table = um_table(m, float(np.max(np.abs(pts))) + truncation)
     means = lattice_means(pts, table, step=1.0, j_lo=-truncation, j_hi=truncation)
     return (2.0 ** (m / 2.0)) * means
 
@@ -263,8 +246,7 @@ def render_scaling_expansion(coeffs: np.ndarray, m: int, grid: np.ndarray) -> np
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.size % 2 == 0:
         raise DataError("coefficient array must cover l in [-L, L]")
-    x_half = (2.0 ** m) * float(np.max(np.abs(grid))) + coeffs.size // 2 + 8.0
-    table = scaling_table(x_half)
+    table = scaling_table((2.0 ** m) * float(np.max(np.abs(grid))) + coeffs.size // 2)
     return 2.0 ** (m / 2.0) * render_expansion(table, 2.0 ** m, coeffs, grid)
 
 

@@ -209,6 +209,29 @@ class TestMainEntry:
                      "--out", str(tmp_path / "s"), "--bandwidth", "0.6"])
         assert code == 0
 
+    def test_scenario_file_reports_its_own_n_and_delta(self, tmp_path):
+        # the run simulates the file's n = 300 at Delta = 0.05, not the CLI
+        # defaults, and its reports and its run_config.txt say so
+        from voldens.metrics import scenario_preset
+        sc_file = tmp_path / "scenario.conf"
+        sc_file.write_text(scenario_preset("ou-exp", 300, 0.05).to_kv())
+        first, second = tmp_path / "first", tmp_path / "second"
+        with pytest.warns(UserWarning, match="for Delta = 0.05 at n = 300;"):
+            assert main(["--scenario", str(sc_file), "--estimator", "kernel",
+                         "--out", str(first)]) == 0
+        with open(first / "diagnostics.csv", newline="") as fh:
+            diag = dict(csv.reader(fh))
+        assert (diag["n"], diag["delta"]) == ("300", "0.05")
+        text = (first / "run_config.txt").read_text()
+        assert "\nn = 300\n" in text and "\ndelta = 0.05\n" in text
+        cfg_file = tmp_path / "again.conf"
+        cfg_file.write_text(text.replace(f"out = {first}\n", f"out = {second}\n"))
+        with pytest.warns(UserWarning, match="for Delta = 0.05 at n = 300;"):
+            assert main(["--config", str(cfg_file)]) == 0
+        for fname in ("density.csv", "diagnostics.csv", "plot.gp"):
+            assert (first / fname).read_bytes() == (second / fname).read_bytes()
+        assert (second / "run_config.txt").read_text() == cfg_file.read_text()
+
     def test_wavelet_honours_grid_points(self, tmp_path):
         out = tmp_path / "w"
         code = main(["--scenario", "ou-exp", "--n", "300", "--estimator", "wavelet",

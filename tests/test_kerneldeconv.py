@@ -7,8 +7,8 @@ from scipy.integrate import quad
 from voldens._tables import fourier_quad
 from voldens.errors import DataError, ParameterError
 from voldens.kerneldeconv import (TABLE_STEP, KernelSpec, check_gamma_constraint,
-                                  deconv_kernel, deconv_kernel_table, default_bandwidth,
-                                  estimate_density, kernel_table_request, wand_charfn,
+                                  deconv_kernel_table, default_bandwidth, estimate_density,
+                                  kernel_band, kernel_table_request, wand_charfn,
                                   wand_kernel)
 from voldens.metrics import PureConvolution, mise
 from voldens.grids import DensityGrid
@@ -70,21 +70,13 @@ class TestDeconvKernel:
         np.testing.assert_allclose(fourier_quad(wand_charfn, -1.0, 1.0, -xs),
                                    wand_kernel(xs), atol=1e-10)
 
-    def test_table_matches_direct_quadrature(self):
-        # two independent numerical routes within 1e-6 on a 512-point grid
-        h = 0.4
-        table = deconv_kernel_table(h, 30.0)
-        xs = np.linspace(-25, 25, 512)
-        sample = xs[::16]  # quadrature oracle is slow per point
-        np.testing.assert_allclose(table(sample), deconv_kernel(sample, h), atol=1e-6)
-
     def test_asymmetry_of_the_deconvolution_kernel(self):
         # the noise characteristic function is complex (the noise has nonzero
         # mean and skew), so v_h is real but NOT even; both evaluation routes
         # must agree on that
         h = 0.4
-        v_plus = deconv_kernel(1.0, h)
-        v_minus = deconv_kernel(-1.0, h)
+        v_plus = kernel_band(h).quad(1.0)
+        v_minus = kernel_band(h).quad(-1.0)
         assert v_plus == pytest.approx(0.3346384, abs=1e-5)
         assert v_minus == pytest.approx(0.3677208, abs=1e-5)
         table = deconv_kernel_table(h, 16.0)
@@ -93,7 +85,7 @@ class TestDeconvKernel:
 
     def test_bandwidth_validation(self):
         with pytest.raises(ParameterError):
-            deconv_kernel(0.0, -0.1)
+            kernel_band(-0.1)
         with pytest.raises(ParameterError):
             deconv_kernel_table(1e-4, 10.0)
 
@@ -119,7 +111,7 @@ class TestEstimateDensity:
         _, dx = kernel_table_request(y, grid, h)
         assert round((grid[1] - grid[0]) / (h * dx)) == 29
         est = estimate_density(y, KernelSpec(bandwidth=h), grid).density.values
-        direct = np.array([np.mean(deconv_kernel((x - y) / h, h)) / h for x in grid])
+        direct = np.array([np.mean(kernel_band(h).quad((x - y) / h)) / h for x in grid])
         assert np.max(np.abs(est - direct)) <= 1e-7 * np.max(np.abs(direct))
 
     def test_non_uniform_grid_rejected(self):

@@ -10,7 +10,7 @@ from voldens.metrics import PureConvolution
 from voldens.ppe import (MAX_LEVEL, PpeConfig, contrast, empirical_contrast,
                          penalty, phi_k_integral, ppe_coefficients,
                          render_sinc_expansion, select_and_estimate, sinc_basis,
-                         u_basis, u_basis_quad, u_zero_table)
+                         u_band, u_basis, u_zero_table)
 
 
 class TestSincBasis:
@@ -52,13 +52,6 @@ class TestUBasis:
             fourier_quad(lambda s: 1.0, -2 * np.pi, 2 * np.pi, ys - 0.5) / np.sqrt(2),
             sinc_basis(2, 1, ys), atol=1e-10)
 
-    def test_table_matches_quadrature(self):
-        ys = np.array([-9.0, -2.0, -0.3, 0.0, 1.1, 4.4, 20.0])
-        for L in (1, 2, 3):
-            tv = u_basis(ys, L, 0)
-            qv = u_basis_quad(ys, L, 0)
-            np.testing.assert_allclose(tv, qv, atol=2e-7 * np.max(np.abs(qv)))
-
     def test_shift_identity(self):
         ys = np.array([0.37, -2.2, 5.5, 11.0])
         for L, j in ((1, 4), (3, -5), (2, 17)):
@@ -80,7 +73,7 @@ class TestUBasis:
 
     def test_overflow_guard(self):
         with pytest.raises(ParameterError):
-            u_basis_quad(0.0, MAX_LEVEL + 1, 0)
+            u_band(MAX_LEVEL + 1)
 
 
 class TestCoefficientsAndContrast:

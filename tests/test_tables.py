@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from voldens._tables import (Table1D, _osc_moments, fourier_table, lattice_means,
+from voldens._tables import (GUARD, Table1D, _osc_moments, fourier_table, lattice_means,
                              range_bucket)
 from voldens.errors import NumericsError
+from voldens.kerneldeconv import TABLE_STEP, deconv_kernel_table, kernel_band
+from voldens.ppe import u_band, u_zero_table
+from voldens.waveletdeconv import SCALING_BAND, scaling_table, um_band, um_table
 
 
 class TestTable1D:
@@ -114,3 +117,50 @@ def test_range_bucket():
     assert range_bucket(10.0) == 64.0
     assert range_bucket(513.0) == 1024.0
     assert range_bucket(512.0) == 512.0
+
+
+# Every tabulated family against its quadrature oracle, over the ranges its
+# estimator reads.  rtol is relative to max |oracle| and is three times the
+# error measured when the sweep was written.  U_3 is left out: the oracle
+# itself fails there (DataError, imaginary residues of 9e9 to 4e11 at points
+# all through |x| <= 10).
+ORACLE_SWEEP = [
+    ("v_h0.2", kernel_band(0.2), -25.0, 25.0, 1.2e-7),
+    ("v_h0.4", kernel_band(0.4), -25.0, 25.0, 3.9e-8),
+    ("v_h0.9", kernel_band(0.9), -25.0, 25.0, 2.0e-8),
+    ("U_0", um_band(0), -5.0, 8.0, 6.4e-8),
+    ("U_1", um_band(1), -5.0, 8.0, 7.0e-8),
+    ("U_2", um_band(2), -5.0, 8.0, 9.1e-8),
+    ("phi", SCALING_BAND, -5.0, 8.0, 3.0e-8),
+    *((f"u_L{L}", u_band(L), -9.0, 20.0, rtol) for L, rtol in enumerate(
+        (1.6e-7, 2.0e-7, 1.4e-7, 1.2e-7, 2.8e-7, 4.6e-7, 4.4e-7, 5.4e-7, 7.6e-7), start=1)),
+]
+
+
+class TestBand:
+    @pytest.mark.parametrize("case", range(len(ORACLE_SWEEP)),
+                             ids=[name for name, *_ in ORACLE_SWEEP])
+    def test_table_matches_oracle(self, case):
+        _, band, lo, hi, rtol = ORACLE_SWEEP[case]
+        # one point in each eighth of [lo, hi], seeded by the case: the range
+        # is covered, and no point sits on the table lattice
+        u = np.random.default_rng(case).uniform(size=8)
+        xs = lo + (hi - lo) * (np.arange(8) + u) / 8
+        oracle = band.quad(xs)
+        table = band.table(max(-lo, hi), fourier_table)
+        assert np.max(np.abs(table(xs) - oracle)) <= rtol * np.max(np.abs(oracle))
+
+    def test_one_cache_keyed_on_band_bucket_and_build(self):
+        r = 40.0
+        assert um_table(0, r) is um_table(0, r)
+        assert um_table(0, r) is not scaling_table(r)
+        assert u_zero_table(1, r) is not u_zero_table(2, r)
+        v = deconv_kernel_table(0.4, r)
+        assert v is not deconv_kernel_table(0.4, r, TABLE_STEP / 2)
+        assert v is not deconv_kernel_table(0.9, r)
+        # extents up to 64 - GUARD share the 64 bucket; beyond it they need 128
+        edge = 64.0 - GUARD
+        assert um_table(0, 1.0) is um_table(0, edge)
+        above = um_table(0, edge + 1e-9)
+        assert above is not um_table(0, edge)
+        assert above.grid()[-1] > 127.0 > um_table(0, edge).grid()[-1]

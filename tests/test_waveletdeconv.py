@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from voldens._tables import fourier_quad
+from voldens._tables import GUARD, fourier_quad
 from voldens.errors import DataError, ParameterError
 from voldens.grids import CharFnTable
 from voldens.noisemodel import inv_noise_charfn
 from voldens.waveletdeconv import (LEVEL_DENOMINATOR, MAX_LEVEL, OMEGA_MAX, default_level,
                                    meyer_scaling_fourier, meyer_wavelet_fourier,
-                                   render_scaling_expansion, scaling_function,
-                                   scaling_table, sobolev_norm, u_m_function,
-                                   um_table, wavelet_coefficients, wavelet_estimate)
+                                   render_scaling_expansion, scaling_table, sobolev_norm,
+                                   um_band, um_table, wavelet_coefficients,
+                                   wavelet_estimate)
 
 
 class TestMeyerFourier:
@@ -57,24 +57,16 @@ class TestUmFunction:
         # the quadrature with the noise-free spectrum phi~ is the scaling function
         xs = np.array([-2.0, -0.3, 0.0, 0.8, 3.1])
         np.testing.assert_allclose(fourier_quad(meyer_scaling_fourier, -OMEGA_MAX, OMEGA_MAX, xs),
-                                   scaling_function(xs), atol=1e-8)
+                                   scaling_table(8.0)(xs), atol=1e-8)
 
     def test_level_cap_admits_only_tables_that_build(self):
         # every range bucket from 64 to 4096 builds at the top level
         for r in (64.0, 128.0, 256.0, 512.0, *range(1024, 4097, 512)):
-            assert np.all(np.isfinite(um_table(MAX_LEVEL, float(r)).raw()))
+            assert np.all(np.isfinite(um_table(MAX_LEVEL, r - GUARD).raw()))
         with pytest.raises(ParameterError):
             um_table(4, 64.0)
         with pytest.raises(ParameterError):
             wavelet_estimate(np.linspace(-3.0, 1.0, 50), level=4, truncation=5)
-
-    def test_table_matches_quadrature(self):
-        xs = np.array([-5.0, -1.0, 0.0, 0.4, 2.2, 8.0])
-        for m in (0, 1):
-            tab = um_table(m, 16.0)
-            qv = u_m_function(xs, m)
-            np.testing.assert_allclose(tab(xs), qv,
-                                       atol=1e-6 * np.max(np.abs(qv)))
 
     def test_magnitude_growth_tracks_supersmooth_amplification(self):
         # growth of max|U_m| across levels follows the growth of the
@@ -92,7 +84,7 @@ class TestUmFunction:
 
     def test_level_cap(self):
         with pytest.raises(ParameterError):
-            u_m_function(0.0, 9)
+            um_band(9)
 
 
 class TestOrthonormality:
@@ -120,7 +112,8 @@ class TestOrthonormality:
             return (c / (2 * np.pi)) * np.sinc(c * x / (2 * np.pi)) ** 2
 
         ls = np.arange(-220, 221)
-        coeffs = np.array([quad(lambda x, l=l: scaling_function(x - l) * g(x),
+        phi = scaling_table(60.0)
+        coeffs = np.array([quad(lambda x, l=l: phi(x - l) * g(x),
                                 l - 60, l + 60, limit=300)[0] for l in (-2, 0, 3)])
         np.testing.assert_allclose(coeffs, g(np.array([-2.0, 0.0, 3.0])), atol=1e-6)
         xs = np.array([-1.7, -0.4, 0.0, 0.9, 2.5])
@@ -187,6 +180,16 @@ class TestEstimate:
         assert est.coefficient(-3) == est.coefficients[0]
         with pytest.raises(Exception):
             est.coefficient(4)
+
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_render_matches_manual_expansion(self, m):
+        # 2^{m/2} sum_l c_l phi(2^m x - l), term by term through the same phi table
+        c = np.random.default_rng(40 + m).normal(size=21)
+        ls = np.arange(-10, 11)
+        grid = np.linspace(-4.0, 3.0, 37)
+        phi = scaling_table(2.0 ** m * 4.0 + 10)
+        manual = np.array([2.0 ** (m / 2) * np.sum(c * phi(2.0 ** m * x - ls)) for x in grid])
+        np.testing.assert_allclose(render_scaling_expansion(c, m, grid), manual, rtol=1e-12)
 
     def test_render_rejects_even_coefficient_count(self):
         # L is read from the 2L+1 coefficients; an even count covers no [-L, L]
