@@ -1,19 +1,20 @@
 """Shared numerical infrastructure for the Fourier-domain estimators.
 
 Every estimator in this package evaluates some inverse Fourier transform of a
-compactly supported spectrum, correlated with the data on a lattice.  The hot
-path is always the same: tabulate the transform once on a fine uniform grid
-by FFT (`fourier_table`, whose step is always exactly the one requested),
-then correlate it with the data (`lattice_means`).  Interpolation is a local
-4-point cubic, which is linear in the table values; that linearity is what
-lets `lattice_means` reassociate the per-point interpolation into a single
-FFT correlation without changing the result beyond float rounding.  It is
-the one path from data to estimate: the kernel and regression sums on a
-uniform grid, and the wavelet and PPE coefficients on integer shifts.
-Callers give only the shift step; `lattice_means` derives the stride in
-table steps.  Spectra that jump at the edges of their symmetric band
-[-s_max, s_max] get a cubic bridge, removed before the FFT and added back
-in closed form.
+compactly supported spectrum, correlated on a lattice twice: with the data,
+to get coefficients, and with the coefficients, to render the estimate.  The
+transform is tabulated once on a fine uniform grid by FFT (`fourier_table`,
+whose step is always exactly the one requested) and read through one local
+4-point cubic stencil (`_stencil`), which is linear in the table values.
+Because every shift is a whole number of table steps (`_stride`), a point's
+stencil weights are the same for every shift, so both directions reduce to
+sums over the table lattice: `lattice_means` (data to coefficients; the
+kernel and regression sums on a uniform grid, and the wavelet and PPE
+coefficients on integer shifts) bins the points and correlates by one FFT,
+and its transpose `lattice_expansion` (coefficients to grid; the wavelet
+render) forms one strided dot product per lattice index the grid touches.
+Spectra that jump at the edges of their symmetric band [-s_max, s_max] get
+a cubic bridge, removed before the FFT and added back in closed form.
 
 Each tabulated transform is described once, by a frozen `Band`: its
 spectrum (a module-level function of (s, param)), the band edge s_max, the
@@ -37,6 +38,7 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 from scipy.signal import fftconvolve
+from scipy.special import spherical_jn
 
 from .errors import DataError, NumericsError
 
@@ -81,25 +83,33 @@ class Table1D:
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
         x = np.atleast_1d(x)
-        pos = (x - self.x0) / self.dx
-        idx = np.floor(pos).astype(np.int64)
+        idx, w = _stencil(self, x)
         inside = (idx >= 1) & (idx <= self.values.size - 3)
         idx_c = np.clip(idx, 1, self.values.size - 3)
-        t = pos - idx
-        w_m1, w_0, w_1, w_2 = _cubic_weights(t)
-        v = self.values
-        out = (w_m1 * v[idx_c - 1] + w_0 * v[idx_c] + w_1 * v[idx_c + 1] + w_2 * v[idx_c + 2])
-        out = np.where(inside, out, 0.0)
+        out = np.where(inside, np.sum(w * self.values[idx_c + _TAPS[:, None]], axis=0), 0.0)
         return float(out[0]) if scalar else out
 
 
-def _cubic_weights(t):
-    """Lagrange cubic weights for nodes {-1, 0, 1, 2} at offset t in [0, 1)."""
-    w_m1 = -t * (t - 1.0) * (t - 2.0) / 6.0
-    w_0 = (t * t - 1.0) * (t - 2.0) / 2.0
-    w_1 = -t * (t + 1.0) * (t - 2.0) / 2.0
-    w_2 = t * (t * t - 1.0) / 6.0
-    return w_m1, w_0, w_1, w_2
+#: offsets of the 4-point stencil from its base index
+_TAPS = np.arange(-1, 3)
+
+
+def _stencil(table: Table1D, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Base index idx of each x on the table lattice, and the (4, n) Lagrange
+    cubic weights of the table values at idx + _TAPS, offset t in [0, 1)."""
+    pos = (x - table.x0) / table.dx
+    idx = np.floor(pos).astype(np.int64)
+    t = pos - idx
+    return idx, np.stack([-t * (t - 1.0) * (t - 2.0) / 6.0, (t * t - 1.0) * (t - 2.0) / 2.0,
+                          -t * (t + 1.0) * (t - 2.0) / 2.0, t * (t * t - 1.0) / 6.0])
+
+
+def _stride(table: Table1D, step: float) -> int:
+    """Table steps per lattice shift; the shift step must be a whole number of them."""
+    stride = round(step / table.dx)
+    if not np.isclose(step, stride * table.dx, rtol=1e-12, atol=0.0):
+        raise ValueError("lattice step must equal stride * table.dx")
+    return stride
 
 
 def range_bucket(x_half: float) -> float:
@@ -164,9 +174,8 @@ def fourier_table(
         q[band] -= ((beta[3] * sigma + beta[2]) * sigma + beta[1]) * sigma + beta[0]
 
     signs = np.where(j % 2 == 0, 1.0, -1.0)
-    spec_arr = signs * q
-    transform = m * np.fft.ifft(spec_arr)
-    g = (ds / (2.0 * np.pi)) * signs * transform
+    g = m * np.fft.ifft(signs * q)
+    g *= (ds / (2.0 * np.pi)) * signs
 
     k_half = int(np.floor(x_half / dx))
     lo, hi = half - k_half, half + k_half + 1
@@ -185,23 +194,6 @@ def fourier_table(
             f"against magnitude {scale:.3e}"
         )
     return Table1D(x0, dx, g_slice.real)
-
-
-def render_expansion(basis: Callable[[np.ndarray], np.ndarray], scale: float,
-                     coeffs: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """sum_l c_l basis(scale x - l) on the grid, l = -K..K for 2K+1 coefficients.
-
-    Dense, in blocks of at most 2e6 basis evaluations.
-    """
-    grid = np.asarray(grid, dtype=float)
-    ls = np.arange(coeffs.size) - coeffs.size // 2
-    out = np.empty(grid.size)
-    rows = max(1, 2_000_000 // ls.size)
-    for start in range(0, grid.size, rows):
-        g = grid[start:start + rows]
-        args = scale * g[:, None] - ls[None, :]
-        out[start:start + rows] = basis(args.ravel()).reshape(g.size, ls.size) @ coeffs
-    return out
 
 
 def fourier_quad(q: Callable[[float], complex], a: float, b: float,
@@ -283,55 +275,23 @@ def _osc_moments(theta: np.ndarray) -> np.ndarray:
     """M_k(theta) = int_{-1}^{1} sigma^k e^{i theta sigma} d sigma for k <= 3.
 
     Returns array of shape (4, len(theta)), one row per power of the cubic
-    bridge.  Uses the upward recurrence for |theta| >= 0.5 and a Taylor
-    series below it (the recurrence loses all accuracy near zero).
+    bridge.  Closed form from int_{-1}^{1} P_n(sigma) e^{i theta sigma} d sigma
+    = 2 i^n j_n(theta) (DLMF 10.54.2) with sigma^2 = (2 P_2 + 1)/3 and
+    sigma^3 = (2 P_3 + 3 P_1)/5.
     """
     theta = np.asarray(theta, dtype=float)
-    out = np.zeros((4, theta.size), dtype=complex)
-    big = np.abs(theta) >= 0.5
-    th = theta[big]
-    if th.size:
-        it = 1j * th
-        e_plus = np.exp(it)
-        e_minus = np.exp(-it)
-        m_prev = (e_plus - e_minus) / it
-        out[0, big] = m_prev
-        for k in range(1, 4):
-            bnd = (e_plus - ((-1.0) ** k) * e_minus) / it
-            m_prev = bnd - (k / it) * m_prev
-            out[k, big] = m_prev
-    sm = ~big
-    th = theta[sm]
-    if th.size:
-        it = 1j * th
-        for k in range(4):
-            acc = np.zeros(th.size, dtype=complex)
-            term = np.ones(th.size, dtype=complex)
-            for mth in range(0, 40):
-                if (k + mth) % 2 == 0:
-                    acc = acc + term * (2.0 / (k + mth + 1))
-                term = term * it / (mth + 1)
-            out[k, sm] = acc
-    return out
+    j0, j1, j2, j3 = (spherical_jn(n, theta) for n in range(4))
+    return np.stack([2.0 * j0, 2j * j1, (2.0 * j0 - 4.0 * j2) / 3.0, 0.4j * (3.0 * j1 - 2.0 * j3)])
 
 
 def _bridge_transform(beta, s_max, x: np.ndarray) -> np.ndarray:
     """(1/2pi) * int_{-s_max}^{s_max} p(s) e^{isx} ds for the bridge p, in closed form."""
     mom = _osc_moments(s_max * np.asarray(x, dtype=float))
-    quadsum = np.zeros(mom.shape[1], dtype=complex)
-    for k in range(4):
-        quadsum = quadsum + beta[k] * mom[k]
-    return (s_max / (2.0 * np.pi)) * quadsum
+    return (s_max / (2.0 * np.pi)) * sum(beta[k] * mom[k] for k in range(4))
 
 
-def lattice_means(
-    points: np.ndarray,
-    table: Table1D,
-    step: float,
-    j_lo: int,
-    j_hi: int,
-    weights: np.ndarray | None = None,
-) -> np.ndarray:
+def lattice_means(points: np.ndarray, table: Table1D, step: float, j_lo: int, j_hi: int,
+                  weights: np.ndarray | None = None) -> np.ndarray:
     """c_j = (1/n) sum_i w_i table(points_i - j*step) for j in [j_lo, j_hi].
 
     The weights w_i default to 1 (plain means).  The stride round(step /
@@ -344,26 +304,42 @@ def lattice_means(
     n = points.size
     if n == 0:
         raise ValueError("no data points")
-    stride = round(step / table.dx)
-    if not np.isclose(step, stride * table.dx, rtol=1e-12, atol=0.0):
-        raise ValueError("lattice step must equal stride * table.dx")
+    stride = _stride(table, step)
     if j_hi < j_lo:
         raise ValueError("empty shift range")
 
     v = table.values
-    pos = (points - table.x0) / table.dx
-    idx = np.floor(pos).astype(np.int64)
-    taps = np.stack(_cubic_weights(pos - idx), axis=0)  # (4, n), at idx-1..idx+2
+    idx, taps = _stencil(table, points)
     if weights is not None:
         taps = taps * np.asarray(weights, dtype=float)
-    binned = np.zeros(v.size)
-    for tap in range(4):
-        tgt = idx + (tap - 1)
-        ok = (tgt >= 0) & (tgt < v.size)  # off-table taps contribute zero
-        np.add.at(binned, tgt[ok], taps[tap][ok])
+    tgt = (idx + _TAPS[:, None]).ravel()
+    ok = (tgt >= 0) & (tgt < v.size)  # off-table taps contribute zero
+    binned = np.bincount(tgt[ok], taps.ravel()[ok], minlength=v.size)
     # correlation R[s] = sum_m binned[m] v[m - s]; c_j = R[j*stride] / n
     corr = fftconvolve(binned, v[::-1])
     wanted = v.size - 1 + stride * np.arange(j_lo, j_hi + 1)
     if wanted.min() < 0 or wanted.max() >= corr.size:
         raise ValueError("table does not cover the requested shift range")
     return corr[wanted] / n
+
+
+def lattice_expansion(points: np.ndarray, table: Table1D, step: float,
+                      coeffs: np.ndarray) -> np.ndarray:
+    """out_i = sum_j c_j table(points_i - j*step) for j = -K..K, 2K+1 coefficients.
+
+    The transpose of `lattice_means`: each point reads the table lattice
+    through its own cubic weights, and each lattice value it reads,
+    D[t] = sum_j c_j table.values[t - j*stride], is one strided dot product,
+    computed only at the (at most 4 per point) indices the points touch.
+    """
+    points = np.asarray(points, dtype=float)
+    coeffs = np.asarray(coeffs, dtype=float)
+    stride = _stride(table, step)
+    reach = stride * (coeffs.size // 2)
+    v = table.values
+    idx, w = _stencil(table, points)
+    touched, where = np.unique(idx + _TAPS[:, None], return_inverse=True)
+    if touched.size and (touched[0] < reach or touched[-1] + reach >= v.size):
+        raise ValueError("table does not cover the requested shift range")
+    lattice = np.array([v[t - reach:t + reach + 1:stride] @ coeffs[::-1] for t in touched])
+    return np.sum(w * lattice[where.reshape(w.shape)], axis=0)

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._tables import Band, Table1D, fourier_table, lattice_means, render_expansion
+from ._tables import Band, Table1D, fourier_table, lattice_means
 from .errors import ConfigError, DataError, ParameterError
 from .grids import DensityGrid, uniform_grid
 from .noisemodel import inv_noise_charfn, inv_noise_charfn_derivative
@@ -59,8 +59,7 @@ def sinc_basis(L: int, j: int, x) -> np.ndarray | float:
     sinc is the normalized sin(pi z)/(pi z) with the removable singularity
     filled in; the family is orthonormal in L^2 for fixed L.
     """
-    if L < 1:
-        raise ParameterError("level L must be >= 1")
+    _check_level(L, math.inf)
     x = np.asarray(x, dtype=float)
     out = np.sqrt(L) * np.sinc(L * x - j)
     return float(out) if out.ndim == 0 else out
@@ -82,9 +81,14 @@ def u_band(L: int) -> Band:
 
     u_{psi_{L,0}}(z) = (1/(2 pi sqrt(L))) int_{-pi L}^{pi L} e^{isz} / phi_k(s) ds.
     """
-    if not (1 <= L <= MAX_LEVEL):
-        raise ParameterError(f"level must be in [1, {MAX_LEVEL}]")
+    _check_level(L)
     return Band(_u_spectrum, L, np.pi * L, 1.0 / (TABLE_STRIDE * L), _u_edges)
+
+
+def _check_level(L: int, top: float = MAX_LEVEL) -> None:
+    """Levels start at 1; beyond MAX_LEVEL, sinh(pi^2 L) overflows double precision."""
+    if not 1 <= L <= top:
+        raise ParameterError(f"level must be in [1, {top}] (got {L})")
 
 
 def u_zero_table(L: int, extent: float) -> Table1D:
@@ -94,6 +98,7 @@ def u_zero_table(L: int, extent: float) -> Table1D:
 
 def u_basis(y, L: int, j: int) -> np.ndarray | float:
     """u_{psi_{L,j}}(y), via the tabulated u_{psi_{L,0}} and the shift identity."""
+    _check_level(L)
     z = np.asarray(y, dtype=float) - j / L
     return u_zero_table(L, float(np.max(np.abs(z), initial=0.0)))(z)
 
@@ -109,6 +114,7 @@ def ppe_coefficients(y, L: int, k_n: int) -> np.ndarray:
     y_arr = as_log_squared(y)
     if k_n < 0:
         raise ParameterError("coefficient truncation must be >= 0")
+    _check_level(L)
     table = u_zero_table(L, float(np.max(np.abs(y_arr))) + k_n / L)
     return lattice_means(y_arr, table, step=1.0 / L, j_lo=-k_n, j_hi=k_n)
 
@@ -136,11 +142,7 @@ def empirical_contrast(coeffs: np.ndarray, a_hat: np.ndarray) -> float:
 
 def phi_k_integral(L: int) -> float:
     """Phi_k(L) = int_{-pi L}^{pi L} |phi_k(s)|^{-2} ds = (2/pi) sinh(pi^2 L)."""
-    if L < 1:
-        raise ParameterError("level L must be >= 1")
-    if L > MAX_LEVEL:
-        raise ParameterError(
-            f"Phi_k overflows double precision for L > {MAX_LEVEL} (got {L})")
+    _check_level(L)
     return (2.0 / np.pi) * math.sinh(np.pi ** 2 * L)
 
 
@@ -210,11 +212,14 @@ class PpeEstimate:
 
 
 def render_sinc_expansion(coeffs: np.ndarray, L: int, grid: np.ndarray) -> np.ndarray:
-    """sum_{|j| <= K_n} a_j psi_{L,j}(x) on the grid, for 2K_n+1 coefficients a_j."""
+    """sum_{|j| <= K_n} a_j psi_{L,j}(x) on the grid, exactly, for 2K_n+1 coefficients a_j."""
+    _check_level(L, math.inf)
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.size % 2 == 0:
         raise DataError("coefficient array must cover j in [-K_n, K_n]")
-    return math.sqrt(L) * render_expansion(np.sinc, L, coeffs, grid)
+    js = np.arange(coeffs.size) - coeffs.size // 2
+    return math.sqrt(L) * np.array([np.sinc(L * x - js) @ coeffs
+                                    for x in np.asarray(grid, dtype=float)])
 
 
 def select_and_estimate(y, config: PpeConfig = PpeConfig(),

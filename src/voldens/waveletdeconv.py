@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import trapezoid
 
-from ._tables import Band, Table1D, fourier_table, lattice_means, render_expansion
+from ._tables import Band, Table1D, fourier_table, lattice_expansion, lattice_means
 from .errors import DataError, ParameterError
 from .grids import CharFnTable, DensityGrid, uniform_grid
 from .noisemodel import inv_noise_charfn
@@ -246,8 +246,9 @@ def render_scaling_expansion(coeffs: np.ndarray, m: int, grid: np.ndarray) -> np
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.size % 2 == 0:
         raise DataError("coefficient array must cover l in [-L, L]")
-    table = scaling_table((2.0 ** m) * float(np.max(np.abs(grid))) + coeffs.size // 2)
-    return 2.0 ** (m / 2.0) * render_expansion(table, 2.0 ** m, coeffs, grid)
+    pts = (2.0 ** m) * np.asarray(grid, dtype=float)
+    table = scaling_table(float(np.max(np.abs(pts))) + coeffs.size // 2)
+    return 2.0 ** (m / 2.0) * lattice_expansion(pts, table, 1.0, coeffs)
 
 
 # --------------------------------------------------------------------------- Sobolev norm

@@ -44,6 +44,18 @@ class TestSincBasis:
             sinc_basis(0, 0, 0.5)
 
 
+@pytest.mark.parametrize("L", [0, -1])
+@pytest.mark.parametrize("call", [
+    lambda L: ppe_coefficients(np.array([0.3, -1.2, 2.0]), L, 4),
+    lambda L: u_basis(np.array([0.3, -1.2]), L, 2),
+    lambda L: render_sinc_expansion(np.ones(5), L, np.linspace(-3, 3, 16)),
+], ids=["ppe_coefficients", "u_basis", "render_sinc_expansion"])
+def test_level_below_one_is_a_parameter_error(call, L):
+    # the level is checked before k_n / L or j / L is formed
+    with pytest.raises(ParameterError):
+        call(L)
+
+
 class TestUBasis:
     def test_no_noise_reduces_to_sinc(self):
         # u_{psi_{L,j}} with the noise-free spectrum 1 is psi_{L,j} (L = 2, j = 1)

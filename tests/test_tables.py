@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from voldens._tables import (GUARD, Table1D, _osc_moments, fourier_table, lattice_means,
-                             range_bucket)
+from voldens._tables import (GUARD, Table1D, _osc_moments, fourier_table, lattice_expansion,
+                             lattice_means, range_bucket)
 from voldens.errors import NumericsError
 from voldens.kerneldeconv import TABLE_STEP, deconv_kernel_table, kernel_band
 from voldens.ppe import u_band, u_zero_table
@@ -38,7 +38,7 @@ class TestTable1D:
 
 
 class TestOscMoments:
-    @pytest.mark.parametrize("theta", [0.01, 0.3, 0.5, 2.0, 41.7])
+    @pytest.mark.parametrize("theta", [0.01, 0.3, 0.5, 2.0, 41.7, 0.0, 1e-9, -0.49, -7.3])
     def test_against_quadrature(self, theta):
         mom = _osc_moments(np.array([theta]))
         for k in range(4):
@@ -111,6 +111,26 @@ class TestLatticeMeans:
         table = Table1D(0.0, 0.1, np.ones(32))
         with pytest.raises(ValueError):
             lattice_means(np.array([1.0]), table, step=0.35, j_lo=0, j_hi=1)
+
+    def test_expansion_is_the_adjoint_of_the_means(self):
+        # sum_i w_i expansion(c)_i = n sum_j c_j means(w)_j on the same points
+        rng = np.random.default_rng(2)
+        grid = -50.0 + 0.0125 * np.arange(8001)
+        table = Table1D(-50.0, 0.0125, np.exp(-(grid / 8.0) ** 2) * np.cos(grid))
+        pts = rng.uniform(-20.0, 20.0, 300)
+        w = rng.normal(size=300)
+        c = rng.normal(size=41)
+        lhs = w @ lattice_expansion(pts, table, 0.5, c)
+        rhs = pts.size * (c @ lattice_means(pts, table, 0.5, -20, 20, weights=w))
+        assert lhs == pytest.approx(rhs, rel=1e-12)
+
+    def test_expansion_table_must_cover_the_shifts(self):
+        grid = -10.0 + 0.01 * np.arange(2001)
+        table = Table1D(-10.0, 0.01, np.sin(grid) * np.exp(-np.abs(grid)))
+        pts = np.array([0.3, -1.2, 4.4])
+        lattice_expansion(pts, table, 0.5, np.ones(9))
+        with pytest.raises(ValueError):
+            lattice_expansion(pts, table, 0.5, np.ones(41))
 
 
 def test_range_bucket():

@@ -181,7 +181,7 @@ class TestEstimate:
         with pytest.raises(Exception):
             est.coefficient(4)
 
-    @pytest.mark.parametrize("m", [0, 1])
+    @pytest.mark.parametrize("m", [0, 1, MAX_LEVEL])
     def test_render_matches_manual_expansion(self, m):
         # 2^{m/2} sum_l c_l phi(2^m x - l), term by term through the same phi table
         c = np.random.default_rng(40 + m).normal(size=21)
