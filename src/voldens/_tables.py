@@ -3,9 +3,11 @@
 Every estimator in this package evaluates some inverse Fourier transform of a
 compactly supported spectrum, correlated on a lattice twice: with the data,
 to get coefficients, and with the coefficients, to render the estimate.  The
-transform is tabulated once on a fine uniform grid by FFT (`fourier_table`,
-whose step is always exactly the one requested) and read through one local
-4-point cubic stencil (`_stencil`), which is linear in the table values.
+spectrum is Hermitian, so the transform is real: it is tabulated once on a
+fine uniform grid by one real inverse FFT of the s >= 0 half band
+(`fourier_table`, whose step is always exactly the one requested) and read
+through one local 4-point cubic stencil (`_stencil`), which is linear in the
+table values.
 Because every shift is a whole number of table steps (`_stride`), a point's
 stencil weights are the same for every shift, so both directions reduce to
 sums over the table lattice: `lattice_means` (data to coefficients; the
@@ -23,27 +25,26 @@ bridge.  `Band.table` is the FFT path, through the one table cache keyed
 on the band, the range bucket and the build function; every table spans
 GUARD beyond the extent its caller needs, so the transform has decayed
 before the table ends.  `Band.quad` evaluates the same transform by direct
-adaptive quadrature (`fourier_quad`), one point at a time; it shares no
-code with the FFT path and serves as the independent oracle for every
-table in the test suite.
+adaptive quadrature of its real half-band integral (`fourier_quad`), one
+point at a time; it shares no code with the FFT path and serves as the
+independent oracle for every table in the test suite.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
+from scipy.integrate import quad
 from scipy.signal import fftconvolve
 from scipy.special import spherical_jn
 
 from .errors import DataError, NumericsError
 
-# Relative imaginary residue above which an "is real" inverse transform is
-# considered broken (a bug or overflow regime, never a data property).
+# Relative anti-Hermitian spectrum bound above which an "is real" inverse
+# transform is considered broken (a bug or overflow regime, never a data property).
 IMAG_RESIDUE_RTOL = 1e-8
 # Periodic images of a tabulated transform sit this many requested ranges away.
 OVERSAMPLE = 2.0
@@ -133,9 +134,12 @@ def fourier_table(
 ) -> Table1D:
     """Tabulate G(x) = (1/2pi) * int_{-s_max}^{s_max} q(s) e^{isx} ds by FFT.
 
-    The spectrum q must be Hermitian (q(-s) = conj(q(s))) so that G is real;
-    the imaginary residue of the transform is checked against
-    IMAG_RESIDUE_RTOL and a violation raises NumericsError.
+    q must be Hermitian (q(-s) = conj(q(s))) so that G is real: the table is
+    one real inverse FFT (`irfft`) of the s >= 0 half of the band-sampled
+    Hermitian part (q(s) + conj(q(-s)))/2.  The L1 norm of the anti-Hermitian
+    part it drops, (ds/2pi) sum_{s >= 0} |q(s) - conj(q(-s))|, bounds the
+    imaginary part of the complex transform; above IMAG_RESIDUE_RTOL of the
+    table's magnitude it raises NumericsError.
 
     For spectra that vanish (with a couple of derivatives) at +-s_max the
     plain trapezoid-FFT is accurate: the transform decays fast enough that
@@ -158,70 +162,52 @@ def fourier_table(
     m = 1 << (int(np.ceil(2.0 * np.pi / (ds_needed * dx))) - 1).bit_length()  # power of 2
     ds = 2.0 * np.pi / (m * dx)
     n_half = int(np.floor(s_max / ds * (1.0 + 1e-12)))
-    half = m // 2
-    if n_half >= half:
+    if n_half >= m // 2:
         raise ValueError("spectrum grid does not fit the FFT size; increase dx or reduce x_half")
 
-    j = np.arange(m)
-    s = (j - half) * ds
-    q = np.zeros(m, dtype=complex)
-    band = slice(half - n_half, half + n_half + 1)
-    q[band] = spectrum(s[band])
-
+    s = ds * np.arange(-n_half, n_half + 1)
+    q = spectrum(s).astype(complex)
     if edge_derivatives is not None:
         beta = _bridge_coeffs(s_max, *edge_derivatives)
-        sigma = s[band] / s_max
-        q[band] -= ((beta[3] * sigma + beta[2]) * sigma + beta[1]) * sigma + beta[0]
+        q -= np.polyval(beta[::-1], s / s_max)
+    q_pos, q_neg = q[n_half:], np.conj(q[n_half::-1])  # q(s) and conj(q(-s)), s >= 0
 
-    signs = np.where(j % 2 == 0, 1.0, -1.0)
-    g = m * np.fft.ifft(signs * q)
-    g *= (ds / (2.0 * np.pi)) * signs
-
+    # G(k dx) = (ds/2pi) sum_{|j| <= n_half} q_j e^{2 pi i jk/m}: an irfft of length m
+    g = np.fft.irfft(0.5 * (q_pos + q_neg), m)
     k_half = int(np.floor(x_half / dx))
-    lo, hi = half - k_half, half + k_half + 1
-    x0 = (lo - half) * dx
-    g_slice = g[lo:hi]
+    g_slice = np.concatenate([g[m - k_half:], g[:k_half + 1]]) * (m * ds / (2.0 * np.pi))
+    x0 = -k_half * dx
 
     if edge_derivatives is not None:
-        x_slice = x0 + dx * np.arange(g_slice.size)
-        g_slice = g_slice + _bridge_transform(beta, s_max, x_slice)
+        g_slice += _bridge_transform(beta, s_max, x0 + dx * np.arange(g_slice.size)).real
 
-    scale = np.max(np.abs(g_slice.real)) + 1e-300
-    resid = np.max(np.abs(g_slice.imag))
-    if resid > IMAG_RESIDUE_RTOL * scale + 1e-12:
+    scale = np.max(np.abs(g_slice)) + 1e-300
+    bound = ds / (2.0 * np.pi) * np.sum(np.abs(q_pos - q_neg))
+    if bound > IMAG_RESIDUE_RTOL * scale + 1e-12:
         raise NumericsError(
-            f"inverse transform expected real; imaginary residue {resid:.3e} "
+            f"inverse transform expected real; anti-Hermitian spectrum bound {bound:.3e} "
             f"against magnitude {scale:.3e}"
         )
-    return Table1D(x0, dx, g_slice.real)
+    return Table1D(x0, dx, g_slice)
 
 
-def fourier_quad(q: Callable[[float], complex], a: float, b: float,
-                 x) -> np.ndarray | float:
-    """G(x) = (1/2pi) * int_a^b q(s) e^{isx} ds by adaptive quadrature, per point.
+def fourier_quad(q: Callable[[float], complex], s_max: float, x) -> np.ndarray | float:
+    """G(x) = (1/2pi) * int_{-s_max}^{s_max} q(s) e^{isx} ds by adaptive quadrature, per point.
 
     The oracle for `fourier_table`: slow, but independent of the FFT path.
-    q must be Hermitian on a symmetric band so that G is real; the imaginary
-    part is checked to be a pure rounding residue before it is discarded.
+    q must be Hermitian (checked at a few nodes; DataError if not), so that
+    G(x) = (1/pi) int_0^{s_max} Re(q(s) e^{isx}) ds, one real integral per point.
     """
+    if not all(np.isclose(q(s), np.conj(q(-s)), rtol=1e-10, atol=0.0)
+               for s in s_max * np.array([0.0, 0.13, 0.5, 0.77, 1.0])):
+        raise DataError("spectrum is not Hermitian: q(-s) != conj(q(s))")
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
 
     def one(xx: float) -> float:
-        def integrand(s):
-            return complex(q(s)) * np.exp(1j * s * xx)
-
-        re, _ = quad(lambda s: integrand(s).real, a, b, epsabs=1e-12, epsrel=1e-10,
-                     limit=800)
-        with warnings.catch_warnings():
-            # cancellation integral: the imaginary part is structurally zero
-            warnings.simplefilter("ignore", IntegrationWarning)
-            im, _ = quad(lambda s: integrand(s).imag, a, b, epsabs=1e-10, epsrel=1e-8,
-                         limit=800)
-        val = re / (2.0 * np.pi)
-        if abs(im) / (2.0 * np.pi) > 1e-8 * abs(val) + 1e-12:
-            raise DataError(f"transform carries imaginary residue {im:.3e} at x={xx:g}")
-        return val
+        re, _ = quad(lambda s: (complex(q(s)) * np.exp(1j * s * xx)).real, 0.0, s_max,
+                     epsabs=1e-12, epsrel=1e-10, limit=800)
+        return re / np.pi
 
     out = np.array([one(float(xx)) for xx in np.atleast_1d(x)])
     return float(out[0]) if scalar else out
@@ -245,7 +231,7 @@ class Band:
 
     def quad(self, x) -> np.ndarray | float:
         """G at x by adaptive quadrature: the oracle for `table`."""
-        return fourier_quad(lambda s: self.spectrum(s, self.param), -self.s_max, self.s_max, x)
+        return fourier_quad(lambda s: self.spectrum(s, self.param), self.s_max, x)
 
     def table(self, extent: float, build: Callable[..., Table1D]) -> Table1D:
         """G tabulated by `build` (a `fourier_table`) over |x| <= extent + GUARD, cached."""

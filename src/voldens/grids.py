@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import trapezoid
 
 from .errors import DataError, ParameterError
 
@@ -61,7 +60,7 @@ class DensityGrid:
 
     def integral(self) -> float:
         """Trapezoid integral of the values over the grid."""
-        return float(trapezoid(self.values, self.x))
+        return float(np.trapezoid(self.values, self.x))
 
     def same_grid(self, other: "DensityGrid") -> bool:
         return self.x.shape == other.x.shape and bool(np.array_equal(self.x, other.x))

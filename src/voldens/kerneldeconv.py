@@ -38,7 +38,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import trapezoid
 from scipy.special import spherical_jn
 
 from ._tables import Band, Table1D, fourier_table, lattice_means
@@ -233,7 +232,7 @@ def estimate_density(y, spec: KernelSpec, grid: np.ndarray | None = None) -> Est
     }
     if spec.clip_negative:
         clipped = np.maximum(values, 0.0)
-        mass = trapezoid(clipped, grid)
+        mass = np.trapezoid(clipped, grid)
         if mass <= 0:
             raise DataError("estimate clipped to zero everywhere; cannot renormalize")
         values = clipped / mass

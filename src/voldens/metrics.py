@@ -21,7 +21,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.integrate import trapezoid
 from scipy.signal import find_peaks
 
 from .errors import ConfigError, DataError, ParameterError
@@ -43,12 +42,12 @@ def mise(estimate: DensityGrid, truth: DensityGrid) -> float:
     if not estimate.same_grid(truth):
         raise DataError("MISE needs both functions on the identical grid")
     diff = estimate.values - truth.values
-    return float(trapezoid(diff * diff, estimate.x))
+    return float(np.trapezoid(diff * diff, estimate.x))
 
 
 def _clipped_density(grid: DensityGrid) -> np.ndarray:
     clipped = np.maximum(grid.values, 0.0)
-    mass = trapezoid(clipped, grid.x)
+    mass = np.trapezoid(clipped, grid.x)
     if mass <= 0:
         raise DataError("estimate carries no positive mass")
     return clipped / mass
@@ -70,8 +69,8 @@ def mode_count(grid: DensityGrid, prominence: float = 0.05) -> int:
 def normal_fit(grid: DensityGrid) -> tuple[float, float, DensityGrid]:
     """Mean/variance of the (clipped, renormalized) estimate and the matched normal."""
     vals = _clipped_density(grid)
-    mean = float(trapezoid(grid.x * vals, grid.x))
-    second = float(trapezoid(grid.x ** 2 * vals, grid.x))
+    mean = float(np.trapezoid(grid.x * vals, grid.x))
+    second = float(np.trapezoid(grid.x ** 2 * vals, grid.x))
     var = second - mean * mean
     if var <= 0:
         raise DataError("degenerate variance in normal fit")

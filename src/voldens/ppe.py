@@ -24,7 +24,7 @@ selected by L_hat = argmin_L gamma_n(f_hat_L) + pen_n(L) with
 
 the closed form following from |phi_k(s)|^{-2} = cosh(pi s).  All
 |phi_k|^{-1} work is done through cosh/sinh, never naive division; levels
-are hard-capped where sinh(pi^2 L) leaves double range (L <= 71).
+are hard-capped where 1/phi_k overflows on the band edge pi L (L <= 70).
 
 u_{psi_{L,j}}(y) = u_{psi_{L,0}}(y - j / L) (a pure shift), so one
 tabulation of u_{psi_{L,0}} per level serves every coefficient; the table is
@@ -43,11 +43,11 @@ import numpy as np
 from ._tables import Band, Table1D, fourier_table, lattice_means
 from .errors import ConfigError, DataError, ParameterError
 from .grids import DensityGrid, uniform_grid
-from .noisemodel import inv_noise_charfn, inv_noise_charfn_derivative
+from .noisemodel import CHARFN_CUTOFF, inv_noise_charfn, inv_noise_charfn_derivative
 from .svsim import as_log_squared
 
-#: sinh(pi^2 L) overflows double precision past this level
-MAX_LEVEL = 71
+#: past this level the band edge pi L leaves the range where 1/phi_k is finite
+MAX_LEVEL = math.floor(CHARFN_CUTOFF / math.pi)
 #: table stride per basis spacing 1/L; pi/stride ~ 0.044 keeps the cubic
 #: interpolation of the band-limited u below 1e-8 relative error
 TABLE_STRIDE = 72
@@ -86,7 +86,7 @@ def u_band(L: int) -> Band:
 
 
 def _check_level(L: int, top: float = MAX_LEVEL) -> None:
-    """Levels start at 1; beyond MAX_LEVEL, sinh(pi^2 L) overflows double precision."""
+    """Levels start at 1; beyond MAX_LEVEL, 1/phi_k overflows on the band edge."""
     if not 1 <= L <= top:
         raise ParameterError(f"level must be in [1, {top}] (got {L})")
 
@@ -189,7 +189,7 @@ class PpeConfig:
             raise ConfigError("candidate levels must be >= 1")
         if any(L > MAX_LEVEL for L in levels):
             raise ConfigError(
-                f"candidate levels beyond {MAX_LEVEL} overflow double precision; "
+                f"candidate levels beyond {MAX_LEVEL} overflow 1/phi_k on the band edge; "
                 f"refusing to truncate silently")
         return k_n, levels
 

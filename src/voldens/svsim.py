@@ -29,7 +29,7 @@ from dataclasses import MISSING, dataclass, fields, replace
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad, trapezoid
+from scipy.integrate import quad
 from scipy.signal import lfilter
 
 from .errors import ConfigError, DataError, ParameterError
@@ -552,7 +552,7 @@ def invariant_density(drift: Callable[[float], float],
 
     exponent -= exponent.max()  # multiplicative constant is fixed by normalization
     values = np.exp(exponent) / a2
-    mass = trapezoid(values, grid)
+    mass = np.trapezoid(values, grid)
     if not np.isfinite(mass) or mass <= 0:
         raise ParameterError("invariant density integrates to a non-positive mass on this grid")
     return DensityGrid(grid, values / mass, signed=False)

@@ -36,7 +36,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import trapezoid
 
 from ._tables import Band, Table1D, fourier_table, lattice_expansion, lattice_means
 from .errors import DataError, ParameterError
@@ -49,7 +48,7 @@ OMEGA_MAX = 4.0 * np.pi / 3.0
 LEVEL_DENOMINATOR = 1.0 + 4.0 * np.pi ** 2 / 3.0
 #: highest detail level whose U_m table builds at every range bucket: 1/phi_k
 #: reaches about e^{2 pi^2 2^m / 3} on supp phi~, and from m = 4 on the FFT
-#: table fails its imaginary-residue check at most buckets
+#: table fails its realness (anti-Hermitian bound) check at every bucket
 MAX_LEVEL = 3
 #: tabulation step of phi and U_m; 96 steps per unit shift
 TABLE_STEP = 1.0 / 96.0
@@ -264,7 +263,7 @@ def sobolev_norm(table: CharFnTable, alpha: float) -> float:
     if alpha < 0:
         raise ParameterError("alpha must be >= 0")
     w = np.abs(table.values) ** 2 * (table.t ** 2 + 1.0) ** alpha
-    total = float(trapezoid(w, table.t))
+    total = float(np.trapezoid(w, table.t))
     dt = np.diff(table.t)
     edge = float(w[0] * dt[0] + w[-1] * dt[-1])
     if total > 0 and edge > 1e-6 * total:

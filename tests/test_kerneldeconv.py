@@ -67,7 +67,7 @@ class TestDeconvKernel:
     def test_no_noise_reduces_to_wand(self):
         # the quadrature with the noise-free spectrum phi_w is the plain kernel w
         xs = np.array([-2.0, -0.4, 0.0, 1.3, 5.0])
-        np.testing.assert_allclose(fourier_quad(wand_charfn, -1.0, 1.0, -xs),
+        np.testing.assert_allclose(fourier_quad(wand_charfn, 1.0, -xs),
                                    wand_kernel(xs), atol=1e-10)
 
     def test_asymmetry_of_the_deconvolution_kernel(self):

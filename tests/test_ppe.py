@@ -61,7 +61,7 @@ class TestUBasis:
         # u_{psi_{L,j}} with the noise-free spectrum 1 is psi_{L,j} (L = 2, j = 1)
         ys = np.linspace(-4, 4, 17)
         np.testing.assert_allclose(
-            fourier_quad(lambda s: 1.0, -2 * np.pi, 2 * np.pi, ys - 0.5) / np.sqrt(2),
+            fourier_quad(lambda s: 1.0, 2 * np.pi, ys - 0.5) / np.sqrt(2),
             sinc_basis(2, 1, ys), atol=1e-10)
 
     def test_shift_identity(self):
@@ -86,6 +86,10 @@ class TestUBasis:
     def test_overflow_guard(self):
         with pytest.raises(ParameterError):
             u_band(MAX_LEVEL + 1)
+
+    def test_top_level_table_builds(self):
+        # the band edge pi L of the top level keeps 1/phi_k finite
+        assert np.all(np.isfinite(u_zero_table(MAX_LEVEL, 1.0).raw()))
 
 
 class TestCoefficientsAndContrast:

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from voldens._tables import (GUARD, Table1D, _osc_moments, fourier_table, lattice_expansion,
-                             lattice_means, range_bucket)
-from voldens.errors import NumericsError
-from voldens.kerneldeconv import TABLE_STEP, deconv_kernel_table, kernel_band
+from voldens._tables import (GUARD, Table1D, _osc_moments, fourier_quad, fourier_table,
+                             lattice_expansion, lattice_means, range_bucket)
+from voldens.errors import DataError, NumericsError
+from voldens.grids import uniform_grid, uniform_step
+from voldens.kerneldeconv import TABLE_STEP, deconv_kernel_table, kernel_band, kernel_table_request
 from voldens.ppe import u_band, u_zero_table
 from voldens.waveletdeconv import SCALING_BAND, scaling_table, um_band, um_table
 
@@ -77,6 +78,25 @@ class TestFourierTable:
                           dx=0.02, x_half=8.0)
 
 
+def test_oracle_rejects_non_hermitian_spectrum():
+    with pytest.raises(DataError):
+        fourier_quad(lambda s: np.exp(-((s - 0.5) ** 2)), 6.0, 0.3)
+
+
+def _estimator_lattice(name):
+    """(points, table, step, j_lo, j_hi): `name`'s own table, read as its estimator reads it."""
+    y = np.random.default_rng(3).normal(-1.3, 2.2, 400)
+    if name == "U_0":  # wavelet coefficients, m = 0
+        return y, um_table(0, float(np.max(np.abs(y))) + 20), 1.0, -20, 20
+    if name.startswith("u_L"):  # PPE coefficients at level L
+        L = int(name[3:])
+        return y, u_zero_table(L, float(np.max(np.abs(y))) + 40 / L), 1.0 / L, -40, 40
+    h = 0.4  # v_h: the kernel sums on a 512-point grid
+    grid = uniform_grid(np.min(y) - 3 * h, np.max(y) + 3 * h, 512)
+    table = deconv_kernel_table(h, *kernel_table_request(y, grid, h))
+    return (grid[0] - y) / h, table, uniform_step(grid) / h, 1 - grid.size, 0
+
+
 class TestLatticeMeans:
     def test_dense_and_fft_paths_agree(self):
         # the FFT correlation against the pointwise definition on a larger case
@@ -106,6 +126,17 @@ class TestLatticeMeans:
         out = lattice_means(pts, table, step=0.5, j_lo=-3, j_hi=3)
         expect = [np.mean(table(pts - 0.5 * j)) for j in range(-3, 4)]
         np.testing.assert_allclose(out, expect, rtol=1e-12)
+
+    @pytest.mark.parametrize("name, stride", [("U_0", 96), ("u_L1", 72), ("u_L3", 72),
+                                              ("v_h", 2)])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_estimator_tables_at_their_strides(self, name, stride, weighted):
+        pts, table, step, j_lo, j_hi = _estimator_lattice(name)
+        assert round(step / table.dx) == stride
+        w = np.random.default_rng(4).normal(2.0, 1.0, pts.size) if weighted else 1.0
+        fft = lattice_means(pts, table, step, j_lo, j_hi, weights=w if weighted else None)
+        dense = [np.mean(w * table(pts - j * step)) for j in range(j_lo, j_hi + 1)]
+        np.testing.assert_allclose(fft, dense, rtol=1e-10, atol=1e-13)
 
     def test_step_misaligned_with_table_rejected(self):
         table = Table1D(0.0, 0.1, np.ones(32))
@@ -141,9 +172,8 @@ def test_range_bucket():
 
 # Every tabulated family against its quadrature oracle, over the ranges its
 # estimator reads.  rtol is relative to max |oracle| and is three times the
-# error measured when the sweep was written.  U_3 is left out: the oracle
-# itself fails there (DataError, imaginary residues of 9e9 to 4e11 at points
-# all through |x| <= 10).
+# error measured when the case was added (U_3 last, so the seeds of the
+# others stay as they were).
 ORACLE_SWEEP = [
     ("v_h0.2", kernel_band(0.2), -25.0, 25.0, 1.2e-7),
     ("v_h0.4", kernel_band(0.4), -25.0, 25.0, 3.9e-8),
@@ -154,6 +184,7 @@ ORACLE_SWEEP = [
     ("phi", SCALING_BAND, -5.0, 8.0, 3.0e-8),
     *((f"u_L{L}", u_band(L), -9.0, 20.0, rtol) for L, rtol in enumerate(
         (1.6e-7, 2.0e-7, 1.4e-7, 1.2e-7, 2.8e-7, 4.6e-7, 4.4e-7, 5.4e-7, 7.6e-7), start=1)),
+    ("U_3", um_band(3), -5.0, 8.0, 1.3e-6),
 ]
 
 

@@ -56,7 +56,7 @@ class TestUmFunction:
     def test_no_noise_gives_scaling_function(self):
         # the quadrature with the noise-free spectrum phi~ is the scaling function
         xs = np.array([-2.0, -0.3, 0.0, 0.8, 3.1])
-        np.testing.assert_allclose(fourier_quad(meyer_scaling_fourier, -OMEGA_MAX, OMEGA_MAX, xs),
+        np.testing.assert_allclose(fourier_quad(meyer_scaling_fourier, OMEGA_MAX, xs),
                                    scaling_table(8.0)(xs), atol=1e-8)
 
     def test_level_cap_admits_only_tables_that_build(self):
