@@ -12,9 +12,13 @@ Because every shift is a whole number of table steps (`_stride`), a point's
 stencil weights are the same for every shift, so both directions reduce to
 sums over the table lattice: `lattice_means` (data to coefficients; the
 kernel and regression sums on a uniform grid, and the wavelet and PPE
-coefficients on integer shifts) bins the points and correlates by one FFT,
-and its transpose `lattice_expansion` (coefficients to grid; the wavelet
-render) forms one strided dot product per lattice index the grid touches.
+coefficients on integer shifts) bins the points and correlates them with the
+table as one `scipy.fft` rfft product at the padded length that
+`scipy.signal.fftconvolve` uses, and its transpose `lattice_expansion`
+(coefficients to grid; the wavelet render) forms one strided dot product per
+lattice index the grid touches.  `fourier_quad` imports `scipy.integrate`
+when called, so importing this module loads only numpy, `scipy.special` and
+`scipy.fft`.
 Spectra that jump at the edges of their symmetric band [-s_max, s_max] get
 a cubic bridge, removed before the FFT and added back in closed form.
 
@@ -37,8 +41,7 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.signal import fftconvolve
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.special import spherical_jn
 
 from .errors import DataError, NumericsError
@@ -201,6 +204,8 @@ def fourier_quad(q: Callable[[float], complex], s_max: float, x) -> np.ndarray |
     if not all(np.isclose(q(s), np.conj(q(-s)), rtol=1e-10, atol=0.0)
                for s in s_max * np.array([0.0, 0.13, 0.5, 0.77, 1.0])):
         raise DataError("spectrum is not Hermitian: q(-s) != conj(q(s))")
+    from scipy.integrate import quad  # only the oracle needs it; kept off the import path
+
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
 
@@ -284,7 +289,10 @@ def lattice_means(points: np.ndarray, table: Table1D, step: float, j_lo: int, j_
     table.dx) must be exact (callers build their tables that way), so that
     every shift lands on the table lattice.  With that alignment the per-point
     cubic interpolation weights are independent of j and the whole family of
-    means collapses to one cross-correlation, evaluated by FFT.
+    means collapses to one cross-correlation: one `scipy.fft` rfft product
+    at `fftconvolve`'s padded length `next_fast_len(size, real)`, so the
+    result is bit for bit `fftconvolve(binned, v[::-1])` without importing
+    `scipy.signal`.
     """
     points = np.asarray(points, dtype=float)
     n = points.size
@@ -302,7 +310,9 @@ def lattice_means(points: np.ndarray, table: Table1D, step: float, j_lo: int, j_
     ok = (tgt >= 0) & (tgt < v.size)  # off-table taps contribute zero
     binned = np.bincount(tgt[ok], taps.ravel()[ok], minlength=v.size)
     # correlation R[s] = sum_m binned[m] v[m - s]; c_j = R[j*stride] / n
-    corr = fftconvolve(binned, v[::-1])
+    size = binned.size + v.size - 1
+    fast = next_fast_len(size, True)
+    corr = irfft(rfft(binned, fast) * rfft(v[::-1], fast), fast)[:size]
     wanted = v.size - 1 + stride * np.arange(j_lo, j_hi + 1)
     if wanted.min() < 0 or wanted.max() >= corr.size:
         raise ValueError("table does not cover the requested shift range")

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import re
 import sys
@@ -104,6 +105,27 @@ class PipelineConfig:
         return "".join(lines)
 
 
+def _loadtxt_prices(body: str, col: int) -> np.ndarray | None:
+    """The price column of the rows after the header, parsed by numpy.
+
+    None unless it yields at least 3 finite positive prices; the caller then
+    parses the rows with `csv`, which names the offending line.  A quote
+    character anywhere in the body also gives None: `csv` splits quoted
+    cells differently from `loadtxt`, which could pick another column.  An
+    empty body gives None before `loadtxt` can warn that it found no rows.
+    """
+    if '"' in body or not body.strip():
+        return None
+    try:
+        prices = np.loadtxt(io.StringIO(body, newline=""), delimiter=",", usecols=col,
+                            comments=None, ndmin=1)
+    except ValueError:
+        return None
+    if prices.size < 3 or not np.all(np.isfinite(prices) & (prices > 0)):
+        return None
+    return prices
+
+
 def ingest_prices(path, delta: float = 1.0, demean: bool = False,
                   price_column: str | None = None) -> ObservationSeries:
     """Load a price CSV into an ObservationSeries of log prices.
@@ -114,8 +136,11 @@ def ingest_prices(path, delta: float = 1.0, demean: bool = False,
     the sample mean of the log returns is subtracted (implemented as a
     linear detrend of the log prices, so the increment identity holds
     exactly and the demeaned returns average to zero up to rounding).
+
+    Well-formed files are parsed by `np.loadtxt`, whose floats are bitwise
+    those of `float()`; anything else goes through a `csv` row loop whose
+    errors name the line.
     """
-    rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -129,18 +154,10 @@ def ingest_prices(path, delta: float = 1.0, demean: bool = False,
             col = names.index(price_column)
         else:
             col = len(header) - 1
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            try:
-                rows.append(float(row[col]))
-            except (ValueError, IndexError):
-                raise DataError(f"non-numeric price cell at line {lineno}") from None
-            if not np.isfinite(rows[-1]):
-                raise DataError(f"non-finite price cell at line {lineno}")
-    if len(rows) < 3:
-        raise DataError("need at least 3 price rows")
-    prices = np.asarray(rows, dtype=float)
+        body = fh.read()
+    prices = _loadtxt_prices(body, col)
+    if prices is None:
+        prices = _csv_prices(csv.reader(io.StringIO(body, newline="")), col)
     if np.any(prices <= 0):
         raise DataError("prices must be strictly positive to take logarithms")
     log_prices = np.log(prices)
@@ -149,6 +166,23 @@ def ingest_prices(path, delta: float = 1.0, demean: bool = False,
         trend = returns.mean() * np.arange(log_prices.size)
         log_prices = log_prices - trend
     return ObservationSeries(log_prices=log_prices, delta=delta)
+
+
+def _csv_prices(rows, col: int) -> np.ndarray:
+    """The price column of the csv rows after the header; DataError names the bad line."""
+    prices = []
+    for lineno, row in enumerate(rows, start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        try:
+            prices.append(float(row[col]))
+        except (ValueError, IndexError):
+            raise DataError(f"non-numeric price cell at line {lineno}") from None
+        if not np.isfinite(prices[-1]):
+            raise DataError(f"non-finite price cell at line {lineno}")
+    if len(prices) < 3:
+        raise DataError("need at least 3 price rows")
+    return np.asarray(prices, dtype=float)
 
 
 # --------------------------------------------------------------------------- pipeline

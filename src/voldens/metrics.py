@@ -21,7 +21,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .errors import ConfigError, DataError, ParameterError
 from .grids import DensityGrid
@@ -57,13 +56,30 @@ def mode_count(grid: DensityGrid, prominence: float = 0.05) -> int:
     """Number of strict local maxima with prominence above the floor.
 
     The input is clipped at zero and renormalized first, so the prominence
-    floor refers to a probability density scale.
+    floor refers to a probability density scale.  Peaks and prominences follow
+    `scipy.signal.find_peaks(vals, prominence=...)` exactly: a peak is a run of
+    equal values (a plateau, represented by its middle index) with a strictly
+    lower run on each side; its prominence is its height minus the higher of
+    the two minima between it and the nearest strictly higher sample (or the
+    edge) on each side; a peak counts when its prominence is at least the floor.
     """
     if len(grid) < 3:
         raise DataError("mode counting needs at least 3 grid points")
     vals = _clipped_density(grid)
-    peaks, _ = find_peaks(vals, prominence=prominence)
-    return int(peaks.size)
+    starts = np.flatnonzero(np.r_[True, vals[1:] != vals[:-1]])
+    ends = np.r_[starts[1:] - 1, vals.size - 1]
+    level = vals[starts]
+    inner = (level[1:-1] > level[:-2]) & (level[1:-1] > level[2:])
+    count = 0
+    for peak in (starts[1:-1][inner] + ends[1:-1][inner]) // 2:
+        height = vals[peak]
+        left, right = vals[:peak + 1], vals[peak:]
+        lo = np.flatnonzero(left > height)
+        hi = np.flatnonzero(right > height)
+        left_min = left[lo[-1] + 1 if lo.size else 0:].min()
+        right_min = right[:hi[0] if hi.size else right.size].min()
+        count += bool(height - max(left_min, right_min) >= prominence)
+    return count
 
 
 def normal_fit(grid: DensityGrid) -> tuple[float, float, DensityGrid]:

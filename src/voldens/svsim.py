@@ -29,8 +29,6 @@ from dataclasses import MISSING, dataclass, fields, replace
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.signal import lfilter
 
 from .errors import ConfigError, DataError, ParameterError
 from .grids import DensityGrid
@@ -363,6 +361,8 @@ def simulate_ou(params: OuParams, steps: int, dt: float,
         path[0] = mu + np.sqrt(params.stationary_variance) * rng.standard_normal()
     else:
         path[0] = params.x0
+    from scipy.signal import lfilter  # loaded only by runs that simulate an OU path
+
     # AR(1) recursion x_{k+1} = decay * x_k + (mu (1 - decay) + shock_k) as a linear filter
     inputs = mu * (1.0 - decay) + trans_sd * rng.standard_normal(steps)
     path[1:] = lfilter([1.0], [1.0, -decay], inputs, zi=np.array([decay * path[0]]))[0]
@@ -525,6 +525,8 @@ def invariant_density(drift: Callable[[float], float],
     trapezoid integral over the grid to 1.  The anchor must lie inside the
     grid span and a() must not vanish on it.
     """
+    from scipy.integrate import quad  # kept off the CLI's import path
+
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 3:
         raise DataError("grid must be a 1-d array with at least 3 points")

@@ -2,10 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import voldens.cli as cli
 from voldens.cli import (ESTIMATORS, PipelineConfig, build_parser, ingest_prices, main,
                          resolve_config, run_pipeline)
 from voldens.errors import ConfigError, DataError
@@ -74,6 +79,128 @@ class TestIngestPrices:
         with open(path, "w") as fh:
             fh.write("date,price\nx,notanumber\ny,1.0\nz,2.0\n")
         with pytest.raises(DataError):
+            ingest_prices(path)
+
+
+# Loaded by scipy.signal, which start-up must not import: each costs start-up
+# time that a CLI run on a price CSV never uses.
+HEAVY_SCIPY = {"scipy.signal", "scipy.stats", "scipy.integrate", "scipy.interpolate",
+               "scipy.optimize", "scipy.linalg"}
+
+
+@pytest.mark.parametrize("module", ["voldens", "voldens.cli"])
+def test_import_loads_no_heavy_scipy_module(module):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = f"import sys, {module}; print(' '.join(sorted(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    loaded = set(proc.stdout.split())
+    assert {"numpy", "scipy.special", "scipy.fft"} <= loaded
+    assert not loaded & HEAVY_SCIPY, sorted(loaded & HEAVY_SCIPY)
+
+
+@pytest.fixture(params=["loadtxt", "csv-loop"])
+def parser(request, monkeypatch):
+    """Run a test once as is and once with `np.loadtxt` failing, which sends
+    every file through the `csv` row loop."""
+    if request.param == "csv-loop":
+        def refuse(*args, **kwargs):
+            raise ValueError("loadtxt disabled")
+        monkeypatch.setattr(cli.np, "loadtxt", refuse)
+    return request.param
+
+
+def _loop_log_prices(path):
+    """Log prices of the last column as `csv` plus `float()` read them: the reference."""
+    with open(path, newline="") as fh:
+        rows = [r for r in list(csv.reader(fh))[1:] if r and any(c.strip() for c in r)]
+    return np.log(np.array([float(r[-1]) for r in rows]))
+
+
+class TestIngestParsers:
+    def test_repr_prices_bitwise_equal_to_float(self, tmp_path, parser):
+        rng = np.random.default_rng(7)
+        prices = np.exp(np.cumsum(rng.normal(0.0, 0.01, 10_000)) + 4.6)
+        path = tmp_path / "p.csv"
+        with open(path, "w") as fh:
+            fh.write("t,price\n")
+            fh.writelines(f"{i * 0.05!r},{p!r}\n" for i, p in enumerate(prices.tolist()))
+        log_prices = ingest_prices(path, delta=0.05).log_prices
+        assert log_prices.tobytes() == _loop_log_prices(path).tobytes()
+        assert log_prices.tobytes() == np.log(prices).tobytes()
+
+    def test_well_formed_file_is_parsed_by_loadtxt(self, tmp_path, monkeypatch):
+        calls = []
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(cli.np, "loadtxt", lambda *a, **k: calls.append(1) or loadtxt(*a, **k))
+        monkeypatch.setattr(cli, "_csv_prices", None)  # the row loop must not run
+        path = tmp_path / "p.csv"
+        _write_prices(path, [100.0, 101.5, 99.25, 102.0])
+        assert ingest_prices(path).n == 3
+        assert calls == [1]
+
+    @pytest.mark.parametrize("cell, line, message", [
+        ("abc", 4, "non-numeric"), ("", 4, "non-numeric"), ("1.0#2", 4, "non-numeric"),
+        ("nan", 4, "non-finite"), ("inf", 4, "non-finite"), ("-inf", 4, "non-finite"),
+    ])
+    def test_bad_cell_names_its_line(self, tmp_path, parser, cell, line, message):
+        path = tmp_path / "p.csv"
+        path.write_text(f"date,price\na,100.0\nb,101.0\nc,{cell}\nd,102.0\ne,103.0\n")
+        with pytest.raises(DataError, match=f"{message} price cell at line {line}$"):
+            ingest_prices(path)
+
+    def test_short_row_names_its_line(self, tmp_path, parser):
+        path = tmp_path / "p.csv"
+        path.write_text("date,price\na,100.0\nb,101.0\nc,102.0\nd\ne,103.0\n")
+        with pytest.raises(DataError, match="non-numeric price cell at line 5$"):
+            ingest_prices(path)
+
+    @pytest.mark.parametrize("body, expected", [
+        ('a,"101.5"\nb,102\nc,103\n', [101.5, 102.0, 103.0]),
+        ("a,1_000\nb,1_001.5\nc,999\n", [1000.0, 1001.5, 999.0]),
+        ("a, 101.5 \nb,\t102\nc,103\n", [101.5, 102.0, 103.0]),
+        ("a,101\r\nb,102\r\nc,103\r\n", [101.0, 102.0, 103.0]),
+        ("a,101\rb,102\rc,103\r", [101.0, 102.0, 103.0]),
+        ("a,101,7\nb,102\nc,103\n", [101.0, 102.0, 103.0]),
+    ])
+    def test_cells_float_accepts_parse_as_float_does(self, tmp_path, parser, body, expected):
+        path = tmp_path / "p.csv"
+        with open(path, "w", newline="") as fh:
+            fh.write("date,price\n" + body)
+        assert ingest_prices(path).log_prices.tobytes() == np.log(expected).tobytes()
+
+    def test_quoted_comma_keeps_csv_columns(self, tmp_path, parser):
+        # split at every comma, line 2 would put 9 in the price column
+        path = tmp_path / "p.csv"
+        path.write_text('a,b,price\n"q,7",9,10\nx,1,11\ny,2,12\n')
+        np.testing.assert_array_equal(ingest_prices(path).log_prices, np.log([10.0, 11.0, 12.0]))
+
+    def test_whitespace_rows_are_skipped(self, tmp_path, parser):
+        path = tmp_path / "p.csv"
+        path.write_text("date,price\na,100\n\n   \n , \nb,101\n\t\nc,102\n")
+        np.testing.assert_array_equal(ingest_prices(path).log_prices, np.log([100.0, 101.0, 102.0]))
+
+    def test_price_column_by_name(self, tmp_path, parser):
+        path = tmp_path / "p.csv"
+        path.write_text("date, close ,volume\na,100,5\nb,101,6\nc,102,7\nd,103,8\n")
+        np.testing.assert_array_equal(ingest_prices(path, price_column="close").log_prices,
+                                      np.log([100.0, 101.0, 102.0, 103.0]))
+        np.testing.assert_array_equal(ingest_prices(path).log_prices, np.log([5.0, 6, 7, 8]))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("body, message", [
+        ("", "need at least 3 price rows"),
+        ("\n\r\n\n", "need at least 3 price rows"),
+        ("a,100\nb,101\n", "need at least 3 price rows"),
+        ("a,100\nb,0\nc,101\n", "strictly positive"),
+        ("a,100\nb,-1\nc,101\n", "strictly positive"),
+    ])
+    def test_too_few_or_non_positive_prices(self, tmp_path, parser, body, message):
+        path = tmp_path / "p.csv"
+        path.write_text("date,price\n" + body)
+        with pytest.raises(DataError, match=message):
             ingest_prices(path)
 
 

@@ -5,11 +5,12 @@ import os
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.signal import find_peaks
 
 from voldens.errors import ConfigError, DataError
 from voldens.grids import DensityGrid
-from voldens.metrics import (ExperimentSpec, PureConvolution, mise, mode_count,
-                             normal_fit, run_experiment, scenario_preset)
+from voldens.metrics import (ExperimentSpec, PureConvolution, _clipped_density, mise,
+                             mode_count, normal_fit, run_experiment, scenario_preset)
 
 
 def _normal_grid(x, mean=0.0, sd=1.0):
@@ -54,7 +55,58 @@ class TestMise:
             mise(a, b)
 
 
+def _random_curve(rng, case):
+    """A curve on a random increasing grid: noisy bumps, plateaus (also at the
+    edges), runs clipped to zero, or a 3-point grid, cycling with `case`."""
+    size = 3 if case % 5 == 4 else int(rng.integers(3, 400))
+    x = np.cumsum(rng.uniform(0.01, 0.1, size))
+    kind = case % 5
+    if kind == 0:  # noisy bumps
+        centres = rng.uniform(x[0], x[-1], int(rng.integers(1, 5)))
+        vals = sum(np.exp(-(x - c) ** 2 / rng.uniform(0.01, 1.0)) for c in centres)
+        vals = vals + rng.normal(0.0, rng.uniform(0.0, 0.2), size)
+    elif kind == 1:  # quantized: plateaus everywhere, edge plateaus included
+        vals = rng.integers(0, 4, size).astype(float)
+    elif kind == 2:  # long runs of equal values
+        vals = np.repeat(rng.normal(size=size), rng.integers(1, 6, size))[:size]
+    elif kind == 3:  # a random walk dipping below zero: clipped zero runs
+        vals = np.cumsum(rng.normal(size=size)) + rng.normal(0.0, 2.0)
+    else:  # 3 points
+        vals = rng.integers(-1, 3, size).astype(float)
+    vals[rng.integers(size)] = abs(vals.max()) + 1.0  # some positive mass
+    return DensityGrid(x, vals)
+
+
 class TestModeCount:
+    def test_matches_find_peaks_on_random_curves(self):
+        rng = np.random.default_rng(20)
+        for case in range(1500):
+            grid = _random_curve(rng, case)
+            count = mode_count(grid)
+            peaks, _ = find_peaks(_clipped_density(grid), prominence=0.05)
+            assert type(count) is int
+            assert count == peaks.size, case
+
+    def test_floor_is_inclusive_as_in_find_peaks(self):
+        # floors equal to a peak's own prominence: that peak counts
+        rng = np.random.default_rng(21)
+        for case in range(300):
+            grid = _random_curve(rng, case)
+            vals = _clipped_density(grid)
+            _, props = find_peaks(vals, prominence=0.0)
+            for floor in props["prominences"][:3]:
+                assert mode_count(grid, floor) == find_peaks(vals, prominence=floor)[0].size
+
+    def test_edge_plateaus_and_three_points(self):
+        x3 = np.arange(3.0)
+        assert mode_count(DensityGrid(x3, [0.0, 1.0, 0.0])) == 1
+        assert mode_count(DensityGrid(x3, [1.0, 1.0, 0.0])) == 0
+        assert mode_count(DensityGrid(x3, [0.0, 1.0, 1.0])) == 0
+        x = np.arange(8.0)
+        # a plateau touching either edge is not a peak; an interior one is
+        assert mode_count(DensityGrid(x, [2, 2, 1, 0, 0, 1, 2, 2])) == 0
+        assert mode_count(DensityGrid(x, [0, 2, 2, 2, 0, 0, 0, 0])) == 1
+
     def test_monotone_has_no_interior_modes(self):
         x = np.linspace(0, 1, 50)
         assert mode_count(DensityGrid(x, np.exp(x))) == 0

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.signal import fftconvolve
 
-from voldens._tables import (GUARD, Table1D, _osc_moments, fourier_quad, fourier_table,
-                             lattice_expansion, lattice_means, range_bucket)
+from voldens._tables import (_TAPS, GUARD, Table1D, _osc_moments, _stencil, fourier_quad,
+                             fourier_table, lattice_expansion, lattice_means, range_bucket)
 from voldens.errors import DataError, NumericsError
 from voldens.grids import uniform_grid, uniform_step
 from voldens.kerneldeconv import TABLE_STEP, deconv_kernel_table, kernel_band, kernel_table_request
@@ -97,6 +98,19 @@ def _estimator_lattice(name):
     return (grid[0] - y) / h, table, uniform_step(grid) / h, 1 - grid.size, 0
 
 
+def _fftconvolve_means(points, table, step, j_lo, j_hi, weights=None):
+    """`lattice_means` with its correlation taken by `scipy.signal.fftconvolve`."""
+    v = table.values
+    idx, taps = _stencil(table, points)
+    if weights is not None:
+        taps = taps * weights
+    tgt = (idx + _TAPS[:, None]).ravel()
+    ok = (tgt >= 0) & (tgt < v.size)
+    binned = np.bincount(tgt[ok], taps.ravel()[ok], minlength=v.size)
+    corr = fftconvolve(binned, v[::-1])
+    return corr[v.size - 1 + round(step / table.dx) * np.arange(j_lo, j_hi + 1)] / points.size
+
+
 class TestLatticeMeans:
     def test_dense_and_fft_paths_agree(self):
         # the FFT correlation against the pointwise definition on a larger case
@@ -137,6 +151,30 @@ class TestLatticeMeans:
         fft = lattice_means(pts, table, step, j_lo, j_hi, weights=w if weighted else None)
         dense = [np.mean(w * table(pts - j * step)) for j in range(j_lo, j_hi + 1)]
         np.testing.assert_allclose(fft, dense, rtol=1e-10, atol=1e-13)
+
+    def test_bit_identical_to_fftconvolve_on_random_tables(self):
+        rng = np.random.default_rng(11)
+        for case in range(200):
+            size = int(np.exp(rng.uniform(np.log(8), np.log(20000))))
+            dx = rng.uniform(0.001, 0.5)
+            table = Table1D(-0.5 * size * dx, dx, rng.normal(size=size))
+            stride = int(rng.integers(1, 101))
+            reach = (table.values.size - 1) // stride
+            j_lo = int(rng.integers(-reach, reach + 1))
+            j_hi = int(rng.integers(j_lo, reach + 1))
+            pts = rng.uniform(-0.6, 0.6, int(rng.integers(1, 500))) * size * dx
+            w = rng.normal(size=pts.size) if case % 2 else None
+            out = lattice_means(pts, table, stride * dx, j_lo, j_hi, weights=w)
+            ref = _fftconvolve_means(pts, table, stride * dx, j_lo, j_hi, weights=w)
+            assert np.array_equal(out, ref), (case, size, stride)
+
+    @pytest.mark.parametrize("name", ["U_0", "u_L1", "u_L3", "v_h"])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_bit_identical_to_fftconvolve_at_estimator_strides(self, name, weighted):
+        pts, table, step, j_lo, j_hi = _estimator_lattice(name)
+        w = np.random.default_rng(4).normal(2.0, 1.0, pts.size) if weighted else None
+        assert np.array_equal(lattice_means(pts, table, step, j_lo, j_hi, weights=w),
+                              _fftconvolve_means(pts, table, step, j_lo, j_hi, weights=w))
 
     def test_step_misaligned_with_table_rejected(self):
         table = Table1D(0.0, 0.1, np.ones(32))
