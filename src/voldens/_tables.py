@@ -16,9 +16,8 @@ coefficients on integer shifts) bins the points and correlates them with the
 table as one `scipy.fft` rfft product at the padded length that
 `scipy.signal.fftconvolve` uses, and its transpose `lattice_expansion`
 (coefficients to grid; the wavelet render) forms one strided dot product per
-lattice index the grid touches.  `fourier_quad` imports `scipy.integrate`
-when called, so importing this module loads only numpy, `scipy.special` and
-`scipy.fft`.
+lattice index the grid touches.  Importing this module loads only numpy,
+`scipy.special` and `scipy.fft`.
 Spectra that jump at the edges of their symmetric band [-s_max, s_max] get
 a cubic bridge, removed before the FFT and added back in closed form.
 
@@ -28,10 +27,9 @@ table step and, for spectra that jump at the edge, the edge values to
 bridge.  `Band.table` is the FFT path, through the one table cache keyed
 on the band, the range bucket and the build function; every table spans
 GUARD beyond the extent its caller needs, so the transform has decayed
-before the table ends.  `Band.quad` evaluates the same transform by direct
-adaptive quadrature of its real half-band integral (`fourier_quad`), one
-point at a time; it shares no code with the FFT path and serves as the
-independent oracle for every table in the test suite.
+before the table ends.  The tests check every Band's table against direct
+adaptive quadrature of the same spectrum, which shares no code with the FFT
+path.
 """
 
 from __future__ import annotations
@@ -44,7 +42,7 @@ import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 from scipy.special import spherical_jn
 
-from .errors import DataError, NumericsError
+from .errors import NumericsError
 
 # Relative anti-Hermitian spectrum bound above which an "is real" inverse
 # transform is considered broken (a bug or overflow regime, never a data property).
@@ -194,30 +192,6 @@ def fourier_table(
     return Table1D(x0, dx, g_slice)
 
 
-def fourier_quad(q: Callable[[float], complex], s_max: float, x) -> np.ndarray | float:
-    """G(x) = (1/2pi) * int_{-s_max}^{s_max} q(s) e^{isx} ds by adaptive quadrature, per point.
-
-    The oracle for `fourier_table`: slow, but independent of the FFT path.
-    q must be Hermitian (checked at a few nodes; DataError if not), so that
-    G(x) = (1/pi) int_0^{s_max} Re(q(s) e^{isx}) ds, one real integral per point.
-    """
-    if not all(np.isclose(q(s), np.conj(q(-s)), rtol=1e-10, atol=0.0)
-               for s in s_max * np.array([0.0, 0.13, 0.5, 0.77, 1.0])):
-        raise DataError("spectrum is not Hermitian: q(-s) != conj(q(s))")
-    from scipy.integrate import quad  # only the oracle needs it; kept off the import path
-
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-
-    def one(xx: float) -> float:
-        re, _ = quad(lambda s: (complex(q(s)) * np.exp(1j * s * xx)).real, 0.0, s_max,
-                     epsabs=1e-12, epsrel=1e-10, limit=800)
-        return re / np.pi
-
-    out = np.array([one(float(xx)) for xx in np.atleast_1d(x)])
-    return float(out[0]) if scalar else out
-
-
 @dataclass(frozen=True)
 class Band:
     """G(x) = (1/2pi) int_{-s_max}^{s_max} spectrum(s, param) e^{isx} ds, described once.
@@ -233,10 +207,6 @@ class Band:
     s_max: float
     step: float
     edges: Callable[[float, object], tuple] | None = None
-
-    def quad(self, x) -> np.ndarray | float:
-        """G at x by adaptive quadrature: the oracle for `table`."""
-        return fourier_quad(lambda s: self.spectrum(s, self.param), self.s_max, x)
 
     def table(self, extent: float, build: Callable[..., Table1D]) -> Table1D:
         """G tabulated by `build` (a `fourier_table`) over |x| <= extent + GUARD, cached."""

@@ -1,4 +1,4 @@
-"""Evaluated-function containers and the one rule for uniform grids."""
+"""The evaluated-function container and the one rule for uniform grids."""
 
 from __future__ import annotations
 
@@ -68,30 +68,3 @@ class DensityGrid:
     def to_csv(self, path, value_name: str = "value"):
         arr = np.column_stack([self.x, self.values])
         np.savetxt(path, arr, delimiter=",", header=f"x,{value_name}", comments="")
-
-
-@dataclass(eq=False)
-class CharFnTable:
-    """Complex characteristic-function values on a symmetric frequency grid.
-
-    phi(0) = 1 is structural for characteristic functions and always
-    checked here, to 1e-6.
-    """
-
-    t: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.t = np.asarray(self.t, dtype=float)
-        self.values = np.asarray(self.values, dtype=complex)
-        if self.t.shape != self.values.shape or self.t.ndim != 1:
-            raise DataError("frequency grid and values must be 1-d arrays of equal length")
-        if not np.all(np.diff(self.t) > 0):
-            raise DataError("frequency grid must be strictly increasing")
-        at0 = np.flatnonzero(self.t == 0.0)
-        if at0.size and abs(self.values[at0[0]] - 1.0) > 1e-6:
-            raise DataError("characteristic function must equal 1 at t = 0")
-
-    def to_csv(self, path):
-        arr = np.column_stack([self.t, self.values.real, self.values.imag])
-        np.savetxt(path, arr, delimiter=",", header="t,re,im", comments="")

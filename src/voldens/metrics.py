@@ -177,8 +177,9 @@ METRIC_NAMES = ("mise", "mse_at_point", "mode_count", "normal_fit_mean", "normal
 class ExperimentSpec:
     """One seeded Monte Carlo experiment.
 
-    `scenario` is a ScenarioConfig, a PureConvolution, or a preset name;
-    per-replication seeds derive deterministically from `seed_base`.
+    `scenario` is a ScenarioConfig or a PureConvolution; `run_experiment`
+    raises ConfigError for a preset name, which `scenario_preset` resolves.
+    Per-replication seeds derive deterministically from `seed_base`.
     """
 
     scenario: object

@@ -25,24 +25,10 @@ import numpy as np
 from scipy.special import digamma, loggamma
 
 from .errors import ParameterError
-from .grids import CharFnTable
 
 # Beyond this frequency |phi_k| < 1e-152 and downstream ratios are
 # meaningless; phi_k returns exactly 0 there.
 CHARFN_CUTOFF = 700.0 / np.pi
-
-
-def complex_log_gamma(z) -> np.ndarray | complex:
-    """Principal-branch log Gamma(z) (scipy's `loggamma`).
-
-    exp(result) is Gamma(z) everywhere off the poles.  Raises ParameterError
-    at the poles (nonpositive integers).
-    """
-    z = np.asarray(z, dtype=complex)
-    if np.any((z.real <= 0) & (z.imag == 0) & (z.real == np.round(z.real))):
-        raise ParameterError("log gamma pole at nonpositive integer argument")
-    out = loggamma(z)
-    return complex(out) if z.ndim == 0 else out
 
 
 def noise_density(x) -> np.ndarray | float:
@@ -110,14 +96,6 @@ def inv_noise_charfn_derivative(t) -> np.ndarray | complex:
     d = 1j * (np.log(2.0) + digamma(0.5 + 1j * t))
     out = -inv_noise_charfn(t) * d
     return complex(out[0]) if scalar else out
-
-
-def noise_charfn_table(t_max: float, n: int = 1001) -> CharFnTable:
-    """phi_k sampled on a symmetric grid, exportable as CSV for debugging."""
-    if t_max <= 0 or n < 3:
-        raise ParameterError("need t_max > 0 and at least 3 samples")
-    t = np.linspace(-t_max, t_max, n if n % 2 == 1 else n + 1)
-    return CharFnTable(t, noise_charfn(t))
 
 
 def sample_noise(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -53,18 +53,6 @@ MAX_LEVEL = math.floor(CHARFN_CUTOFF / math.pi)
 TABLE_STRIDE = 72
 
 
-def sinc_basis(L: int, j: int, x) -> np.ndarray | float:
-    """Shannon basis function psi_{L,j}(x) = sqrt(L) sinc(L x - j).
-
-    sinc is the normalized sin(pi z)/(pi z) with the removable singularity
-    filled in; the family is orthonormal in L^2 for fixed L.
-    """
-    _check_level(L, math.inf)
-    x = np.asarray(x, dtype=float)
-    out = np.sqrt(L) * np.sinc(L * x - j)
-    return float(out) if out.ndim == 0 else out
-
-
 # --------------------------------------------------------------------------- u functions
 
 def _u_spectrum(s, L):
@@ -96,13 +84,6 @@ def u_zero_table(L: int, extent: float) -> Table1D:
     return u_band(L).table(extent, fourier_table)
 
 
-def u_basis(y, L: int, j: int) -> np.ndarray | float:
-    """u_{psi_{L,j}}(y), via the tabulated u_{psi_{L,0}} and the shift identity."""
-    _check_level(L)
-    z = np.asarray(y, dtype=float) - j / L
-    return u_zero_table(L, float(np.max(np.abs(z), initial=0.0)))(z)
-
-
 # --------------------------------------------------------------------------- coefficients and contrast
 
 def ppe_coefficients(y, L: int, k_n: int) -> np.ndarray:
@@ -125,19 +106,6 @@ def contrast(coefficients: np.ndarray) -> float:
     if not np.all(np.isfinite(c)):
         raise DataError("non-finite coefficients")
     return float(-np.sum(c * c))
-
-
-def empirical_contrast(coeffs: np.ndarray, a_hat: np.ndarray) -> float:
-    """gamma_n(h) for h = sum_j c_j psi_{L,j}: ||c||^2 - 2 <c, a_hat>.
-
-    Exact algebra given the coefficient estimates; minimized at c = a_hat,
-    where it equals `contrast(a_hat)`.
-    """
-    c = np.asarray(coeffs, dtype=float)
-    a = np.asarray(a_hat, dtype=float)
-    if c.shape != a.shape:
-        raise DataError("coefficient vectors must share a shape")
-    return float(c @ c - 2.0 * (c @ a))
 
 
 def phi_k_integral(L: int) -> float:

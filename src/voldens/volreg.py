@@ -6,8 +6,10 @@ The discrete-time model is X_t = sigma_t Z_t with
 
 eta i.i.d. centered Gaussian, under the stability condition
 limsup_{|x| -> oo} |m(x)/x| < 1, which `svsim.ArParams` checks exactly.
-With Y_t = log X_t^2 the regression function m is estimated by mimicking
-Nadaraya-Watson with the deconvoluting kernel v_h of the kernel module:
+The `nonlinear-ar` scenario with `substeps = 1` and `delta = 1` simulates
+it.  With Y_t = log X_t^2 the regression function m is estimated by
+mimicking Nadaraya-Watson with the deconvoluting kernel v_h of the kernel
+module:
 
     m_nh(x) = [ (1/(n h)) sum_j v_h((x - Y_j)/h) Y_{j+1} ] / f_nh(x),
 
@@ -36,67 +38,18 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from .errors import DataError, ParameterError
 from .kerneldeconv import deconv_kernel_table, kernel_sums, kernel_table_request
-from .svsim import ArParams, _rng, as_log_squared, log_squared_transform, simulate_ar_logvol
+from .svsim import as_log_squared
 
 DENOMINATOR_FLOOR = 1e-4
 #: E log Z^2 for standard normal Z: psi(1/2) + log 2 = -(euler_gamma + log 2).
 #: The response Y_{j+1} carries this known constant; the estimator removes it
 #: so that the quotient targets m itself (see `regression_estimate`).
 NOISE_MEAN = -(np.euler_gamma + np.log(2.0))
-
-
-@dataclass(frozen=True)
-class ArScenario:
-    """A nonlinear-AR log-volatility scenario.
-
-    `params` names the regression function (linear or saturating tanh) and
-    the innovation scale; `noise_correlation` is corr(eta_t, Z_t) for fixed
-    t (0 by default: the fully independent volatility model; nonzero values
-    give the predictable-volatility model class).
-    """
-
-    params: ArParams
-    n: int
-    seed: int = 7
-    burn_in: int = 1000
-    noise_correlation: float = 0.0
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ParameterError("need at least n = 2 observations")
-        if self.burn_in < 0:
-            raise ParameterError("burn-in must be >= 0")
-        if not (-1.0 < self.noise_correlation < 1.0):
-            raise ParameterError("noise correlation must be in (-1, 1)")
-
-
-def simulate_nonlinear_ar(scenario: ArScenario) -> tuple[np.ndarray, np.ndarray]:
-    """Simulate (Y_1..Y_n, xi_1..xi_n) from the autoregression.
-
-    The chain is `svsim.simulate_ar_logvol`, burned in from 0 for `burn_in`
-    steps; the observation noise eps_t = log Z_t^2 comes from a second
-    stream, with Z_t optionally correlated with the innovation eta_t at the
-    same index.
-    """
-    p = scenario.params
-    xi = simulate_ar_logvol(p.regression(), p.innovation_sd, scenario.n - 1,
-                            scenario.seed, scenario.burn_in)
-    # the chain's driving normals, redrawn from the same key for the Z stream
-    total = scenario.burn_in + scenario.n
-    eta_std = _rng(scenario.seed).standard_normal(total)
-    z_indep = _rng(scenario.seed + 1_000_003).standard_normal(total)
-    rho = scenario.noise_correlation
-    # Z shares rho of the innovation's driving normal
-    z = rho * eta_std + math.sqrt(1.0 - rho * rho) * z_indep
-    zz = z[scenario.burn_in:]
-    y = xi + log_squared_transform(zz)
-    return y, xi
 
 
 def default_regression_bandwidth(n: int, gamma: float) -> float:
@@ -172,12 +125,3 @@ def regression_estimate(y, h: float, grid: np.ndarray,
         diagnostics={"n_pairs": int(y_now.size), "masked_points": int(mask.sum()),
                      "noise_mean": noise_mean},
     )
-
-
-def regression_residual_field(estimate: RegressionEstimate,
-                              m: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """p_nh(x) = numerator - m(x) * denominator, the error-decomposition numerator.
-
-    Satisfies m_hat(x) - m(x) = p_nh(x) / f_nh(x) at unmasked points exactly.
-    """
-    return estimate.numerator - m(estimate.x) * estimate.denominator

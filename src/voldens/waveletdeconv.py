@@ -32,14 +32,13 @@ and the estimator is g_hat(x) = sum_{|l| <= L} a_hat_{m,l} phi_{m,l}(x).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._tables import Band, Table1D, fourier_table, lattice_expansion, lattice_means
 from .errors import DataError, ParameterError
-from .grids import CharFnTable, DensityGrid, uniform_grid
+from .grids import DensityGrid, uniform_grid
 from .noisemodel import inv_noise_charfn
 from .svsim import as_log_squared
 
@@ -98,18 +97,6 @@ def meyer_scaling_fourier(omega) -> np.ndarray | float:
     mass = np.where(mass > _MASS_FLOOR, mass, 0.0)
     out = np.sqrt(np.clip(mass, 0.0, 1.0))
     return float(out[0]) if scalar else out
-
-
-def meyer_wavelet_fourier(omega) -> np.ndarray | complex:
-    """psi~(omega) = e^{-i omega/2} ( mu(|omega|/2 - pi, |omega| - pi] )^{1/2}."""
-    omega = np.asarray(omega, dtype=float)
-    scalar = omega.ndim == 0
-    omega = np.atleast_1d(omega)
-    a = np.abs(omega)
-    mass = bump_cdf(a - np.pi) - bump_cdf(0.5 * a - np.pi)
-    mass = np.where(mass > _MASS_FLOOR, mass, 0.0)
-    out = np.exp(-0.5j * omega) * np.sqrt(np.clip(mass, 0.0, 1.0))
-    return complex(out[0]) if scalar else out
 
 
 # --------------------------------------------------------------------------- tabulated functions
@@ -248,27 +235,3 @@ def render_scaling_expansion(coeffs: np.ndarray, m: int, grid: np.ndarray) -> np
     pts = (2.0 ** m) * np.asarray(grid, dtype=float)
     table = scaling_table(float(np.max(np.abs(pts))) + coeffs.size // 2)
     return 2.0 ** (m / 2.0) * lattice_expansion(pts, table, 1.0, coeffs)
-
-
-# --------------------------------------------------------------------------- Sobolev norm
-
-def sobolev_norm(table: CharFnTable, alpha: float) -> float:
-    """|| g ||_alpha = ( int |g~(omega)|^2 (omega^2 + 1)^alpha d omega )^{1/2}.
-
-    The integral runs over the table's frequency grid by the trapezoid rule
-    (no 1/2pi factor: at alpha = 0 the square equals 2 pi * int g^2 by
-    Plancherel).  A warning is emitted when the endpoint integrand carries
-    more than 1e-6 of the total, i.e. the tabulated range truncates it.
-    """
-    if alpha < 0:
-        raise ParameterError("alpha must be >= 0")
-    w = np.abs(table.values) ** 2 * (table.t ** 2 + 1.0) ** alpha
-    total = float(np.trapezoid(w, table.t))
-    dt = np.diff(table.t)
-    edge = float(w[0] * dt[0] + w[-1] * dt[-1])
-    if total > 0 and edge > 1e-6 * total:
-        warnings.warn(
-            f"Sobolev integral looks truncation-dominated: edge contribution "
-            f"{edge:.3e} vs total {total:.3e}; extend the frequency grid",
-            stacklevel=2)
-    return math.sqrt(total)

@@ -15,17 +15,16 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import gamma as gamma_dist
 
+from reference import regression_residual_field, simulate_discrete_ar, sinc_basis, u_basis
 from voldens.grids import DensityGrid
 from voldens.kerneldeconv import KernelSpec, estimate_density, wand_charfn, wand_kernel
 from voldens.metrics import (PureConvolution, default_evaluation_grid, mise,
                              mode_count)
 from voldens.noisemodel import noise_charfn
-from voldens.ppe import (PpeConfig, phi_k_integral, render_sinc_expansion,
-                         select_and_estimate, sinc_basis, u_basis)
+from voldens.ppe import PpeConfig, phi_k_integral, render_sinc_expansion, select_and_estimate
 from voldens.svsim import (ArParams, OuParams, RegimeSwitchParams, ScenarioConfig,
                            invariant_density, simulate_scenario)
-from voldens.volreg import (ArScenario, regression_estimate,
-                            regression_residual_field, simulate_nonlinear_ar)
+from voldens.volreg import regression_estimate
 from voldens.waveletdeconv import wavelet_coefficients, wavelet_estimate
 
 
@@ -336,8 +335,8 @@ def test_criterion_10_regression_direction_and_identity():
     for rep in range(reps):
         errs = {}
         for n in (2000, 20_000):
-            sc = ArScenario(params, n=n, seed=900 + rep)
-            yv, _ = simulate_nonlinear_ar(sc)
+            series, _ = simulate_discrete_ar(params, n, 900 + rep)
+            yv = series.log_squared
             est_n = regression_estimate(yv, 3.5 / np.log(n), grid)
             errs[n] = float(np.nanmax(np.abs(est_n.m_hat - 0.5 * grid)))
         wins += errs[20_000] < errs[2000]

@@ -204,6 +204,11 @@ class TestHarness:
         with pytest.raises(ConfigError):
             scenario_preset("heston", n=50)
 
+    def test_preset_name_rejected(self):
+        # a preset name must be resolved with scenario_preset first
+        with pytest.raises(ConfigError, match="scenario_preset"):
+            run_experiment(ExperimentSpec(scenario="ou-exp"))
+
     def test_unknown_metric_rejected(self):
         with pytest.raises(ConfigError):
             ExperimentSpec(scenario=PureConvolution(), metrics=("rmse",))

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from voldens._tables import fourier_quad
+from reference import (empirical_contrast, fourier_quad, ppe_oracle_coefficients, sinc_basis,
+                       u_basis)
 from voldens.errors import ConfigError, DataError, ParameterError
 from voldens.metrics import PureConvolution
-from voldens.ppe import (MAX_LEVEL, PpeConfig, contrast, empirical_contrast,
-                         penalty, phi_k_integral, ppe_coefficients,
-                         render_sinc_expansion, select_and_estimate, sinc_basis,
-                         u_band, u_basis, u_zero_table)
+from voldens.ppe import (MAX_LEVEL, PpeConfig, contrast, penalty, phi_k_integral,
+                         ppe_coefficients, render_sinc_expansion, select_and_estimate,
+                         u_band, u_zero_table)
 
 
 class TestSincBasis:
@@ -139,6 +139,20 @@ class TestCoefficientsAndContrast:
                 perturbed = a_hat.copy()
                 perturbed[idx] += eps
                 assert empirical_contrast(perturbed, a_hat) > base
+
+    # rtol is relative to max |oracle| at the level, three times the error the
+    # table path showed when the case was added
+    @pytest.mark.parametrize("L, coeff_rtol, contrast_rtol", [
+        (1, 1.2e-7, 2.3e-7), (2, 9.9e-8, 2.0e-7), (4, 1.6e-7, 3.1e-7), (8, 7.0e-7, 1.6e-6)],
+        ids=["L1", "L2", "L4", "L8"])
+    def test_coefficients_match_fourier_oracle(self, L, coeff_rtol, contrast_rtol):
+        # a_{L,j} for |j| <= K_n = 20 from direct ECF sums at Gauss-Legendre
+        # nodes: no FFT, no bridge and no table
+        y = PureConvolution(0.0, 1.0, 200, seed=64000).draw()
+        oracle = ppe_oracle_coefficients(y, L, 20)
+        a_hat = ppe_coefficients(y, L, 20)
+        assert np.max(np.abs(a_hat - oracle)) <= coeff_rtol * np.max(np.abs(oracle))
+        assert contrast(a_hat) == pytest.approx(contrast(oracle), rel=contrast_rtol)
 
     def test_contrast_nonincreasing_in_truncation(self):
         rng = np.random.default_rng(23)

@@ -1,27 +1,32 @@
-"""Tests for the nonlinear-AR simulator and the deconvolution regression estimator."""
+"""Tests for the nonlinear-AR scenario and the deconvolution regression estimator."""
 
 import numpy as np
 import pytest
 
+from reference import regression_residual_field, simulate_discrete_ar
 from voldens.errors import DataError, ParameterError
 from voldens.svsim import ArParams, simulate_ar_logvol
-from voldens.volreg import (NOISE_MEAN, ArScenario, default_regression_bandwidth,
-                            regression_estimate, regression_residual_field,
-                            simulate_nonlinear_ar)
+from voldens.volreg import NOISE_MEAN, default_regression_bandwidth, regression_estimate
+
+
+def ar_observations(params: ArParams, n: int, seed: int):
+    """(Y_1..Y_n, xi_1..xi_n) of the discrete-time model."""
+    series, vol = simulate_discrete_ar(params, n, seed)
+    return series.log_squared, vol.log_sigma2[:n]
 
 
 class TestArScenario:
     def test_stability_rejects_identity_map(self):
         with pytest.raises(ParameterError):
-            ArScenario(ArParams("linear", slope=1.0), n=100)
+            ArParams("linear", slope=1.0)
 
     def test_stability_accepts_contraction_and_tanh(self):
-        ArScenario(ArParams("linear", slope=0.9), n=100)
-        ArScenario(ArParams("tanh", scale=50.0), n=100)
+        ArParams("linear", slope=0.9)
+        ArParams("tanh", scale=50.0)
 
     def test_stability_is_exact_for_a_large_intercept(self):
         # AR(1) with |slope| < 1 is stationary whatever its intercept
-        ArScenario(ArParams("linear", slope=0.99, intercept=10.0), n=100)
+        ArParams("linear", slope=0.99, intercept=10.0)
 
     @pytest.mark.parametrize("slope", [1.5, -1.0, float("nan")])
     def test_unstable_slope_rejected_by_the_parameters(self, slope):
@@ -30,56 +35,64 @@ class TestArScenario:
 
     def test_constant_regression_stationary_law(self):
         # m == c: xi_t = c + eta_{t-1}, stationary N(c, sd^2)
-        sc = ArScenario(ArParams("linear", slope=0.0, intercept=1.4,
-                                 innovation_sd=0.6), n=40_000, seed=5)
-        _, xi = simulate_nonlinear_ar(sc)
+        _, xi = ar_observations(ArParams("linear", slope=0.0, intercept=1.4,
+                                         innovation_sd=0.6), n=40_000, seed=5)
         assert abs(xi.mean() - 1.4) < 3 * 0.6 / np.sqrt(xi.size)
         assert abs(xi.var() - 0.36) < 3 * 0.36 * np.sqrt(2 / xi.size)
 
     def test_linear_regression_stationary_law(self):
         # AR(1): N(0, sd^2 / (1 - a^2)); autocorrelation inflates the moment SEs
-        sc = ArScenario(ArParams("linear", slope=0.5, innovation_sd=1.0),
-                        n=40_000, seed=6)
-        _, xi = simulate_nonlinear_ar(sc)
+        _, xi = ar_observations(ArParams("linear", slope=0.5, innovation_sd=1.0),
+                                n=40_000, seed=6)
         var_target = 1.0 / 0.75
         n_eff = xi.size * (1 - 0.5) / (1 + 0.5)
         assert abs(xi.mean()) < 3 * np.sqrt(var_target / n_eff)
         assert abs(xi.var() - var_target) < 3 * var_target * np.sqrt(2 / n_eff)
 
     def test_observation_is_signal_plus_noise(self):
-        sc = ArScenario(ArParams("linear", slope=0.3), n=5000, seed=7)
-        y, xi = simulate_nonlinear_ar(sc)
-        eps = y - xi
-        # eps is log Z^2: mean -(gamma + log 2), variance pi^2/2, and the
-        # fourth cumulant psi'''(1/2) = pi^4 drives the variance-of-variance
-        assert abs(eps.mean() - NOISE_MEAN) < 3 * np.sqrt(np.pi ** 2 / 2 / eps.size)
-        se_var = np.sqrt((np.pi ** 4 + 2 * (np.pi ** 2 / 2) ** 2) / eps.size)
-        assert abs(eps.var() - np.pi ** 2 / 2) < 3 * se_var
-
-    def test_noise_correlation_knob(self):
-        sc = ArScenario(ArParams("linear", slope=0.3), n=2000, seed=8,
-                        noise_correlation=0.6)
-        y, xi = simulate_nonlinear_ar(sc)
-        assert y.shape == xi.shape == (2000,)
-        with pytest.raises(ParameterError):
-            ArScenario(ArParams("linear", slope=0.3), n=100, noise_correlation=1.0)
+        y, xi = ar_observations(ArParams("linear", slope=0.3), n=5000, seed=7)
+        _assert_log_chi2_moments(y - xi)
 
     def test_reproducibility(self):
-        sc = ArScenario(ArParams("linear", slope=0.5), n=500, seed=4)
-        y1, x1 = simulate_nonlinear_ar(sc)
-        y2, x2 = simulate_nonlinear_ar(sc)
+        params = ArParams("linear", slope=0.5)
+        y1, x1 = ar_observations(params, n=500, seed=4)
+        y2, x2 = ar_observations(params, n=500, seed=4)
         assert np.array_equal(y1, y2) and np.array_equal(x1, x2)
+
+
+def _assert_log_chi2_moments(eps):
+    # eps is log Z^2: mean -(gamma + log 2), variance pi^2/2, and the
+    # fourth cumulant psi'''(1/2) = pi^4 drives the variance-of-variance
+    assert abs(eps.mean() - NOISE_MEAN) < 3 * np.sqrt(np.pi ** 2 / 2 / eps.size)
+    se_var = np.sqrt((np.pi ** 4 + 2 * (np.pi ** 2 / 2) ** 2) / eps.size)
+    assert abs(eps.var() - np.pi ** 2 / 2) < 3 * se_var
 
 
 @pytest.mark.parametrize("function", ["linear", "tanh"])
 @pytest.mark.parametrize("burn_in", [0, 5, 1000])
 def test_xi_is_the_svsim_ar_path(function, burn_in):
+    # the scenario runs one chain from xi = 0 and drops its first 1000 steps;
+    # the svsim path cut after any other burn-in reads the same values
     params = ArParams(function, slope=0.6, intercept=0.1, scale=0.8, innovation_sd=0.7)
-    sc = ArScenario(params, n=800, seed=12, burn_in=burn_in, noise_correlation=0.4)
-    _, xi = simulate_nonlinear_ar(sc)
-    path = simulate_ar_logvol(params.regression(), params.innovation_sd, sc.n - 1,
-                              sc.seed, burn_in)
-    assert np.array_equal(xi, path)
+    n, seed = 800, 12
+    _, xi = ar_observations(params, n, seed)
+    path = simulate_ar_logvol(params.regression(), params.innovation_sd,
+                              1000 - burn_in + n - 1, seed, burn_in)
+    assert np.array_equal(xi, path[1000 - burn_in:])
+
+
+@pytest.mark.parametrize("function", ["linear", "tanh"])
+def test_nonlinear_ar_scenario_is_the_discrete_time_model(function):
+    # one substep per unit gap: the observation is Y_t = xi_t + log Z_t^2 with
+    # xi the svsim chain itself, as in the discrete-time model
+    params = ArParams(function, slope=0.6, intercept=0.1, scale=0.8, innovation_sd=0.7)
+    n, seed = 20_000, 31
+    series, vol = simulate_discrete_ar(params, n, seed)
+    xi = simulate_ar_logvol(params.regression(), params.innovation_sd, n, seed)[:n]
+    assert np.array_equal(vol.log_sigma2[:n], xi)
+    assert np.max(np.abs(series.xi - xi)) <= 1e-15
+    _assert_log_chi2_moments(series.log_squared - xi)
+
 
 
 class TestRegressionBandwidth:
@@ -160,9 +173,8 @@ class TestRegressionEstimate:
         c = 0.5
         devs = []
         for rep in range(10):
-            sc = ArScenario(ArParams("linear", slope=0.0, intercept=c,
-                                     innovation_sd=0.8), n=4000, seed=500 + rep)
-            y, _ = simulate_nonlinear_ar(sc)
+            y, _ = ar_observations(ArParams("linear", slope=0.0, intercept=c,
+                                            innovation_sd=0.8), n=4000, seed=500 + rep)
             grid = np.linspace(c - 0.8, c + 0.8, 21)
             est = regression_estimate(y, 3.5 / np.log(4000), grid)
             devs.append(np.nanmean(est.m_hat[~est.mask]) - c)
@@ -174,9 +186,8 @@ class TestRegressionEstimate:
         # frozen from a brute-force calibration run (max error 0.29 across 20
         # seeds at these settings; 0.45 leaves headroom for one fixed seed)
         n = 20_000
-        sc = ArScenario(ArParams("linear", slope=0.5, innovation_sd=1.0),
-                        n=n, seed=903)
-        y, _ = simulate_nonlinear_ar(sc)
+        y, _ = ar_observations(ArParams("linear", slope=0.5, innovation_sd=1.0),
+                               n=n, seed=903)
         sd = 1.0 / np.sqrt(0.75)
         q = 0.6744897501960817 * sd
         grid = np.linspace(-q, q, 81)
