@@ -14,12 +14,15 @@ sums over the table lattice: `lattice_means` (data to coefficients; the
 kernel and regression sums on a uniform grid, and the wavelet and PPE
 coefficients on integer shifts) bins the points and correlates them with the
 table as one `scipy.fft` rfft product at the padded length that
-`scipy.signal.fftconvolve` uses, and its transpose `lattice_expansion`
-(coefficients to grid; the wavelet render) forms one strided dot product per
-lattice index the grid touches.  Importing this module loads only numpy,
-`scipy.special` and `scipy.fft`.
+`scipy.signal.fftconvolve` uses (the table's own spectrum at that length is
+computed once, by the first call, and kept on the table), and its transpose
+`lattice_expansion` (coefficients to grid; the wavelet render) forms one
+strided dot product per lattice index the grid touches.  Importing this
+module loads only numpy, `scipy.special` and `scipy.fft`.
 Spectra that jump at the edges of their symmetric band [-s_max, s_max] get
-a cubic bridge, removed before the FFT and added back in closed form.
+a cubic bridge, removed before the FFT and added back in elementary closed
+form (`_bridge_transform`: cos and sin times two polynomials in
+1/(s_max x), with spherical-Bessel moments only near x = 0).
 
 Each tabulated transform is described once, by a frozen `Band`: its
 spectrum (a module-level function of (s, param)), the band edge s_max, the
@@ -55,6 +58,9 @@ OVERSAMPLE = 2.0
 SPECTRUM_SAMPLES = 4096
 #: every table spans this much beyond the extent its caller needs
 GUARD = 8.0
+#: `_bridge_transform` uses the Bessel moments below this |s_max x| and the
+#: elementary closed form from it on
+BRIDGE_NEAR_THETA = 4.0
 
 
 class Table1D:
@@ -64,7 +70,7 @@ class Table1D:
     size the range so that the tabulated function has decayed there.
     """
 
-    __slots__ = ("x0", "dx", "values")
+    __slots__ = ("x0", "dx", "values", "corr_spectrum")
 
     def __init__(self, x0: float, dx: float, values: np.ndarray):
         values = np.asarray(values, dtype=float)
@@ -74,6 +80,9 @@ class Table1D:
         self.values = np.concatenate([[0.0, 0.0], values, [0.0, 0.0]])
         self.x0 = float(x0) - 2.0 * dx
         self.dx = float(dx)
+        # rfft of the reversed values at the padded length of `lattice_means`,
+        # computed by its first call and reused by every later one
+        self.corr_spectrum: np.ndarray | None = None
 
     def grid(self) -> np.ndarray:
         return self.x0 + self.dx * np.arange(2, self.values.size - 2)
@@ -180,7 +189,7 @@ def fourier_table(
     x0 = -k_half * dx
 
     if edge_derivatives is not None:
-        g_slice += _bridge_transform(beta, s_max, x0 + dx * np.arange(g_slice.size)).real
+        g_slice += _bridge_transform(beta, s_max, x0 + dx * np.arange(g_slice.size))
 
     scale = np.max(np.abs(g_slice)) + 1e-300
     bound = ds / (2.0 * np.pi) * np.sum(np.abs(q_pos - q_neg))
@@ -246,9 +255,30 @@ def _osc_moments(theta: np.ndarray) -> np.ndarray:
 
 
 def _bridge_transform(beta, s_max, x: np.ndarray) -> np.ndarray:
-    """(1/2pi) * int_{-s_max}^{s_max} p(s) e^{isx} ds for the bridge p, in closed form."""
-    mom = _osc_moments(s_max * np.asarray(x, dtype=float))
-    return (s_max / (2.0 * np.pi)) * sum(beta[k] * mom[k] for k in range(4))
+    """Re (1/2pi) * int_{-s_max}^{s_max} p(s) e^{isx} ds for the bridge p, in closed form.
+
+    With theta = s_max x and u = 1/theta, integrating the cubic p(sigma) by
+    parts four times gives the exact
+    int_{-1}^{1} p e^{i theta sigma} d sigma
+    = [e^{i theta sigma} sum_{r<=3} (-1)^r p^(r)(sigma) / (i theta)^(r+1)]_{-1}^{1},
+    whose real part is cos(theta) A(u) - sin(theta) B(u) with the real
+    A(u) = a1 u + a2 u^2 + a3 u^3 and B(u) = c1 u + c2 u^2 + a2 u^3 + a3 u^4.
+    Below |theta| = BRIDGE_NEAR_THETA their high powers of u cancel badly, so
+    those few points take the spherical-Bessel moments of `_osc_moments`.
+    """
+    theta = s_max * np.asarray(x, dtype=float)
+    b0, b1, b2, b3 = np.asarray(beta, dtype=complex)
+    a1, a2, a3 = 2.0 * (b1 + b3).imag, 4.0 * b2.real, -12.0 * b3.imag
+    c1, c2 = -2.0 * (b0 + b2).real, 2.0 * (b1 + 3.0 * b3).imag
+    near = np.flatnonzero(np.abs(theta) < BRIDGE_NEAR_THETA)
+    t = theta.copy()
+    t[near] = BRIDGE_NEAR_THETA  # any value off zero; these points are overwritten below
+    u = 1.0 / t
+    out = np.cos(t) * (u * (a1 + u * (a2 + u * a3)))
+    out -= np.sin(t) * (u * (c1 + u * (c2 + u * (a2 + u * a3))))
+    mom = _osc_moments(theta[near])
+    out[near] = sum(beta[k] * mom[k] for k in range(4)).real
+    return (s_max / (2.0 * np.pi)) * out
 
 
 def lattice_means(points: np.ndarray, table: Table1D, step: float, j_lo: int, j_hi: int,
@@ -262,7 +292,9 @@ def lattice_means(points: np.ndarray, table: Table1D, step: float, j_lo: int, j_
     means collapses to one cross-correlation: one `scipy.fft` rfft product
     at `fftconvolve`'s padded length `next_fast_len(size, real)`, so the
     result is bit for bit `fftconvolve(binned, v[::-1])` without importing
-    `scipy.signal`.
+    `scipy.signal`.  The binned data always have the table's size, so that
+    length is the table's own, and the table's factor of the product is
+    computed by the first call and kept in `table.corr_spectrum`.
     """
     points = np.asarray(points, dtype=float)
     n = points.size
@@ -282,7 +314,11 @@ def lattice_means(points: np.ndarray, table: Table1D, step: float, j_lo: int, j_
     # correlation R[s] = sum_m binned[m] v[m - s]; c_j = R[j*stride] / n
     size = binned.size + v.size - 1
     fast = next_fast_len(size, True)
-    corr = irfft(rfft(binned, fast) * rfft(v[::-1], fast), fast)[:size]
+    if table.corr_spectrum is None:
+        table.corr_spectrum = rfft(v[::-1], fast)
+    spec = rfft(binned, fast)
+    spec *= table.corr_spectrum
+    corr = irfft(spec, fast)[:size]
     wanted = v.size - 1 + stride * np.arange(j_lo, j_hi + 1)
     if wanted.min() < 0 or wanted.max() >= corr.size:
         raise ValueError("table does not cover the requested shift range")

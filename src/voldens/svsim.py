@@ -11,7 +11,8 @@ xi_t = log sigma_t^2 follows one of three models:
                        (piecewise constant over each Delta interval).
 
 The OU factor is sampled with its exact Gaussian transition (no
-discretization bias in the ground truth); only the price integral uses
+discretization bias in the ground truth), and its AR(1) recursion runs as a
+numpy doubling scan, with no scipy import; only the price integral uses
 Euler-Maruyama, on a fine grid of `substeps` intervals per Delta.  Random
 numbers come from counter-based Philox streams keyed separately for the
 volatility and price noise, so a ScenarioConfig reproduces its output
@@ -361,11 +362,17 @@ def simulate_ou(params: OuParams, steps: int, dt: float,
         path[0] = mu + np.sqrt(params.stationary_variance) * rng.standard_normal()
     else:
         path[0] = params.x0
-    from scipy.signal import lfilter  # loaded only by runs that simulate an OU path
-
-    # AR(1) recursion x_{k+1} = decay * x_k + (mu (1 - decay) + shock_k) as a linear filter
+    # AR(1) recursion x_{k+1} = decay * x_k + (mu (1 - decay) + shock_k), with
+    # decay * x_0 folded into the first input, as a doubling scan: after the
+    # pass at shift s every entry holds its inputs' decayed sum over a window
+    # of 2s steps.  Stop once the window covers the path or decay^s < 1e-17.
     inputs = mu * (1.0 - decay) + trans_sd * rng.standard_normal(steps)
-    path[1:] = lfilter([1.0], [1.0, -decay], inputs, zi=np.array([decay * path[0]]))[0]
+    inputs[0] += decay * path[0]
+    shift = 1
+    while shift < steps and (power := decay ** shift) > 1e-17:
+        inputs[shift:] += power * inputs[:-shift]
+        shift *= 2
+    path[1:] = inputs
     return path
 
 
@@ -502,10 +509,15 @@ def simulate_price(sigma2_path: np.ndarray, config: ScenarioConfig,
 
 
 def simulate_scenario(config: ScenarioConfig) -> tuple[ObservationSeries, VolatilityPath]:
-    """Volatility factor plus observed prices for one scenario."""
+    """Volatility factor plus observed prices for one scenario.
+
+    The series' ground truth `xi` is the simulated log sigma^2 itself at the
+    left end of each Delta interval, not the log of its exponential.
+    """
     vol = simulate_volatility(config)
     series = simulate_price(vol.sigma2, config)
-    return series, vol
+    xi = vol.log_sigma2[: config.n * config.substeps : config.substeps]
+    return replace(series, xi=xi), vol
 
 
 # --------------------------------------------------------------------------- invariant density

@@ -88,16 +88,28 @@ HEAVY_SCIPY = {"scipy.signal", "scipy.stats", "scipy.integrate", "scipy.interpol
                "scipy.optimize", "scipy.linalg"}
 
 
-@pytest.mark.parametrize("module", ["voldens", "voldens.cli"])
-def test_import_loads_no_heavy_scipy_module(module):
+def _modules_loaded_by(code):
+    """The names in sys.modules after running `code` in a fresh interpreter."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    code = f"import sys, {module}; print(' '.join(sorted(sys.modules)))"
+    code = f"import sys; {code}; print(' '.join(sorted(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=120, check=True)
-    loaded = set(proc.stdout.split())
+    return set(proc.stdout.split())
+
+
+@pytest.mark.parametrize("module", ["voldens", "voldens.cli"])
+def test_import_loads_no_heavy_scipy_module(module):
+    loaded = _modules_loaded_by(f"import {module}")
     assert {"numpy", "scipy.special", "scipy.fft"} <= loaded
+    assert not loaded & HEAVY_SCIPY, sorted(loaded & HEAVY_SCIPY)
+
+
+@pytest.mark.parametrize("preset", ["ou-exp", "regime-switch"])
+def test_simulation_loads_no_heavy_scipy_module(preset):
+    loaded = _modules_loaded_by("from voldens import scenario_preset, simulate_scenario; "
+                                f"simulate_scenario(scenario_preset({preset!r}, 300))")
     assert not loaded & HEAVY_SCIPY, sorted(loaded & HEAVY_SCIPY)
 
 

@@ -9,6 +9,7 @@ from voldens.svsim import (ArParams, ObservationSeries, OuParams,
                            log_squared_transform, simulate_markov2, simulate_ou,
                            simulate_price, simulate_scenario, simulate_volatility)
 from voldens.kerneldeconv import KernelSpec, estimate_density
+from voldens.metrics import scenario_preset
 from voldens.ppe import select_and_estimate
 from voldens.volreg import regression_estimate
 from voldens.waveletdeconv import wavelet_estimate
@@ -16,6 +17,25 @@ from voldens.waveletdeconv import wavelet_estimate
 
 def _philox(seed):
     return np.random.Generator(np.random.Philox(key=seed))
+
+
+def _lfilter_ou(params, steps, dt, rng):
+    """The OU path as one `scipy.signal.lfilter` of the same draws: the reference."""
+    from scipy.signal import lfilter
+
+    b, mu, a = params.mean_reversion, params.level, params.diffusion
+    decay = np.exp(-b * dt)
+    trans_sd = a * np.sqrt((1.0 - decay * decay) / (2.0 * b))
+    x0 = (mu + np.sqrt(params.stationary_variance) * rng.standard_normal()
+          if params.x0 is None else params.x0)
+    inputs = mu * (1.0 - decay) + trans_sd * rng.standard_normal(steps)
+    return np.concatenate([[x0], lfilter([1.0], [1.0, -decay], inputs,
+                                         zi=np.array([decay * x0]))[0]])
+
+
+def _assert_close_to_lfilter(path, ref):
+    assert path.shape == ref.shape
+    assert np.max(np.abs(path - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestOuSimulation:
@@ -65,6 +85,46 @@ class TestOuSimulation:
         # Euler discretization bias at this step size is well below the MC noise
         assert abs(x.mean() - exact_mean) < 3 * se_mean + 1e-3
         assert abs(x.var() - exact_var) < 3 * se_var + 1e-3
+
+    @pytest.mark.parametrize("n", [20_000, 5_000, 2_600])
+    def test_scan_matches_lfilter_on_ou_exp(self, n):
+        for seed in range(20):
+            cfg = scenario_preset("ou-exp", n).with_seeds(2 * seed + 1, 2 * seed + 2)
+            dt, steps = cfg.delta / cfg.substeps, n * cfg.substeps
+            ref = _lfilter_ou(cfg.params, steps, dt, _philox(cfg.vol_seed))
+            _assert_close_to_lfilter(simulate_volatility(cfg).log_sigma2, ref)
+
+    @pytest.mark.parametrize("n", [20_000, 5_000, 2_600])
+    def test_scan_matches_lfilter_on_regime_switch(self, n):
+        # both OU paths share the chain's generator, so each must take exactly
+        # the draws lfilter's did, so the generator's next draws agree
+        for seed in range(20):
+            cfg = scenario_preset("regime-switch", n).with_seeds(2 * seed + 1, 2 * seed + 2)
+            dt, steps = cfg.delta / cfg.substeps, n * cfg.substeps
+            rng, ref_rng = _philox(cfg.vol_seed), _philox(cfg.vol_seed)
+            for regime in (cfg.params.regime0, cfg.params.regime1):
+                _assert_close_to_lfilter(simulate_ou(regime, steps, dt, rng),
+                                         _lfilter_ou(regime, steps, dt, ref_rng))
+            assert np.array_equal(rng.random(16), ref_rng.random(16))
+
+    def test_regime_switch_chain_draws_unchanged(self):
+        cfg = scenario_preset("regime-switch", 2_600).with_seeds(1, 2)
+        p, dt, steps = cfg.params, cfg.delta / cfg.substeps, 2_600 * cfg.substeps
+        rng, ref_rng = _philox(cfg.vol_seed), _philox(cfg.vol_seed)
+        x0, x1 = (simulate_ou(r, steps, dt, rng) for r in (p.regime0, p.regime1))
+        ref0, ref1 = (_lfilter_ou(r, steps, dt, ref_rng) for r in (p.regime0, p.regime1))
+        chain = simulate_markov2(p.rate_01, p.rate_10, steps, dt, rng)
+        assert np.array_equal(chain, simulate_markov2(p.rate_01, p.rate_10, steps, dt, ref_rng))
+        assert np.array_equal(simulate_volatility(cfg).log_sigma2, np.where(chain == 1, x1, x0))
+        _assert_close_to_lfilter(np.where(chain == 1, x1, x0), np.where(chain == 1, ref1, ref0))
+
+    @pytest.mark.parametrize("b_dt", [1e-6, 0.7, 50.0])
+    @pytest.mark.parametrize("x0", [None, 3.5])
+    def test_scan_matches_lfilter_off_the_presets(self, b_dt, x0):
+        # near the unit root, in between, and decay below the scan's 1e-17 cut
+        params = OuParams(mean_reversion=b_dt / 0.01, level=-0.4, diffusion=1.3, x0=x0)
+        path = simulate_ou(params, 200_000, 0.01, seed=9)
+        _assert_close_to_lfilter(path, _lfilter_ou(params, 200_000, 0.01, _philox(9)))
 
     def test_parameter_validation(self):
         with pytest.raises(ParameterError):
@@ -191,6 +251,12 @@ class TestVolatilityAndPrice:
         a, _ = simulate_scenario(cfg)
         b, _ = simulate_scenario(cfg)
         assert np.array_equal(a.log_prices, b.log_prices)
+
+    @pytest.mark.parametrize("preset", ["ou-exp", "regime-switch"])
+    def test_series_xi_is_the_simulated_log_volatility(self, preset):
+        cfg = scenario_preset(preset, 500)
+        series, vol = simulate_scenario(cfg)
+        assert np.array_equal(series.xi, vol.log_sigma2[: cfg.n * cfg.substeps : cfg.substeps])
 
     def test_nonlinear_ar_scenario(self):
         cfg = ScenarioConfig("nonlinear-ar", ArParams("linear", slope=0.5),

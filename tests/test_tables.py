@@ -6,8 +6,8 @@ from scipy.integrate import quad
 from scipy.signal import fftconvolve
 
 from reference import band_quad, fourier_quad
-from voldens._tables import (_TAPS, GUARD, Table1D, _osc_moments, _stencil, fourier_table,
-                             lattice_expansion, lattice_means, range_bucket)
+from voldens._tables import (_TAPS, GUARD, Table1D, _bridge_transform, _osc_moments, _stencil,
+                             fourier_table, lattice_expansion, lattice_means, range_bucket)
 from voldens.errors import DataError, NumericsError
 from voldens.grids import uniform_grid, uniform_step
 from voldens.kerneldeconv import TABLE_STEP, deconv_kernel_table, kernel_band, kernel_table_request
@@ -48,6 +48,26 @@ class TestOscMoments:
             re, _ = quad(lambda s: s ** k * np.cos(theta * s), -1, 1, epsabs=1e-14)
             im, _ = quad(lambda s: s ** k * np.sin(theta * s), -1, 1, epsabs=1e-14)
             assert mom[k, 0] == pytest.approx(re + 1j * im, abs=1e-12)
+
+
+class TestBridgeTransform:
+    THETA = np.array([0.0, 1e-9, -1e-9, 3.999, -3.999, 4.0, -4.0, 4.001, -4.001, 41.7, 1e3, 1e5])
+
+    @pytest.mark.parametrize("s_max", [1.0, 3.0 * np.pi])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_closed_form_matches_bessel_moments(self, s_max, seed):
+        # both sides of the |theta| = 4 branch against the spherical-Bessel form.
+        # Both round at the size of their terms, which (s_max/pi) sum |beta_k|
+        # bounds at every theta, while the value itself may cancel to far less.
+        rng = np.random.default_rng(seed)
+        beta = rng.normal(size=4) + 1j * rng.normal(size=4)
+        x = self.THETA / s_max
+        mom = _osc_moments(s_max * x)
+        expect = (s_max / (2.0 * np.pi) * sum(beta[k] * mom[k] for k in range(4))).real
+        got = _bridge_transform(beta, s_max, x)
+        assert got.dtype == float
+        bound = s_max / np.pi * np.sum(np.abs(beta))
+        np.testing.assert_allclose(got, expect, rtol=0.0, atol=4e-16 * bound + 1e-300)
 
 
 class TestFourierTable:
@@ -176,6 +196,22 @@ class TestLatticeMeans:
         w = np.random.default_rng(4).normal(2.0, 1.0, pts.size) if weighted else None
         assert np.array_equal(lattice_means(pts, table, step, j_lo, j_hi, weights=w),
                               _fftconvolve_means(pts, table, step, j_lo, j_hi, weights=w))
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_correlation_spectrum_cached_per_table(self, weighted):
+        # a second call with other points and shifts reuses the first call's spectrum
+        rng = np.random.default_rng(5)
+        table = Table1D(-40.0, 0.05, rng.normal(size=1601))
+        assert table.corr_spectrum is None
+        calls = [(rng.uniform(-20.0, 20.0, 300), 1.0, -15, 15),
+                 (rng.uniform(-5.0, 5.0, 50), 0.25, -60, 3)]
+        for k, (pts, step, j_lo, j_hi) in enumerate(calls):
+            w = rng.normal(size=pts.size) if weighted else None
+            out = lattice_means(pts, table, step, j_lo, j_hi, weights=w)
+            assert np.array_equal(out, _fftconvolve_means(pts, table, step, j_lo, j_hi, w))
+            if k == 0:
+                spectrum = table.corr_spectrum
+        assert table.corr_spectrum is spectrum
 
     def test_step_misaligned_with_table_rejected(self):
         table = Table1D(0.0, 0.1, np.ones(32))

@@ -90,7 +90,7 @@ def test_nonlinear_ar_scenario_is_the_discrete_time_model(function):
     series, vol = simulate_discrete_ar(params, n, seed)
     xi = simulate_ar_logvol(params.regression(), params.innovation_sd, n, seed)[:n]
     assert np.array_equal(vol.log_sigma2[:n], xi)
-    assert np.max(np.abs(series.xi - xi)) <= 1e-15
+    assert np.array_equal(series.xi, xi)
     _assert_log_chi2_moments(series.log_squared - xi)
 
 
