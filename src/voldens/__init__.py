@@ -23,8 +23,8 @@ from .svsim import (ArParams, ObservationSeries, OuParams, RegimeSwitchParams,
                     simulate_scenario, simulate_volatility)
 from .volreg import (RegressionEstimate, default_regression_bandwidth,
                      regression_estimate)
-from .waveletdeconv import (MeyerSpec, WaveletEstimate, meyer_scaling_fourier,
-                            wavelet_coefficients, wavelet_estimate)
+from .waveletdeconv import (WaveletEstimate, meyer_scaling_fourier, wavelet_coefficients,
+                            wavelet_estimate)
 
 __all__ = [
     "ConfigError", "DataError", "NumericsError", "ParameterError", "VoldensError",
@@ -40,8 +40,7 @@ __all__ = [
     "invariant_density", "log_squared_transform", "simulate_markov2", "simulate_ou",
     "simulate_price", "simulate_scenario", "simulate_volatility",
     "RegressionEstimate", "default_regression_bandwidth", "regression_estimate",
-    "MeyerSpec", "WaveletEstimate", "meyer_scaling_fourier", "wavelet_coefficients",
-    "wavelet_estimate",
+    "WaveletEstimate", "meyer_scaling_fourier", "wavelet_coefficients", "wavelet_estimate",
 ]
 
 __version__ = "0.1.0"

@@ -32,10 +32,11 @@ from .grids import uniform_grid
 from .kerneldeconv import (KernelSpec, check_gamma_constraint, default_bandwidth,
                            estimate_density)
 from .ppe import PpeConfig, select_and_estimate
-from .svsim import ObservationSeries, ScenarioConfig, parse_kv, parse_value, simulate_scenario
+from .svsim import (ObservationSeries, ScenarioConfig, parse_kv, parse_value, require_finite,
+                    simulate_scenario)
 from .volreg import (DENOMINATOR_FLOOR, default_regression_bandwidth,
                      regression_estimate)
-from .waveletdeconv import MeyerSpec, wavelet_estimate
+from .waveletdeconv import wavelet_estimate
 
 DEFAULT_GAMMA_KERNEL = 1.0
 DEFAULT_GAMMA_REGRESSION = 3.5
@@ -86,6 +87,7 @@ class PipelineConfig:
                               f"(expected one of {ESTIMATORS})")
         if (self.input_csv is None) == (self.scenario is None):
             raise ConfigError("exactly one input source required: --input or --scenario")
+        require_finite(self, "delta")
         if self.delta <= 0:
             raise ParameterError("delta must be positive")
         for key in ("level", "truncation"):
@@ -242,8 +244,8 @@ def run_pipeline(config: PipelineConfig) -> list[Path]:
     elif config.estimator == "wavelet":
         level = None if config.level == "auto" else int(config.level)
         trunc = None if config.truncation == "auto" else int(config.truncation)
-        est = wavelet_estimate(y, MeyerSpec(grid_points=config.grid_points),
-                               level=level, truncation=trunc)
+        est = wavelet_estimate(y, level=level, truncation=trunc,
+                               grid_points=config.grid_points)
         density = est.density
         diag_rows += [("level", est.level), ("level_target", est.level_target),
                       ("truncation", est.truncation),

@@ -24,8 +24,8 @@ one FFT correlation (`kernel_sums`), exact up to the cubic interpolation that
 a direct evaluation would make anyway; grids must therefore be uniform.  A
 grid with Delta/h < TABLE_STEP/2 runs as k interleaved sub-lattices
 grid[r::k], which bounds the table's FFT (and memory) however fine the grid.
-`kernel_band(h).quad` evaluates v_h by direct adaptive quadrature, which the
-tests use as an independent oracle.  Because phi_k is complex, v_h is real but
+The tests check v_h against direct adaptive quadrature of the same `Band`
+(`tests/reference.py::band_quad`).  Because phi_k is complex, v_h is real but
 NOT symmetric in its argument: the noise has nonzero mean and skew, and the
 kernel's asymmetry is what undoes them.  Wand's kernel itself is
 48 j_3(|x|) / (pi |x|^3), through scipy's spherical Bessel function j_3.
@@ -41,16 +41,13 @@ import numpy as np
 from scipy.special import spherical_jn
 
 from ._tables import Band, Table1D, fourier_table, lattice_means
-from .errors import DataError, ParameterError
+from .errors import ParameterError
 from .grids import DensityGrid, uniform_grid, uniform_step
 from .noisemodel import inv_noise_charfn
 from .svsim import ObservationSeries, as_log_squared
 
 # smallest usable bandwidth: 1/phi_k(s/h) must stay inside double range on |s| <= 1
 MIN_BANDWIDTH = np.pi / 700.0
-#: the only kernel shipped: Wand's, whose boundary exponent rho = 3 is what
-#: the variance theory assumes
-KERNEL_ID = "wand-rho3"
 #: largest v_h tabulation step in the scaled argument; v_h is band-limited to
 #: [-1, 1], so this already gives ~1e-8 interpolation accuracy
 TABLE_STEP = 0.05
@@ -143,11 +140,10 @@ def kernel_sums(y: np.ndarray, table: Table1D, grid: np.ndarray, h: float,
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Kernel estimator configuration (the kernel is always KERNEL_ID)."""
+    """Kernel estimator configuration; the kernel is always Wand's (rho = 3)."""
 
     bandwidth: float
     grid_points: int = 512
-    clip_negative: bool = False
 
     def __post_init__(self):
         if self.bandwidth <= 0:
@@ -156,10 +152,9 @@ class KernelSpec:
 
 @dataclass(eq=False)
 class EstimateReport:
-    """Estimator output bundle: the density grid plus a config echo and diagnostics."""
+    """Estimator output bundle: the density grid plus diagnostics."""
 
     density: DensityGrid
-    config: dict = field(default_factory=dict)
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -209,9 +204,8 @@ def estimate_density(y, spec: KernelSpec, grid: np.ndarray | None = None) -> Est
     grid : optional uniform abscissae (a linspace); default spans the data
         range with 3h padding.
 
-    The raw estimator is linear in the empirical measure and can be
-    negative; with ``spec.clip_negative`` the output is clipped at zero and
-    renormalized (off by default, keeping the estimator faithful).
+    The estimator is linear in the empirical measure and can be negative;
+    it is returned as is, a signed density.
     """
     y_arr = as_log_squared(y)
     h = spec.bandwidth
@@ -223,23 +217,11 @@ def estimate_density(y, spec: KernelSpec, grid: np.ndarray | None = None) -> Est
 
     table = deconv_kernel_table(h, *kernel_table_request(y_arr, grid, h))
     values = kernel_sums(y_arr, table, grid, h)
-    diag = {
+    return EstimateReport(density=DensityGrid(grid, values, signed=True), diagnostics={
         "bandwidth": h,
         "n": int(y_arr.size),
         "zero_increment_count": (y.zero_increment_count
                                  if isinstance(y, ObservationSeries) else 0),
         "grid_span": (float(grid[0]), float(grid[-1])),
-    }
-    if spec.clip_negative:
-        clipped = np.maximum(values, 0.0)
-        mass = np.trapezoid(clipped, grid)
-        if mass <= 0:
-            raise DataError("estimate clipped to zero everywhere; cannot renormalize")
-        values = clipped / mass
-        diag["clipped_mass"] = float(mass)
-    density = DensityGrid(grid, values, signed=not spec.clip_negative)
-    return EstimateReport(density=density, config={
-        "estimator": "kernel", "kernel": KERNEL_ID, "bandwidth": h,
-        "grid_points": int(grid.size), "clip_negative": spec.clip_negative,
-    }, diagnostics=diag)
+    })
 

@@ -35,9 +35,18 @@ from .errors import ConfigError, DataError, ParameterError
 from .grids import DensityGrid
 
 LOG_FLOOR_DEFAULT = 1e-300
+#: steps the nonlinear AR runs from xi = 0 before its first returned value
+AR_BURN_IN = 1000
 
 
 # --------------------------------------------------------------------------- parameters
+
+def require_finite(owner, *names: str) -> None:
+    """ParameterError naming the first of `names` that is NaN or inf; `x <= 0` misses both."""
+    for name in names:
+        if (value := getattr(owner, name)) is not None and not np.isfinite(value):
+            raise ParameterError(f"{name} must be finite, got {value!r}")
+
 
 @dataclass(frozen=True)
 class OuParams:
@@ -53,6 +62,7 @@ class OuParams:
     x0: float | None = None
 
     def __post_init__(self):
+        require_finite(self, "mean_reversion", "level", "diffusion", "x0")
         if self.mean_reversion <= 0:
             raise ParameterError("mean reversion rate must be positive")
         if self.diffusion <= 0:
@@ -82,6 +92,7 @@ class RegimeSwitchParams:
     rate_10: float
 
     def __post_init__(self):
+        require_finite(self, "rate_01", "rate_10")
         if self.rate_01 <= 0 or self.rate_10 <= 0:
             raise ParameterError("switching rates must be positive")
 
@@ -112,12 +123,13 @@ class ArParams:
     innovation_sd: float = 1.0
 
     def __post_init__(self):
-        if self.innovation_sd <= 0:
-            raise ParameterError("innovation standard deviation must be positive")
         if self.function not in ("linear", "tanh"):
             raise ParameterError(f"unknown regression function {self.function!r}")
         if self.function == "linear" and not abs(self.slope) < 1.0:
             raise ParameterError(f"slope {self.slope!r} breaks the stability condition |slope| < 1")
+        require_finite(self, "slope", "intercept", "scale", "innovation_sd")
+        if self.innovation_sd <= 0:
+            raise ParameterError("innovation standard deviation must be positive")
 
     def regression(self) -> Callable[[np.ndarray], np.ndarray]:
         if self.function == "linear":
@@ -162,6 +174,7 @@ class ScenarioConfig:
             raise ConfigError(f"unknown model tag {self.model!r}; expected one of {tuple(MODELS)}")
         if not isinstance(self.params, MODELS[self.model]):
             raise ConfigError(f"{self.model} needs {MODELS[self.model].__name__} parameters")
+        require_finite(self, "delta", "drift")
         if self.delta <= 0:
             raise ParameterError("sampling gap delta must be positive")
         if self.n < 2:
@@ -278,6 +291,7 @@ class ObservationSeries:
         self.log_prices = np.asarray(self.log_prices, dtype=float)
         if self.log_prices.ndim != 1 or self.log_prices.size < 2:
             raise DataError("need at least two price observations")
+        require_finite(self, "delta")
         if self.delta <= 0:
             raise ParameterError("delta must be positive")
         if self.xi is not None:
@@ -301,18 +315,6 @@ class ObservationSeries:
     @property
     def log_squared(self) -> np.ndarray:
         return log_squared_transform(self.increments)
-
-    def to_csv(self, path, kind: str = "prices"):
-        if kind == "prices":
-            t = self.delta * np.arange(self.log_prices.size)
-            np.savetxt(path, np.column_stack([t, self.log_prices]),
-                       delimiter=",", header="t,S", comments="")
-        elif kind == "increments":
-            i = np.arange(1, self.n + 1)
-            np.savetxt(path, np.column_stack([i, self.increments, self.log_squared]),
-                       delimiter=",", header="i,X,Y", comments="")
-        else:
-            raise ConfigError(f"unknown export kind {kind!r}")
 
 
 def as_log_squared(y) -> np.ndarray:
@@ -377,13 +379,12 @@ def simulate_ou(params: OuParams, steps: int, dt: float,
 
 
 def simulate_markov2(rate_01: float, rate_10: float, steps: int, dt: float,
-                     seed: int | np.random.Generator,
-                     initial: int | None = None) -> np.ndarray:
+                     seed: int | np.random.Generator) -> np.ndarray:
     """Two-state chain sampled at steps+1 points.
 
     Per-substep flip probabilities are 1 - exp(-rate * dt), the first-order
     discretization of the continuous-time chain; the initial state is drawn
-    from the stationary law (pi_0, pi_1) unless forced.
+    from the stationary law (pi_0, pi_1).
     """
     if rate_01 <= 0 or rate_10 <= 0:
         raise ParameterError("switching rates must be positive")
@@ -392,7 +393,7 @@ def simulate_markov2(rate_01: float, rate_10: float, steps: int, dt: float,
     rng = seed if isinstance(seed, np.random.Generator) else _rng(seed)
     p_flip = (1.0 - np.exp(-rate_01 * dt), 1.0 - np.exp(-rate_10 * dt))
     pi1 = rate_01 / (rate_01 + rate_10)
-    state = int(rng.random() < pi1) if initial is None else int(initial)
+    state = int(rng.random() < pi1)
     u = rng.random(steps)
     path = np.empty(steps + 1, dtype=np.int64)
     path[0] = state
@@ -404,20 +405,19 @@ def simulate_markov2(rate_01: float, rate_10: float, steps: int, dt: float,
 
 
 def simulate_ar_logvol(m: Callable[[float], float], innovation_sd: float,
-                       steps: int, seed: int | np.random.Generator,
-                       burn_in: int = 1000) -> np.ndarray:
-    """Iterate xi_{t+1} = m(xi_t) + eta_t from xi = 0; return xi_0..xi_steps after burn-in."""
+                       steps: int, seed: int | np.random.Generator) -> np.ndarray:
+    """Iterate xi_{t+1} = m(xi_t) + eta_t from xi = 0; xi_0..xi_steps follow AR_BURN_IN steps."""
     if innovation_sd <= 0:
         raise ParameterError("innovation standard deviation must be positive")
     rng = seed if isinstance(seed, np.random.Generator) else _rng(seed)
-    eta = innovation_sd * rng.standard_normal(burn_in + steps)
+    eta = innovation_sd * rng.standard_normal(AR_BURN_IN + steps)
     x = 0.0
-    for k in range(burn_in):
+    for k in range(AR_BURN_IN):
         x = float(m(x)) + eta[k]
     path = np.empty(steps + 1)
     path[0] = x
     for k in range(steps):
-        x = float(m(x)) + eta[burn_in + k]
+        x = float(m(x)) + eta[AR_BURN_IN + k]
         path[k + 1] = x
     return path
 
@@ -432,7 +432,6 @@ class VolatilityPath:
 
     sigma2: np.ndarray
     log_sigma2: np.ndarray
-    dt_fine: float
     truth: Callable[[np.ndarray], np.ndarray] | None
 
 
@@ -481,17 +480,11 @@ def simulate_volatility(config: ScenarioConfig) -> VolatilityPath:
 
     law = p.stationary_law()
     truth = None if law is None else normal_mixture_density(*law)
-    return VolatilityPath(sigma2=np.exp(xi), log_sigma2=xi, dt_fine=dt, truth=truth)
+    return VolatilityPath(sigma2=np.exp(xi), log_sigma2=xi, truth=truth)
 
 
-def simulate_price(sigma2_path: np.ndarray, config: ScenarioConfig,
-                   brownian_sign: float = 1.0) -> ObservationSeries:
-    """Euler-Maruyama price integral on the fine grid, sampled every Delta.
-
-    `brownian_sign` = -1 flips the whole Brownian stream; the log-squared
-    transform of the output is invariant under that flip, which the tests
-    use as a symmetry check.
-    """
+def simulate_price(sigma2_path: np.ndarray, config: ScenarioConfig) -> ObservationSeries:
+    """Euler-Maruyama price integral on the fine grid, sampled every Delta."""
     sigma2_path = np.asarray(sigma2_path, dtype=float)
     fine_steps = config.n * config.substeps
     if sigma2_path.shape != (fine_steps + 1,):
@@ -500,7 +493,7 @@ def simulate_price(sigma2_path: np.ndarray, config: ScenarioConfig,
             f"got {sigma2_path.size}")
     dt = config.delta / config.substeps
     rng = _rng(config.price_seed)
-    dw = brownian_sign * np.sqrt(dt) * rng.standard_normal(fine_steps)
+    dw = np.sqrt(dt) * rng.standard_normal(fine_steps)
     increments = config.drift * dt + np.sqrt(sigma2_path[:-1]) * dw
     s_fine = np.concatenate([[0.0], np.cumsum(increments)])
     s = s_fine[:: config.substeps]

@@ -15,8 +15,8 @@ module:
 
 where f_nh is the same-kernel density estimate over the first coordinates.
 Because the response Y_{j+1} carries the known noise mean E log Z^2, the
-estimator subtracts it by default so the quotient targets m itself rather
-than m + E log Z^2 (see `regression_estimate`).
+estimator subtracts it, so the quotient targets m itself rather than
+m + E log Z^2; the raw quotient is m_hat + NOISE_MEAN.
 
 Numerator and denominator are two `kerneldeconv.kernel_sums` over the same
 v_h table, the numerator weighted by the responses; like the density
@@ -85,20 +85,19 @@ class RegressionEstimate:
 
 
 def regression_estimate(y, h: float, grid: np.ndarray,
-                        floor: float = DENOMINATOR_FLOOR,
-                        noise_mean: float = NOISE_MEAN) -> RegressionEstimate:
+                        floor: float = DENOMINATOR_FLOOR) -> RegressionEstimate:
     """Deconvolution Nadaraya-Watson estimate of m on the grid.
 
     Uses the n-1 transition pairs (Y_j, Y_{j+1}); numerator and denominator
     share one tabulated v_h, so the quotient structure is exact.  The grid
     must be uniform (a linspace).
 
-    The response in the numerator is Y_{j+1} - noise_mean: the observed
+    The response in the numerator is Y_{j+1} - NOISE_MEAN: the observed
     one-step-ahead value is m(xi_j) + eta_j + eps_{j+1}, and eps has the
     known nonzero mean E log Z^2 = -(euler_gamma + log 2).  Without removing
-    it the quotient converges to m + E log Z^2 rather than m.  Pass
-    noise_mean=0.0 for the raw uncorrected ratio.  Raises when every grid
-    point is masked.
+    it the quotient converges to m + E log Z^2 rather than m, so the raw
+    uncorrected ratio is m_hat + NOISE_MEAN.  Raises when every grid point
+    is masked.
     """
     y_arr = as_log_squared(y)
     if y_arr.size < 2:
@@ -107,7 +106,7 @@ def regression_estimate(y, h: float, grid: np.ndarray,
         raise ParameterError("bandwidth must be positive")
     grid = np.asarray(grid, dtype=float)
     y_now = y_arr[:-1]
-    y_next = y_arr[1:] - noise_mean
+    y_next = y_arr[1:] - NOISE_MEAN
 
     table = deconv_kernel_table(h, *kernel_table_request(y_now, grid, h))
     denominator = kernel_sums(y_now, table, grid, h)
@@ -122,6 +121,5 @@ def regression_estimate(y, h: float, grid: np.ndarray,
     return RegressionEstimate(
         x=grid, m_hat=m_hat, denominator=denominator, numerator=numerator,
         mask=mask, bandwidth=h, floor=floor,
-        diagnostics={"n_pairs": int(y_now.size), "masked_points": int(mask.sum()),
-                     "noise_mean": noise_mean},
+        diagnostics={"n_pairs": int(y_now.size), "masked_points": int(mask.sum())},
     )

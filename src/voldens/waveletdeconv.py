@@ -54,16 +54,6 @@ TABLE_STEP = 1.0 / 96.0
 #: order k of the C^k smoothstep CDF of the auxiliary measure mu
 BUMP_DEGREE = 3
 
-
-@dataclass(frozen=True)
-class MeyerSpec:
-    """Wavelet estimator configuration: the size of the default evaluation grid."""
-
-    grid_points: int = 512
-
-
-DEFAULT_SPEC = MeyerSpec()
-
 # window masses at the (irrational) support boundaries pick up ~4 ulp of
 # rounding noise from the smoothstep; anything below this floor is zero
 _MASS_FLOOR = 1e-14
@@ -183,17 +173,15 @@ def default_level(n: int) -> tuple[int, float]:
     return min(level, MAX_LEVEL), target
 
 
-def wavelet_estimate(y, spec: MeyerSpec = DEFAULT_SPEC,
-                     level: int | None = None,
-                     truncation: int | None = None,
-                     truncation_exponent: float | None = None,
-                     grid: np.ndarray | None = None) -> WaveletEstimate:
+def wavelet_estimate(y, level: int | None = None, truncation: int | None = None,
+                     grid: np.ndarray | None = None,
+                     grid_points: int = 512) -> WaveletEstimate:
     """Linear wavelet density estimate g_hat(x) = sum_l a_hat_{m,l} phi_{m,l}(x).
 
     Defaults follow the theory: the detail level comes from `default_level`
-    and the truncation is L = n (the all-orders-mixing variant); passing
-    `truncation_exponent` r uses L = ceil((log n)^r) instead, and explicit
-    `level`/`truncation` win over both.
+    and the truncation is L = n (the all-orders-mixing variant); explicit
+    `level`/`truncation` win.  Without a `grid` the estimate is rendered on
+    `grid_points` uniform points spanning the data range padded by 3.
     """
     y_arr = as_log_squared(y)
     n = y_arr.size
@@ -203,18 +191,13 @@ def wavelet_estimate(y, spec: MeyerSpec = DEFAULT_SPEC,
         m, target = default_level(n)
     else:
         m, target = int(level), float(2 ** int(level))  # um_table checks the cap
-    if truncation is None:
-        if truncation_exponent is not None:
-            truncation = int(np.ceil(math.log(n) ** truncation_exponent))
-        else:
-            truncation = n
-    truncation = int(truncation)
+    truncation = n if truncation is None else int(truncation)
 
     coeffs = wavelet_coefficients(y_arr, m, truncation)
 
     if grid is None:
         grid = uniform_grid(float(np.min(y_arr)) - 3.0, float(np.max(y_arr)) + 3.0,
-                            spec.grid_points)
+                            grid_points)
     else:
         grid = np.asarray(grid, dtype=float)
 

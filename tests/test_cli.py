@@ -456,6 +456,10 @@ class TestMainEntry:
         ("ou-exp", ("ou.b = 0.5", "ou.bb = 0.5"), "config", "ou.bb"),
         ("ou-exp", ("ou.b = 0.5\n", ""), "config", "'ou.b'"),
         ("ou-exp", ("n = 300", "n = 12.5"), "config", "n = '12.5'"),
+        ("ou-exp", ("ou.b = 0.5", "ou.b = inf"), "parameter", "mean_reversion must be finite"),
+        ("ou-exp", ("ou.b = 0.5", "ou.b = nan"), "parameter", "mean_reversion must be finite"),
+        ("nonlinear-ar", ("ar.innovation_sd = 1.0", "ar.innovation_sd = nan"), "parameter",
+         "innovation_sd must be finite"),
     ])
     def test_bad_scenario_file_is_a_json_error(self, tmp_path, capsys, model, edit,
                                                kind, needle):
@@ -469,6 +473,22 @@ class TestMainEntry:
         assert code == (1 if kind == "parameter" else 2)
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == kind and needle in err["message"]
+
+    @pytest.mark.parametrize("source, value", [("csv", "inf"), ("preset", "nan")])
+    def test_non_finite_delta_is_a_parameter_error(self, tmp_path, capsys, source, value):
+        # `delta <= 0` is false for NaN and passes inf: an infinite gap zeroes
+        # every increment, and a NaN one was blamed on the data
+        if source == "csv":
+            path = tmp_path / "prices.csv"
+            _write_prices(path, np.exp(np.cumsum(np.random.default_rng(5).normal(0, 0.1, 300))))
+            args = ["--input", str(path)]
+        else:
+            args = ["--scenario", "ou-exp", "--n", "300"]
+        code = main(args + ["--delta", value, "--estimator", "kernel",
+                            "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "parameter" and "delta must be finite" in err["message"]
 
     @pytest.mark.parametrize("line, key", [("n = abc", "n"), ("grid_points = 12.5", "grid_points")])
     def test_unparsable_config_value_is_a_config_error(self, tmp_path, capsys, line, key):

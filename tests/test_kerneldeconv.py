@@ -166,16 +166,12 @@ class TestEstimateDensity:
         with pytest.raises(DataError):
             estimate_density(np.array([]), KernelSpec(bandwidth=0.5))
 
-    def test_negative_values_allowed_and_clipping_optional(self):
+    def test_negative_values_allowed(self):
         rng = np.random.default_rng(3)
         y = rng.normal(size=400)
         grid = np.linspace(-6, 6, 201)
         raw = estimate_density(y, KernelSpec(bandwidth=0.3), grid)
         assert raw.density.signed and np.any(raw.density.values < 0)
-        clipped = estimate_density(y, KernelSpec(bandwidth=0.3, clip_negative=True),
-                                   grid)
-        assert np.all(clipped.density.values >= 0)
-        assert clipped.density.integral() == pytest.approx(1.0, abs=1e-9)
 
     def test_observation_series_input_carries_zero_count(self):
         from voldens.svsim import ObservationSeries

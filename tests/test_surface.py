@@ -2,13 +2,19 @@
 
 Every public top-level name in `src/voldens` must either be exported through
 `__all__` or be used somewhere else in `src/`.  Code that only the tests call
-belongs in `tests/reference.py`.
+belongs in `tests/reference.py`.  The parameters of the entry points and the
+fields of the option and result classes are pinned too, so that a new option
+is a reviewed edit here.
 """
 
 import ast
+import dataclasses
+import inspect
 from pathlib import Path
 
 import voldens
+from voldens.cli import PipelineConfig, ingest_prices
+from voldens.svsim import VolatilityPath, simulate_ar_logvol
 
 SRC = Path(voldens.__file__).resolve().parent
 
@@ -26,8 +32,40 @@ EXPORTS = {
     "invariant_density", "log_squared_transform", "simulate_markov2", "simulate_ou",
     "simulate_price", "simulate_scenario", "simulate_volatility",
     "RegressionEstimate", "default_regression_bandwidth", "regression_estimate",
-    "MeyerSpec", "WaveletEstimate", "meyer_scaling_fourier", "wavelet_coefficients",
-    "wavelet_estimate",
+    "WaveletEstimate", "meyer_scaling_fourier", "wavelet_coefficients", "wavelet_estimate",
+}
+
+#: entry point -> its parameter names, in order
+PARAMETERS = {
+    voldens.estimate_density: ("y", "spec", "grid"),
+    voldens.regression_estimate: ("y", "h", "grid", "floor"),
+    voldens.wavelet_estimate: ("y", "level", "truncation", "grid", "grid_points"),
+    voldens.select_and_estimate: ("y", "config", "grid"),
+    voldens.run_experiment: ("spec",),
+    voldens.simulate_ou: ("params", "steps", "dt", "seed"),
+    voldens.simulate_markov2: ("rate_01", "rate_10", "steps", "dt", "seed"),
+    simulate_ar_logvol: ("m", "innovation_sd", "steps", "seed"),
+    voldens.simulate_price: ("sigma2_path", "config"),
+    voldens.simulate_scenario: ("config",),
+    ingest_prices: ("path", "delta", "demean", "price_column"),
+}
+
+#: option or result dataclass -> its field names, in order
+FIELDS = {
+    voldens.KernelSpec: ("bandwidth", "grid_points"),
+    voldens.PpeConfig: ("kappa", "k_n", "levels", "grid_points"),
+    voldens.ExperimentSpec: ("scenario", "estimator", "estimator_config", "replications",
+                             "seed_base", "metrics", "grid_points", "mse_point"),
+    voldens.ScenarioConfig: ("model", "params", "delta", "n", "substeps", "drift",
+                             "vol_seed", "price_seed"),
+    voldens.OuParams: ("mean_reversion", "level", "diffusion", "x0"),
+    voldens.RegimeSwitchParams: ("regime0", "regime1", "rate_01", "rate_10"),
+    voldens.ArParams: ("function", "slope", "intercept", "scale", "innovation_sd"),
+    PipelineConfig: ("estimator", "out_dir", "input_csv", "scenario", "n", "delta", "seed",
+                     "demean", "price_column", "bandwidth", "gamma", "grid_points", "level",
+                     "truncation", "kappa", "kn", "denominator_floor"),
+    voldens.EstimateReport: ("density", "diagnostics"),
+    VolatilityPath: ("sigma2", "log_sigma2", "truth"),
 }
 
 
@@ -73,3 +111,10 @@ def test_every_public_name_is_exported_or_used_in_src():
             if not elsewhere and name not in EXPORTS:
                 orphans.append(f"{module}:{name}")
     assert not orphans, f"public names neither exported nor used in src/: {orphans}"
+
+
+def test_entry_point_parameters_are_pinned():
+    params = {f.__name__: tuple(inspect.signature(f).parameters) for f in PARAMETERS}
+    assert params == {f.__name__: names for f, names in PARAMETERS.items()}
+    fields = {c.__name__: tuple(f.name for f in dataclasses.fields(c)) for c in FIELDS}
+    assert fields == {c.__name__: names for c, names in FIELDS.items()}

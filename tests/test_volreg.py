@@ -69,16 +69,13 @@ def _assert_log_chi2_moments(eps):
 
 
 @pytest.mark.parametrize("function", ["linear", "tanh"])
-@pytest.mark.parametrize("burn_in", [0, 5, 1000])
-def test_xi_is_the_svsim_ar_path(function, burn_in):
-    # the scenario runs one chain from xi = 0 and drops its first 1000 steps;
-    # the svsim path cut after any other burn-in reads the same values
+def test_xi_is_the_svsim_ar_path(function):
+    # the scenario's xi is the svsim chain run from xi = 0 past its burn-in
     params = ArParams(function, slope=0.6, intercept=0.1, scale=0.8, innovation_sd=0.7)
     n, seed = 800, 12
     _, xi = ar_observations(params, n, seed)
-    path = simulate_ar_logvol(params.regression(), params.innovation_sd,
-                              1000 - burn_in + n - 1, seed, burn_in)
-    assert np.array_equal(xi, path[1000 - burn_in:])
+    path = simulate_ar_logvol(params.regression(), params.innovation_sd, n - 1, seed)
+    assert np.array_equal(xi, path)
 
 
 @pytest.mark.parametrize("function", ["linear", "tanh"])
@@ -111,15 +108,15 @@ class TestRegressionBandwidth:
 
 class TestRegressionEstimate:
     def test_constant_response_gives_constant_estimate(self):
-        # Y_{j+1} == c for every transition: numerator = c * denominator, so
-        # the raw (uncorrected) quotient equals c wherever unmasked
+        # Y_{j+1} == c for every transition: numerator = (c - NOISE_MEAN) *
+        # denominator, so the corrected quotient is c - NOISE_MEAN wherever unmasked
         c = 0.8
         y = np.concatenate([[1.7], np.full(60, c)])
         grid = np.linspace(-1, 2, 31)
-        est = regression_estimate(y, 0.5, grid, noise_mean=0.0)
+        est = regression_estimate(y, 0.5, grid)
         unmasked = ~est.mask
         assert unmasked.any()
-        np.testing.assert_allclose(est.m_hat[unmasked], c, rtol=1e-12)
+        np.testing.assert_allclose(est.m_hat[unmasked], c - NOISE_MEAN, rtol=1e-12)
 
     def test_non_uniform_grid_rejected(self):
         y = np.random.default_rng(4).normal(size=50)

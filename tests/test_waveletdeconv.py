@@ -159,8 +159,6 @@ class TestEstimate:
         assert est.level == 0
         assert est.truncation == 300  # L_n = n default
         assert est.coefficients.size == 601
-        est_r = wavelet_estimate(y, truncation_exponent=1.5)
-        assert est_r.truncation == int(np.ceil(np.log(300) ** 1.5))
 
     def test_estimate_linear_in_empirical_measure(self):
         rng = np.random.default_rng(12)
