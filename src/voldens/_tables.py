@@ -11,7 +11,8 @@ table values.
 Because every shift is a whole number of table steps (`_stride`), a point's
 stencil weights are the same for every shift, so both directions reduce to
 sums over the table lattice: `lattice_means` (data to coefficients; the
-kernel and regression sums on a uniform grid, and the wavelet and PPE
+kernel and regression sums on the v_h table's own lattice, which
+`Table1D.__call__` then reads at the grid, and the wavelet and PPE
 coefficients on integer shifts) bins the points and correlates them with the
 table as one `scipy.fft` rfft product at the padded length that
 `scipy.signal.fftconvolve` uses (the table's own spectrum at that length is

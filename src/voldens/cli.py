@@ -87,7 +87,7 @@ class PipelineConfig:
                               f"(expected one of {ESTIMATORS})")
         if (self.input_csv is None) == (self.scenario is None):
             raise ConfigError("exactly one input source required: --input or --scenario")
-        require_finite(self, "delta")
+        require_finite(self, "delta", "bandwidth", "gamma", "kappa", "denominator_floor")
         if self.delta <= 0:
             raise ParameterError("delta must be positive")
         for key in ("level", "truncation"):

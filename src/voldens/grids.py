@@ -1,4 +1,4 @@
-"""The evaluated-function container and the one rule for uniform grids."""
+"""The evaluated-function container and the default evaluation grid."""
 
 from __future__ import annotations
 
@@ -14,15 +14,6 @@ def uniform_grid(lo: float, hi: float, points: int) -> np.ndarray:
     if points < 8:
         raise ParameterError("grid needs at least 8 points")
     return np.linspace(lo, hi, points)
-
-
-def uniform_step(grid: np.ndarray) -> float:
-    """Step of an increasing grid that is uniform to 1e-9 of its step."""
-    grid = np.asarray(grid, dtype=float)
-    step = float(grid[-1] - grid[0]) / (grid.size - 1) if grid.ndim == 1 and grid.size > 1 else 0
-    if not (step > 0 and np.all(np.abs(np.diff(grid) - step) <= 1e-9 * step)):
-        raise DataError("grid must be a uniform increasing 1-d array of at least two points")
-    return step
 
 
 @dataclass(eq=False)

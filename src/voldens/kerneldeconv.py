@@ -14,16 +14,16 @@ phi_w(t) = (1 - t^2)^3, |t| <= 1 (Wand's kernel w, rho = 3, A = 8).  The same
 formula applies verbatim to discrete-time models, where the convolution
 structure is exact rather than asymptotic.
 
-v_h is described once, by `kernel_band(h, dx)`: a `_tables.Band` whose FFT
-table (cached per bandwidth, step and range bucket, and spanning the full
-argument range needed plus `_tables.GUARD`, so no tail is truncated) feeds the
-lattice engine of `_tables`.  On a uniform grid x_g = x_0 + g Delta the
-arguments are (x_g - Y_j)/h = (x_0 - Y_j)/h + g Delta/h, so with a table step
-that divides Delta/h every grid point is a lattice shift and the whole sum is
-one FFT correlation (`kernel_sums`), exact up to the cubic interpolation that
-a direct evaluation would make anyway; grids must therefore be uniform.  A
-grid with Delta/h < TABLE_STEP/2 runs as k interleaved sub-lattices
-grid[r::k], which bounds the table's FFT (and memory) however fine the grid.
+v_h is described once, by `kernel_band(h)`: a `_tables.Band` tabulated at the
+one step TABLE_STEP, whose FFT table (cached per bandwidth and range bucket,
+and spanning the full argument range needed plus `_tables.GUARD`, so no tail
+is truncated) feeds the lattice engine of `_tables`.  `kernel_sums` takes the
+sums S(u_k) = (1/n) sum_j v_h(u_k - Y_j/h) on the table's own lattice
+u_k = k TABLE_STEP, over the k that span grid/h, as one FFT correlation, and
+reads f_nh(x) = S(x/h)/h at the grid through the table's cubic stencil.  S
+is band-limited like v_h, so that read is as accurate as the table's own, any
+increasing grid works, and one table serves every grid and sample at a
+bandwidth that fit its range bucket.
 The tests check v_h against direct adaptive quadrature of the same `Band`
 (`tests/reference.py::band_quad`).  Because phi_k is complex, v_h is real but
 NOT symmetric in its argument: the noise has nonzero mean and skew, and the
@@ -41,16 +41,18 @@ import numpy as np
 from scipy.special import spherical_jn
 
 from ._tables import Band, Table1D, fourier_table, lattice_means
-from .errors import ParameterError
-from .grids import DensityGrid, uniform_grid, uniform_step
+from .errors import DataError, ParameterError
+from .grids import DensityGrid, uniform_grid
 from .noisemodel import inv_noise_charfn
-from .svsim import ObservationSeries, as_log_squared
+from .svsim import ObservationSeries, as_log_squared, require_finite
 
 # smallest usable bandwidth: 1/phi_k(s/h) must stay inside double range on |s| <= 1
 MIN_BANDWIDTH = np.pi / 700.0
-#: largest v_h tabulation step in the scaled argument; v_h is band-limited to
-#: [-1, 1], so this already gives ~1e-8 interpolation accuracy
-TABLE_STEP = 0.05
+#: v_h tabulation step in the scaled argument; v_h and the sums of its shifts
+#: are band-limited to [-1, 1], so two cubic reads at this step stay near 1e-9
+TABLE_STEP = 0.025
+#: lattice nodes kept beyond the scaled grid on each side for the read stencil
+_READ_REACH = 4
 
 
 # --------------------------------------------------------------------------- Wand kernel
@@ -93,47 +95,40 @@ def _kernel_spectrum(s, h):
     return wand_charfn(s) * np.conj(inv_noise_charfn(s / h))
 
 
-def kernel_band(h: float, dx: float = TABLE_STEP) -> Band:
-    """v_h as a `Band` on [-1, 1], tabulated at step dx."""
+def kernel_band(h: float) -> Band:
+    """v_h as a `Band` on [-1, 1], tabulated at TABLE_STEP."""
     if h <= 0:
         raise ParameterError("bandwidth must be positive")
     if h < MIN_BANDWIDTH:
         raise ParameterError(f"bandwidth below {MIN_BANDWIDTH:.5f} overflows 1/phi_k")
-    return Band(_kernel_spectrum, float(h), 1.0, float(dx))
+    return Band(_kernel_spectrum, float(h), 1.0, TABLE_STEP)
 
 
-def deconv_kernel_table(h: float, extent: float, dx: float = TABLE_STEP) -> Table1D:
-    """FFT tabulation of v_h at step dx covering |u| <= extent (cached)."""
-    return kernel_band(h, dx).table(extent, fourier_table)
+def deconv_kernel_table(h: float, extent: float) -> Table1D:
+    """FFT tabulation of v_h covering |u| <= extent (cached)."""
+    return kernel_band(h).table(extent, fourier_table)
 
 
-def _sublattices(grid: np.ndarray, h: float) -> tuple[int, float]:
-    """(k, s): k = max(1, floor(TABLE_STEP h / Delta)) lattices grid[r::k] of scaled step s."""
-    step = uniform_step(grid) / h
-    k = max(1, math.floor(TABLE_STEP / step))
-    return k, k * step
-
-
-def kernel_table_request(y: np.ndarray, grid: np.ndarray, h: float) -> tuple[float, float]:
-    """(extent, dx) of the v_h table for `kernel_sums` of y on a uniform grid.
-
-    dx splits the scaled sub-lattice step s into ceil(s / TABLE_STEP) parts.
-    """
-    _, step = _sublattices(grid, h)
-    extent = max(abs(float(grid[0] - np.max(y))), abs(float(grid[-1] - np.min(y)))) / h
-    return extent, step / math.ceil(step / TABLE_STEP)
+def _kernel_extent(y: np.ndarray, grid: np.ndarray, h: float) -> float:
+    """max |x - Y_j| / h over an increasing grid: the v_h range `kernel_sums` reads."""
+    if grid.ndim != 1 or grid.size < 2 or not np.all(np.diff(grid) > 0):
+        raise DataError("grid must be an increasing 1-d array of at least two points")
+    return max(abs(float(grid[0] - np.max(y))), abs(float(grid[-1] - np.min(y)))) / h
 
 
 def kernel_sums(y: np.ndarray, table: Table1D, grid: np.ndarray, h: float,
                 weights: np.ndarray | None = None) -> np.ndarray:
-    """(1/(n h)) sum_j w_j v_h((x - Y_j)/h) on the grid; table per `kernel_table_request`."""
-    k, step = _sublattices(grid, h)
-    out = np.empty(grid.size)
-    for r in range(min(k, grid.size)):
-        sub = grid[r::k]
-        sums = lattice_means((sub[0] - y) / h, table, step, 1 - sub.size, 0, weights)
-        out[r::k] = sums[::-1] / h
-    return out
+    """(1/(n h)) sum_j w_j v_h((x - Y_j)/h) on the grid; table per `_kernel_extent`.
+
+    The sums are taken at u_k = k table.dx for the k that span grid/h (one
+    `lattice_means` call on the points u_lo - Y_j/h) and read at x/h through
+    the table's stencil.
+    """
+    dx = table.dx
+    k_lo = math.floor(grid[0] / (h * dx)) - _READ_REACH
+    k_hi = math.ceil(grid[-1] / (h * dx)) + _READ_REACH
+    sums = lattice_means(k_lo * dx - y / h, table, dx, k_lo - k_hi, 0, weights)
+    return Table1D(k_lo * dx, dx, sums[::-1])(grid / h) / h
 
 
 # --------------------------------------------------------------------------- estimator
@@ -146,6 +141,7 @@ class KernelSpec:
     grid_points: int = 512
 
     def __post_init__(self):
+        require_finite(self, "bandwidth")
         if self.bandwidth <= 0:
             raise ParameterError("bandwidth must be positive")
 
@@ -201,8 +197,8 @@ def estimate_density(y, spec: KernelSpec, grid: np.ndarray | None = None) -> Est
     y : ObservationSeries or 1-d array
         Log-squared normalized increments.
     spec : KernelSpec
-    grid : optional uniform abscissae (a linspace); default spans the data
-        range with 3h padding.
+    grid : optional increasing abscissae; default is a linspace spanning the
+        data range with 3h padding.
 
     The estimator is linear in the empirical measure and can be negative;
     it is returned as is, a signed density.
@@ -215,7 +211,7 @@ def estimate_density(y, spec: KernelSpec, grid: np.ndarray | None = None) -> Est
     else:
         grid = np.asarray(grid, dtype=float)
 
-    table = deconv_kernel_table(h, *kernel_table_request(y_arr, grid, h))
+    table = deconv_kernel_table(h, _kernel_extent(y_arr, grid, h))
     values = kernel_sums(y_arr, table, grid, h)
     return EstimateReport(density=DensityGrid(grid, values, signed=True), diagnostics={
         "bandwidth": h,

@@ -44,7 +44,7 @@ from ._tables import Band, Table1D, fourier_table, lattice_means
 from .errors import ConfigError, DataError, ParameterError
 from .grids import DensityGrid, uniform_grid
 from .noisemodel import CHARFN_CUTOFF, inv_noise_charfn, inv_noise_charfn_derivative
-from .svsim import as_log_squared
+from .svsim import as_log_squared, require_finite
 
 #: past this level the band edge pi L leaves the range where 1/phi_k is finite
 MAX_LEVEL = math.floor(CHARFN_CUTOFF / math.pi)
@@ -140,6 +140,7 @@ class PpeConfig:
     grid_points: int = 512
 
     def __post_init__(self):
+        require_finite(self, "kappa")
         if self.kappa <= 0:
             raise ParameterError("kappa must be positive")
         if self.k_n is not None and self.k_n < 1:

@@ -41,10 +41,11 @@ AR_BURN_IN = 1000
 
 # --------------------------------------------------------------------------- parameters
 
-def require_finite(owner, *names: str) -> None:
-    """ParameterError naming the first of `names` that is NaN or inf; `x <= 0` misses both."""
-    for name in names:
-        if (value := getattr(owner, name)) is not None and not np.isfinite(value):
+def require_finite(owner=None, /, *names: str, **values) -> None:
+    """ParameterError naming the first NaN or inf among the attributes `names` of
+    `owner` and the keyword `values` (None passes); `x <= 0` misses both."""
+    for name, value in [(name, getattr(owner, name)) for name in names] + [*values.items()]:
+        if value is not None and not np.isfinite(value):
             raise ParameterError(f"{name} must be finite, got {value!r}")
 
 
@@ -384,23 +385,28 @@ def simulate_markov2(rate_01: float, rate_10: float, steps: int, dt: float,
 
     Per-substep flip probabilities are 1 - exp(-rate * dt), the first-order
     discretization of the continuous-time chain; the initial state is drawn
-    from the stationary law (pi_0, pi_1).
+    from the stationary law (pi_0, pi_1).  With one uniform u per step, the
+    step flips state 0 when u < p_01 and state 1 when u < p_10: where both
+    hold it toggles the state, where exactly one does it sets the state to
+    [u < p_01] whatever it was, and otherwise it holds.  So each state is the
+    last set value (or the initial state) XOR the parity of the toggles since.
     """
     if rate_01 <= 0 or rate_10 <= 0:
         raise ParameterError("switching rates must be positive")
     if dt <= 0 or steps < 1:
         raise ParameterError("need positive dt and at least one step")
     rng = seed if isinstance(seed, np.random.Generator) else _rng(seed)
-    p_flip = (1.0 - np.exp(-rate_01 * dt), 1.0 - np.exp(-rate_10 * dt))
     pi1 = rate_01 / (rate_01 + rate_10)
     state = int(rng.random() < pi1)
     u = rng.random(steps)
+    from0, from1 = u < 1.0 - np.exp(-rate_01 * dt), u < 1.0 - np.exp(-rate_10 * dt)
+    toggles = np.cumsum(from0 & from1)
+    last = np.maximum.accumulate(np.where(from0 ^ from1, np.arange(steps), -1))
+    was_set = last >= 0
+    since = toggles - np.where(was_set, toggles[last], 0)
     path = np.empty(steps + 1, dtype=np.int64)
     path[0] = state
-    for k in range(steps):
-        if u[k] < p_flip[state]:
-            state = 1 - state
-        path[k + 1] = state
+    path[1:] = np.where(was_set, from0[last], state) ^ (since & 1)
     return path
 
 

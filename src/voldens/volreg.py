@@ -20,7 +20,7 @@ m + E log Z^2; the raw quotient is m_hat + NOISE_MEAN.
 
 Numerator and denominator are two `kerneldeconv.kernel_sums` over the same
 v_h table, the numerator weighted by the responses; like the density
-estimate they need a uniform grid.
+estimate they take any increasing grid.
 
 Near-zero denominators are masked rather than divided through: ratios
 against a vanishing density estimate are unbounded noise, and masking is
@@ -42,8 +42,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, ParameterError
-from .kerneldeconv import deconv_kernel_table, kernel_sums, kernel_table_request
-from .svsim import as_log_squared
+from .kerneldeconv import _kernel_extent, deconv_kernel_table, kernel_sums
+from .svsim import as_log_squared, require_finite
 
 DENOMINATOR_FLOOR = 1e-4
 #: E log Z^2 for standard normal Z: psi(1/2) + log 2 = -(euler_gamma + log 2).
@@ -90,7 +90,7 @@ def regression_estimate(y, h: float, grid: np.ndarray,
 
     Uses the n-1 transition pairs (Y_j, Y_{j+1}); numerator and denominator
     share one tabulated v_h, so the quotient structure is exact.  The grid
-    must be uniform (a linspace).
+    is any increasing 1-d array.
 
     The response in the numerator is Y_{j+1} - NOISE_MEAN: the observed
     one-step-ahead value is m(xi_j) + eta_j + eps_{j+1}, and eps has the
@@ -102,13 +102,14 @@ def regression_estimate(y, h: float, grid: np.ndarray,
     y_arr = as_log_squared(y)
     if y_arr.size < 2:
         raise DataError("regression needs at least two observations")
+    require_finite(h=h, floor=floor)
     if h <= 0:
         raise ParameterError("bandwidth must be positive")
     grid = np.asarray(grid, dtype=float)
     y_now = y_arr[:-1]
     y_next = y_arr[1:] - NOISE_MEAN
 
-    table = deconv_kernel_table(h, *kernel_table_request(y_now, grid, h))
+    table = deconv_kernel_table(h, _kernel_extent(y_now, grid, h))
     denominator = kernel_sums(y_now, table, grid, h)
     numerator = kernel_sums(y_now, table, grid, h, weights=y_next)
 

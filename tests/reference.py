@@ -2,8 +2,9 @@
 
 Quadrature oracles for the program's Fourier tables, the basis functions
 and identities the tests check the estimators against, a Fourier-side
-recomputation of the penalized-projection coefficients, and the
-discrete-time AR model as the tests simulate it.  None of this is on the
+recomputation of the penalized-projection coefficients, the two-state
+chain as a plain loop, and the discrete-time AR model as the tests simulate
+it.  None of this is on the
 program's path.
 """
 
@@ -158,6 +159,23 @@ def sobolev_norm(t: np.ndarray, values: np.ndarray, alpha: float) -> float:
             f"{edge:.3e} vs total {total:.3e}; extend the frequency grid",
             stacklevel=2)
     return math.sqrt(total)
+
+
+# --------------------------------------------------------------------------- simulation
+
+def simulate_markov2_loop(rate_01: float, rate_10: float, steps: int, dt: float,
+                          rng: np.random.Generator) -> np.ndarray:
+    """`svsim.simulate_markov2` as a per-step loop over the same draws: the reference."""
+    p_flip = (1.0 - np.exp(-rate_01 * dt), 1.0 - np.exp(-rate_10 * dt))
+    state = int(rng.random() < rate_01 / (rate_01 + rate_10))
+    u = rng.random(steps)
+    path = np.empty(steps + 1, dtype=np.int64)
+    path[0] = state
+    for k in range(steps):
+        if u[k] < p_flip[state]:
+            state = 1 - state
+        path[k + 1] = state
+    return path
 
 
 # --------------------------------------------------------------------------- regression

@@ -490,6 +490,22 @@ class TestMainEntry:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "parameter" and "delta must be finite" in err["message"]
 
+    @pytest.mark.parametrize("estimator, flag, value", [
+        ("kernel", "--bandwidth", "nan"), ("kernel", "--bandwidth", "inf"),
+        ("regression", "--bandwidth", "nan"), ("regression", "--bandwidth", "inf"),
+        ("kernel", "--gamma", "nan"), ("ppe", "--kappa", "nan"),
+        ("regression", "--denominator-floor", "nan"),
+    ])
+    def test_non_finite_float_option_is_a_parameter_error(self, tmp_path, capsys, estimator,
+                                                          flag, value):
+        # `x <= 0` is false for NaN and passes inf, so each is checked for finiteness
+        code = main(["--scenario", "ou-exp", "--n", "300", "--estimator", estimator,
+                     flag, value, "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        name = flag[2:].replace("-", "_")
+        assert err["error"] == "parameter" and f"{name} must be finite" in err["message"]
+
     @pytest.mark.parametrize("line, key", [("n = abc", "n"), ("grid_points = 12.5", "grid_points")])
     def test_unparsable_config_value_is_a_config_error(self, tmp_path, capsys, line, key):
         cfg_file = tmp_path / "run.conf"

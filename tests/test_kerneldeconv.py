@@ -1,18 +1,21 @@
 """Tests for the Fourier deconvolution kernel estimator."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from reference import band_quad, fourier_quad
+from voldens._tables import Table1D, fourier_table
 from voldens.errors import DataError, ParameterError
 from voldens.kerneldeconv import (TABLE_STEP, KernelSpec, check_gamma_constraint,
                                   deconv_kernel_table, default_bandwidth, estimate_density,
-                                  kernel_band, kernel_table_request, wand_charfn,
-                                  wand_kernel)
+                                  kernel_band, wand_charfn, wand_kernel)
 from voldens.metrics import PureConvolution, mise
 from voldens.grids import DensityGrid
 from voldens.svsim import OuParams, ScenarioConfig, simulate_scenario
+from voldens.volreg import regression_estimate
 
 
 class TestWandKernel:
@@ -88,51 +91,91 @@ class TestDeconvKernel:
             kernel_band(-0.1)
         with pytest.raises(ParameterError):
             deconv_kernel_table(1e-4, 10.0)
+        for h in (float("nan"), float("inf")):
+            with pytest.raises(ParameterError, match="bandwidth must be finite"):
+                KernelSpec(bandwidth=h)
 
 
 class TestEstimateDensity:
     def test_single_observation_is_one_kernel_term(self):
+        # one observation: the sums on the table lattice u_k = k TABLE_STEP are
+        # v_h(u_k - Y/h) itself, and the estimate reads them at x/h through the
+        # cubic stencil; the FFT correlation reproduces them up to float rounding
         y = np.array([1.3])
         h = 0.6
         grid = np.linspace(-2, 4, 41)
         rep = estimate_density(y, KernelSpec(bandwidth=h), grid)
-        # the table the estimator requests; the FFT correlation reproduces its
-        # interpolated values up to float rounding
-        table = deconv_kernel_table(h, *kernel_table_request(y, grid, h))
-        np.testing.assert_allclose(rep.density.values, table((grid - 1.3) / h) / h,
-                                   rtol=1e-12)
+        table = deconv_kernel_table(h, 16.0)  # the estimator's table: same range bucket
+        u = TABLE_STEP * np.arange(-200, 300)  # covers grid / h with room for the stencil
+        lattice = Table1D(u[0], TABLE_STEP, table(u - 1.3 / h))
+        expect = lattice(grid / h) / h
+        np.testing.assert_allclose(rep.density.values, expect,
+                                   rtol=0, atol=1e-13 * np.max(np.abs(expect)))
+        # the second read costs accuracy near 1e-9 against the table read directly
+        direct = table((grid - 1.3) / h) / h
+        assert np.max(np.abs(expect - direct)) <= 3.1e-9 * np.max(np.abs(direct))
+        # and the same x reads the same value from any grid that contains it
+        sub = estimate_density(y, KernelSpec(bandwidth=h), grid[7:30:3])
+        np.testing.assert_allclose(sub.density.values, rep.density.values[7:30:3],
+                                   rtol=0, atol=1e-13 * np.max(np.abs(expect)))
 
-    def test_strided_lattice_matches_quadrature_sums(self):
-        # grid step / h = 1.43, so 29 table steps lie between grid points
-        rng = np.random.default_rng(21)
-        y = rng.normal(0.0, 1.5, 8)
-        h = 0.4
-        grid = np.linspace(-3, 5, 15)
-        _, dx = kernel_table_request(y, grid, h)
-        assert round((grid[1] - grid[0]) / (h * dx)) == 29
+    # the kernel sums against quadrature of v_h at h = 0.4, 0.25 and 0.7, on a
+    # uniform grid and on a non-uniform one, which the grid-derived table step
+    # that TABLE_STEP replaced could not read.  The uniform-grid bounds are three
+    # times the error measured when the step became TABLE_STEP (1.0e-9, 3.3e-9
+    # and 1.7e-10); the non-uniform ones (measured 8.0e-10, 2.7e-9 and 1.7e-10)
+    # are a third of the old step's uniform-grid error (7.8e-9, 3.2e-8, 2.6e-9)
+    ORACLE_CASES = ((0.4, 3.1e-9, 2.6e-9), (0.25, 1.0e-8, 1.05e-8), (0.7, 5.2e-10, 8.7e-10))
+
+    @staticmethod
+    def _oracle_error(h, grid):
+        y = np.random.default_rng(21).normal(-1.0, 1.5, 8)
         est = estimate_density(y, KernelSpec(bandwidth=h), grid).density.values
         direct = np.array([np.mean(band_quad(kernel_band(h), (x - y) / h)) / h for x in grid])
-        assert np.max(np.abs(est - direct)) <= 1e-7 * np.max(np.abs(direct))
+        return np.max(np.abs(est - direct)) / np.max(np.abs(direct))
 
-    def test_non_uniform_grid_rejected(self):
+    def test_strided_lattice_matches_quadrature_sums(self):
+        for h, rtol, _ in self.ORACLE_CASES:
+            assert self._oracle_error(h, np.linspace(-3, 5, 15)) <= rtol, h
+
+    def test_non_uniform_grid_matches_quadrature_sums(self):
+        grid = np.sort(np.random.default_rng(22).uniform(-3.0, 5.0, 15))
+        for h, _, rtol in self.ORACLE_CASES:
+            assert self._oracle_error(h, grid) <= rtol, h
+
+    def test_non_increasing_grid_rejected(self):
         y = np.array([0.1, 0.5, 1.2])
         with pytest.raises(DataError):
-            estimate_density(y, KernelSpec(bandwidth=0.5), np.array([-1.0, 0.0, 0.5, 2.0]))
+            estimate_density(y, KernelSpec(bandwidth=0.5), np.array([-1.0, 0.5, 0.0, 2.0]))
 
     def test_fine_grid_keeps_a_coarse_table(self):
-        # grid step / h ~ 1.7e-3: the grid runs as interleaved sub-lattices,
-        # so the table step (and the FFT size behind it) stays near TABLE_STEP
+        # grid step / h ~ 1.7e-3, far below TABLE_STEP: the grid only changes
+        # where the sums are read, not the table, whose step stays TABLE_STEP
         config = ScenarioConfig("ou-exp", OuParams(0.5, 0.0, 1.0), 0.05, 300)
         series, _ = simulate_scenario(config)
         y = series.log_squared
         h = np.pi / np.log(y.size)
         spec = KernelSpec(bandwidth=h, grid_points=20_000)
         est = estimate_density(y, spec).density
-        x_half, dx = kernel_table_request(y, est.x, h)
-        assert dx >= TABLE_STEP / 2
-        fine = deconv_kernel_table(h, x_half, TABLE_STEP / 8)
+        x_half = max(est.x[-1] - np.min(y), np.max(y) - est.x[0]) / h
+        assert deconv_kernel_table(h, x_half).dx == TABLE_STEP
+        fine = replace(kernel_band(h), step=TABLE_STEP / 8).table(x_half, fourier_table)
         direct = np.mean([fine((est.x - yj) / h) for yj in y], axis=0) / h
         assert np.max(np.abs(est.values - direct)) <= 1e-8 * np.max(np.abs(direct))
+
+    def test_one_table_per_bandwidth(self, monkeypatch):
+        # six samples, each on its own data-dependent default grid, and a
+        # regression on yet another grid: one cold table build serves them all
+        import voldens.kerneldeconv as kd
+        builds = []
+        monkeypatch.setattr(kd, "fourier_table",
+                            lambda *a, **k: builds.append(1) or fourier_table(*a, **k))
+        h = 0.4321  # no other test builds this bandwidth's table
+        rng = np.random.default_rng(12)
+        for _ in range(6):
+            estimate_density(rng.normal(-1.0, 1.5, 500), KernelSpec(bandwidth=h))
+        regression_estimate(rng.normal(-1.0, 1.5, 500), h, np.linspace(-2.0, 1.0, 77))
+        assert len(builds) == 1
 
     def test_shift_equivariance(self):
         # exact as a change of variables; float addition leaves ~1e-16 residue

@@ -216,6 +216,11 @@ class TestSelection:
         scores = {L: est.contrasts[L] + est.penalties[L] for L in est.contrasts}
         assert est.selected_level == min(scores, key=lambda L: (scores[L], L))
 
+    @pytest.mark.parametrize("kappa", [float("nan"), float("inf")])
+    def test_non_finite_kappa_rejected(self, kappa):
+        with pytest.raises(ParameterError, match="kappa must be finite"):
+            PpeConfig(kappa=kappa)
+
     def test_overflow_levels_rejected_loudly(self):
         rng = np.random.default_rng(34)
         y = rng.normal(size=100)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from reference import simulate_markov2_loop
 from voldens.errors import ConfigError, DataError, ParameterError
 from voldens.svsim import (ArParams, ObservationSeries, OuParams,
                            RegimeSwitchParams, ScenarioConfig, invariant_density,
@@ -150,6 +151,17 @@ class TestMarkovChain:
         reps = np.array(reps)
         se = reps.std(ddof=1) / np.sqrt(reps.size)
         assert abs(reps.mean() - 0.25) < 3 * se + 0.003  # O(dt) flip-prob bias allowance
+
+    @pytest.mark.parametrize("rates", [(0.5, 0.5), (1.0, 3.0), (0.02, 0.05), (40.0, 25.0),
+                                       (1e-12, 1.0), (300.0, 0.1)])
+    def test_matches_the_loop_on_the_same_draws(self, rates):
+        # the vectorized chain is the per-step loop exactly, and leaves the
+        # generator where the loop does
+        for seed in range(5):
+            rng, ref_rng = _philox(seed), _philox(seed)
+            chain = simulate_markov2(*rates, 41_600, 0.01, rng)
+            assert np.array_equal(chain, simulate_markov2_loop(*rates, 41_600, 0.01, ref_rng))
+            assert np.array_equal(rng.random(16), ref_rng.random(16))
 
     def test_degenerate_rate_constant_path(self):
         path = simulate_markov2(1e-12, 1.0, 500, 0.1, seed=9)

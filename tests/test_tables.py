@@ -1,5 +1,7 @@
 """Tests for the shared table/FFT infrastructure."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -9,8 +11,8 @@ from reference import band_quad, fourier_quad
 from voldens._tables import (_TAPS, GUARD, Table1D, _bridge_transform, _osc_moments, _stencil,
                              fourier_table, lattice_expansion, lattice_means, range_bucket)
 from voldens.errors import DataError, NumericsError
-from voldens.grids import uniform_grid, uniform_step
-from voldens.kerneldeconv import TABLE_STEP, deconv_kernel_table, kernel_band, kernel_table_request
+from voldens.grids import uniform_grid
+from voldens.kerneldeconv import TABLE_STEP, deconv_kernel_table, kernel_band
 from voldens.ppe import u_band, u_zero_table
 from voldens.waveletdeconv import SCALING_BAND, scaling_table, um_band, um_table
 
@@ -113,10 +115,12 @@ def _estimator_lattice(name):
     if name.startswith("u_L"):  # PPE coefficients at level L
         L = int(name[3:])
         return y, u_zero_table(L, float(np.max(np.abs(y))) + 40 / L), 1.0 / L, -40, 40
-    h = 0.4  # v_h: the kernel sums on a 512-point grid
+    h = 0.4  # v_h: the kernel sums on the table lattice under a 512-point grid
     grid = uniform_grid(np.min(y) - 3 * h, np.max(y) + 3 * h, 512)
-    table = deconv_kernel_table(h, *kernel_table_request(y, grid, h))
-    return (grid[0] - y) / h, table, uniform_step(grid) / h, 1 - grid.size, 0
+    table = deconv_kernel_table(h, max(grid[-1] - np.min(y), np.max(y) - grid[0]) / h)
+    k_lo = math.floor(grid[0] / (h * TABLE_STEP)) - 4
+    k_hi = math.ceil(grid[-1] / (h * TABLE_STEP)) + 4
+    return k_lo * TABLE_STEP - y / h, table, TABLE_STEP, k_lo - k_hi, 0
 
 
 def _fftconvolve_means(points, table, step, j_lo, j_hi, weights=None):
@@ -163,7 +167,7 @@ class TestLatticeMeans:
         np.testing.assert_allclose(out, expect, rtol=1e-12)
 
     @pytest.mark.parametrize("name, stride", [("U_0", 96), ("u_L1", 72), ("u_L3", 72),
-                                              ("v_h", 2)])
+                                              ("v_h", 1)])
     @pytest.mark.parametrize("weighted", [False, True])
     def test_estimator_tables_at_their_strides(self, name, stride, weighted):
         pts, table, step, j_lo, j_hi = _estimator_lattice(name)
@@ -248,11 +252,11 @@ def test_range_bucket():
 # Every tabulated family against its quadrature oracle, over the ranges its
 # estimator reads.  rtol is relative to max |oracle| and is three times the
 # error measured when the case was added (U_3 last, so the seeds of the
-# others stay as they were).
+# others stay as they were; the v_h bounds since v_h took its step TABLE_STEP).
 ORACLE_SWEEP = [
-    ("v_h0.2", kernel_band(0.2), -25.0, 25.0, 1.2e-7),
-    ("v_h0.4", kernel_band(0.4), -25.0, 25.0, 3.9e-8),
-    ("v_h0.9", kernel_band(0.9), -25.0, 25.0, 2.0e-8),
+    ("v_h0.2", kernel_band(0.2), -25.0, 25.0, 9.1e-9),
+    ("v_h0.4", kernel_band(0.4), -25.0, 25.0, 1.3e-9),
+    ("v_h0.9", kernel_band(0.9), -25.0, 25.0, 7.2e-10),
     ("U_0", um_band(0), -5.0, 8.0, 6.4e-8),
     ("U_1", um_band(1), -5.0, 8.0, 7.0e-8),
     ("U_2", um_band(2), -5.0, 8.0, 9.1e-8),
@@ -282,7 +286,7 @@ class TestBand:
         assert um_table(0, r) is not scaling_table(r)
         assert u_zero_table(1, r) is not u_zero_table(2, r)
         v = deconv_kernel_table(0.4, r)
-        assert v is not deconv_kernel_table(0.4, r, TABLE_STEP / 2)
+        assert v is deconv_kernel_table(0.4, 1.0) and v.dx == TABLE_STEP
         assert v is not deconv_kernel_table(0.9, r)
         # extents up to 64 - GUARD share the 64 bucket; beyond it they need 128
         edge = 64.0 - GUARD

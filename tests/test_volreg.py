@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from reference import regression_residual_field, simulate_discrete_ar
+from reference import band_quad, regression_residual_field, simulate_discrete_ar
 from voldens.errors import DataError, ParameterError
+from voldens.kerneldeconv import kernel_band
 from voldens.svsim import ArParams, simulate_ar_logvol
 from voldens.volreg import NOISE_MEAN, default_regression_bandwidth, regression_estimate
 
@@ -118,10 +119,24 @@ class TestRegressionEstimate:
         assert unmasked.any()
         np.testing.assert_allclose(est.m_hat[unmasked], c - NOISE_MEAN, rtol=1e-12)
 
-    def test_non_uniform_grid_rejected(self):
+    def test_non_uniform_grid_matches_quadrature_sums(self):
+        # numerator and denominator on a non-uniform grid against quadrature of
+        # v_h; each bound is three times the error measured when any increasing
+        # grid became readable (9.6e-10 and 3.2e-9)
+        rng = np.random.default_rng(21)
+        y = rng.normal(-1.0, 1.5, 9)
+        grid = np.sort(rng.uniform(-3.0, 2.0, 15))
+        h = 0.4
+        est = regression_estimate(y, h, grid)
+        v = np.array([band_quad(kernel_band(h), (x - y[:-1]) / h) for x in grid]) / h
+        den, num = v.mean(axis=1), (v * (y[1:] - NOISE_MEAN)).mean(axis=1)
+        assert np.max(np.abs(est.denominator - den)) <= 2.9e-9 * np.max(np.abs(den))
+        assert np.max(np.abs(est.numerator - num)) <= 9.5e-9 * np.max(np.abs(num))
+
+    def test_non_increasing_grid_rejected(self):
         y = np.random.default_rng(4).normal(size=50)
         with pytest.raises(DataError):
-            regression_estimate(y, 0.5, np.array([-1.0, 0.0, 0.5, 2.0]))
+            regression_estimate(y, 0.5, np.array([-1.0, 0.5, 0.0, 2.0]))
 
     def test_quotient_structure_exact(self):
         rng = np.random.default_rng(1)
@@ -195,3 +210,9 @@ class TestRegressionEstimate:
     def test_bandwidth_validation(self):
         with pytest.raises(ParameterError):
             regression_estimate(np.array([0.0, 1.0]), -0.5, np.linspace(-1, 1, 5))
+
+    @pytest.mark.parametrize("h, floor", [(float("nan"), 1e-4), (float("inf"), 1e-4),
+                                          (0.5, float("nan")), (0.5, float("inf"))])
+    def test_non_finite_bandwidth_or_floor_rejected(self, h, floor):
+        with pytest.raises(ParameterError, match="must be finite"):
+            regression_estimate(np.array([0.0, 1.0]), h, np.linspace(-1, 1, 5), floor)
