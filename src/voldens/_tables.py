@@ -2,38 +2,49 @@
 
 Every estimator in this package evaluates some inverse Fourier transform of a
 compactly supported spectrum, correlated on a lattice twice: with the data,
-to get coefficients, and with the coefficients, to render the estimate.  The
-spectrum is Hermitian, so the transform is real: it is tabulated once on a
-fine uniform grid by one real inverse FFT of the s >= 0 half band
-(`fourier_table`, whose step is always exactly the one requested) and read
-through one local 4-point cubic stencil (`_stencil`), which is linear in the
-table values.
-Because every shift is a whole number of table steps (`_stride`), a point's
-stencil weights are the same for every shift, so both directions reduce to
-sums over the table lattice: `lattice_means` (data to coefficients; the
-kernel and regression sums on the v_h table's own lattice, which
-`Table1D.__call__` then reads at the grid, and the wavelet and PPE
-coefficients on integer shifts) bins the points and correlates them with the
-table as one `scipy.fft` rfft product at the padded length that
-`scipy.signal.fftconvolve` uses (the table's own spectrum at that length is
-computed once, by the first call, and kept on the table), and its transpose
-`lattice_expansion` (coefficients to grid; the wavelet render) forms one
-strided dot product per lattice index the grid touches.  Importing this
-module loads only numpy, `scipy.special` and `scipy.fft`.
-Spectra that jump at the edges of their symmetric band [-s_max, s_max] get
-a cubic bridge, removed before the FFT and added back in elementary closed
-form (`_bridge_transform`: cos and sin times two polynomials in
-1/(s_max x), with spherical-Bessel moments only near x = 0).
+to get coefficients, and with the coefficients, to render the estimate.
+There are two engines for that.
 
-Each tabulated transform is described once, by a frozen `Band`: its
-spectrum (a module-level function of (s, param)), the band edge s_max, the
-table step and, for spectra that jump at the edge, the edge values to
-bridge.  `Band.table` is the FFT path, through the one table cache keyed
-on the band, the range bucket and the build function; every table spans
-GUARD beyond the extent its caller needs, so the transform has decayed
-before the table ends.  The tests check every Band's table against direct
-adaptive quadrature of the same spectrum, which shares no code with the FFT
-path.
+The table engine tabulates the transform once on a fine uniform grid by one
+real inverse FFT of the s >= 0 half band (`fourier_table`, whose step is
+always exactly the one requested) and reads it through one local 4-point
+cubic stencil (`_stencil`), which is linear in the table values; `Table1D`
+reads any points in blocks of READ_BLOCK.  Because every shift is a whole
+number of table steps (`_stride`), a point's stencil weights are the same
+for every shift, so both directions reduce to sums over the table lattice:
+`lattice_means` (data to coefficients: the kernel and regression sums on the
+v_h table's own lattice, which `Table1D.__call__` then reads at the grid,
+and the PPE coefficients on the shifts j/L) bins the points and correlates
+them with the table as one `scipy.fft` rfft product at the padded length
+that `scipy.signal.fftconvolve` uses (the table's own spectrum at that
+length is computed once, by the first call, and kept on the table), and its
+transpose `lattice_expansion` (coefficients to grid: the wavelet render)
+takes one contiguous `np.convolve` per residue class of the touched table
+indices modulo the stride.  Spectra that jump at the edges of their
+symmetric band [-s_max, s_max] get a cubic bridge, removed before the FFT
+and added back in elementary closed form (`_bridge_transform`: cos and sin
+times two polynomials in 1/(s_max x), with spherical-Bessel moments only
+near x = 0).
+
+The band engine (the wavelet coefficients) builds no table: `band_lattice`
+takes the means over integer shifts as the band integral of the spectrum
+times the data's empirical characteristic function, by the trapezoid rule
+on P nodes (`band_samples`, the spectrum there; P >= 4 times the reach of
+points and shifts), with the characteristic function from a numpy type-1
+NUFFT (`_ecf`, Gaussian gridding) and one inverse FFT of length P.  Its
+spectra must vanish with their first derivative at the band edge.
+
+Importing this module loads only numpy, `scipy.special` and `scipy.fft`.
+
+Each transform is described once, by a frozen `Band`: its spectrum (a
+module-level function of (s, param)), the band edge s_max, the table step
+and, for spectra that jump at the edge, the edge values to bridge.
+`Band.table` builds either a table (`fourier_table`) or the spectrum samples
+(`band_samples`) through the one cache keyed on the band, the range bucket
+and the build function; every table spans GUARD beyond the extent its
+caller needs, so the transform has decayed before the table ends.  The tests
+check every Band's table, and `band_lattice`, against direct adaptive
+quadrature of the same spectrum, which shares no code with either engine.
 """
 
 from __future__ import annotations
@@ -62,6 +73,14 @@ GUARD = 8.0
 #: `_bridge_transform` uses the Bessel moments below this |s_max x| and the
 #: elementary closed form from it on
 BRIDGE_NEAR_THETA = 4.0
+#: `Table1D.__call__` reads its points in blocks of this many
+READ_BLOCK = 16384
+#: `band_lattice` takes at least this many frequency nodes
+BAND_NODES = 65536
+#: `_ecf` spreads each point to the 2 * SPREAD + 1 nearest nodes of its grid,
+#: and the data in blocks of SPREAD_BLOCK points
+SPREAD = 12
+SPREAD_BLOCK = 8192
 
 
 class Table1D:
@@ -95,10 +114,14 @@ class Table1D:
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
         x = np.atleast_1d(x)
-        idx, w = _stencil(self, x)
-        inside = (idx >= 1) & (idx <= self.values.size - 3)
-        idx_c = np.clip(idx, 1, self.values.size - 3)
-        out = np.where(inside, np.sum(w * self.values[idx_c + _TAPS[:, None]], axis=0), 0.0)
+        out = np.empty(x.size)
+        # the stencil's (4, block) temporaries are bounded by READ_BLOCK points
+        for start in range(0, x.size, READ_BLOCK):
+            idx, w = _stencil(self, x[start:start + READ_BLOCK])
+            inside = (idx >= 1) & (idx <= self.values.size - 3)
+            idx_c = np.clip(idx, 1, self.values.size - 3)
+            out[start:start + READ_BLOCK] = np.where(
+                inside, np.sum(w * self.values[idx_c + _TAPS[:, None]], axis=0), 0.0)
         return float(out[0]) if scalar else out
 
 
@@ -218,13 +241,15 @@ class Band:
     step: float
     edges: Callable[[float, object], tuple] | None = None
 
-    def table(self, extent: float, build: Callable[..., Table1D]) -> Table1D:
-        """G tabulated by `build` (a `fourier_table`) over |x| <= extent + GUARD, cached."""
+    def table(self, extent: float,
+              build: Callable[..., Table1D | np.ndarray]) -> Table1D | np.ndarray:
+        """G over |x| <= extent + GUARD, cached: a `fourier_table` or its `band_samples`."""
         return _cached_table(self, range_bucket(extent + GUARD), build)
 
 
 @lru_cache(maxsize=128)
-def _cached_table(band: Band, x_half: float, build: Callable[..., Table1D]) -> Table1D:
+def _cached_table(band: Band, x_half: float,
+                  build: Callable[..., Table1D | np.ndarray]) -> Table1D | np.ndarray:
     edges = None if band.edges is None else band.edges(band.s_max, band.param)
     return build(lambda s: band.spectrum(s, band.param), s_max=band.s_max, dx=band.step,
                  x_half=x_half, edge_derivatives=edges)
@@ -332,17 +357,108 @@ def lattice_expansion(points: np.ndarray, table: Table1D, step: float,
 
     The transpose of `lattice_means`: each point reads the table lattice
     through its own cubic weights, and each lattice value it reads,
-    D[t] = sum_j c_j table.values[t - j*stride], is one strided dot product,
-    computed only at the (at most 4 per point) indices the points touch.
+    D[t] = sum_j c_j table.values[t - j*stride], is needed only at the (at
+    most 4 per point) indices the points touch.  Within one residue class
+    r = t mod stride, D[r + stride*u] = sum_j c_j w[u - j] with w =
+    values[r::stride], so the touched indices of each class take one
+    contiguous `np.convolve` over the span of u they cover.
     """
     points = np.asarray(points, dtype=float)
     coeffs = np.asarray(coeffs, dtype=float)
     stride = _stride(table, step)
-    reach = stride * (coeffs.size // 2)
+    k = coeffs.size // 2
     v = table.values
     idx, w = _stencil(table, points)
     touched, where = np.unique(idx + _TAPS[:, None], return_inverse=True)
-    if touched.size and (touched[0] < reach or touched[-1] + reach >= v.size):
+    if touched.size and (touched[0] < stride * k or touched[-1] + stride * k >= v.size):
         raise ValueError("table does not cover the requested shift range")
-    lattice = np.array([v[t - reach:t + reach + 1:stride] @ coeffs[::-1] for t in touched])
+    residue, u = touched % stride, touched // stride
+    lattice = np.empty(touched.size)
+    for r in np.unique(residue):
+        sel = residue == r
+        lo, hi = u[sel][0], u[sel][-1]  # touched is sorted, so u increases within a class
+        lattice[sel] = np.convolve(v[r::stride][lo - k:hi + k + 1], coeffs,
+                                   "valid")[u[sel] - lo]
     return np.sum(w * lattice[where.reshape(w.shape)], axis=0)
+
+
+def band_samples(spectrum: Callable[[np.ndarray], np.ndarray], s_max: float, dx: float,
+                 x_half: float, edge_derivatives: tuple | None = None) -> np.ndarray:
+    """The spectrum at the nodes of `band_lattice` for points and shifts within |x| <= x_half.
+
+    Returns q(s_k) at s_k = 2 pi k / P for k = 0..P-1, zero from s_max on,
+    with P the smallest power of two >= max(BAND_NODES, 4 x_half); the
+    s < 0 half is the conjugate (q must be Hermitian).  It takes
+    `fourier_table`'s arguments so that `Band.table` caches either; dx (the
+    band's table step) is not read, because the lattice step is 1, and a
+    band with `edge_derivatives` is refused: its spectrum must vanish with
+    its first derivative at s_max, where no node need fall.  A non-finite
+    sample raises NumericsError.
+    """
+    if edge_derivatives is not None:
+        raise ValueError("band_lattice needs a spectrum that vanishes at its band edge")
+    size = 1 << (int(np.ceil(max(BAND_NODES, 4.0 * x_half))) - 1).bit_length()
+    s = 2.0 * np.pi / size * np.arange(size)
+    inside = s < s_max
+    samples = np.zeros(size, dtype=complex)
+    samples[inside] = spectrum(s[inside])
+    if not np.all(np.isfinite(samples)):
+        raise NumericsError(f"spectrum is not finite on its band [0, {s_max:.6g})")
+    return samples
+
+
+def _ecf(points: np.ndarray, size: int) -> np.ndarray:
+    """psi_k = (1/n) sum_i exp(2 pi i k points_i / size) for k = 0..size-1.
+
+    A type-1 NUFFT with Gaussian gridding (Greengard & Lee 2004, SIAM Rev.
+    46:443): the phases theta_i = 2 pi points_i / size are spread by
+    g(theta) = exp(-theta^2 / (4 tau)) onto M = 4 size nodes (2x
+    oversampling of the 2 size modes |k| <= size), whose spacing 2 pi / M
+    puts theta_i at node 4 points_i.  With tau = pi / size^2 the
+    weight at a node d nodes away is exp(-pi d^2 / 16) (5e-14 beyond
+    SPREAD).  One rfft of the spread sum divided by g's Fourier coefficient,
+    sqrt(tau / pi) exp(-k^2 tau), leaves the sums; the spreading is done in
+    blocks of SPREAD_BLOCK points, so memory is O(size + block).
+    """
+    nodes = 4 * size
+    offsets = np.arange(-SPREAD, SPREAD + 1)
+    spread = np.zeros(nodes)
+    for start in range(0, points.size, SPREAD_BLOCK):
+        pos = 4.0 * points[start:start + SPREAD_BLOCK]
+        base = np.rint(pos)
+        dist = offsets - (pos - base)[:, None]
+        where = (base.astype(np.int64)[:, None] + offsets) % nodes
+        spread += np.bincount(where.ravel(), np.exp(-np.pi / 16.0 * dist * dist).ravel(),
+                              minlength=nodes)
+    k = np.arange(size)
+    return np.conj(rfft(spread)[:size]) * (np.exp(np.pi * (k / size) ** 2) / (4.0 * points.size))
+
+
+def band_lattice(samples: np.ndarray, points: np.ndarray, j_lo: int, j_hi: int) -> np.ndarray:
+    """c_j = (1/n) sum_i G(points_i - j) for integer j in [j_lo, j_hi], from `band_samples`.
+
+    G(x) = (1/2pi) int q(s) e^{isx} ds, so c_j = (1/2pi) int q(s) psi(s)
+    e^{-isj} ds with the data's empirical characteristic function psi(s) =
+    (1/n) sum_i e^{is points_i}.  The trapezoid rule at the P nodes s_k =
+    2 pi k / P of the samples is, by Poisson summation, exactly sum_m
+    c_{j + mP}: the images sit at least 3/4 P away from every point and
+    shift, where G has decayed.  psi comes from `_ecf`; the band is wider
+    than the integer lattice's Nyquist band pi, so q psi is folded mod P
+    (k and k - P give the same e^{-isj}) and one inverse real FFT of length
+    P gives every c_j.
+    """
+    points = np.asarray(points, dtype=float)
+    if points.size == 0:
+        raise ValueError("no data points")
+    if j_hi < j_lo:
+        raise ValueError("empty shift range")
+    size = samples.size
+    reach = max(abs(j_lo), abs(j_hi)) + np.ceil(np.max(np.abs(points))) + GUARD
+    if 4.0 * reach > size:
+        raise ValueError("spectrum samples do not cover the requested shift range")
+    prod = samples * _ecf(points, size)
+    # fold mod P: node k takes k and k - P, the conjugate of node P - k
+    folded = prod[:size // 2 + 1].copy()
+    folded[1:] += np.conj(prod[:size // 2 - 1:-1])
+    # irfft of conj(folded) at t is (1/P) sum_k folded_k e^{-2 pi i k t / P}, real
+    return irfft(np.conj(folded), size)[np.arange(j_lo, j_hi + 1) % size]

@@ -404,6 +404,10 @@ def main(argv=None) -> int:
         json.dump({"error": "io", "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return 1
+    except MemoryError as exc:
+        json.dump({"error": "memory", "message": str(exc) or "out of memory"}, sys.stderr)
+        sys.stderr.write("\n")
+        return 1
     return 0
 
 

@@ -51,6 +51,8 @@ MAX_LEVEL = math.floor(CHARFN_CUTOFF / math.pi)
 #: table stride per basis spacing 1/L; pi/stride ~ 0.044 keeps the cubic
 #: interpolation of the band-limited u below 1e-8 relative error
 TABLE_STRIDE = 72
+#: `render_sinc_expansion` forms at most this many terms at once
+RENDER_BLOCK = 1 << 20
 
 
 # --------------------------------------------------------------------------- u functions
@@ -181,14 +183,34 @@ class PpeEstimate:
 
 
 def render_sinc_expansion(coeffs: np.ndarray, L: int, grid: np.ndarray) -> np.ndarray:
-    """sum_{|j| <= K_n} a_j psi_{L,j}(x) on the grid, exactly, for 2K_n+1 coefficients a_j."""
+    """sum_{|j| <= K_n} a_j psi_{L,j}(x) on the grid, exactly, for 2K_n+1 coefficients a_j.
+
+    With z = L x and r = round(z), sinc(z - j) = (-1)^(r+j) sin(pi (z - r)) /
+    (pi (z - j)): the phase is reduced to |z - r| <= 1/2 before the sine, the
+    signs (-1)^j go into one signed copy of the coefficients, and each grid
+    point costs one row of 2K_n+1 divisions.  Where z is an integer the sum
+    is its one direct term, a_z.
+    """
     _check_level(L, math.inf)
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.size % 2 == 0:
         raise DataError("coefficient array must cover j in [-K_n, K_n]")
-    js = np.arange(coeffs.size) - coeffs.size // 2
-    return math.sqrt(L) * np.array([np.sinc(L * x - js) @ coeffs
-                                    for x in np.asarray(grid, dtype=float)])
+    k_n = coeffs.size // 2
+    js = np.arange(-k_n, k_n + 1)
+    signed = np.where(js % 2 == 0, coeffs, -coeffs)
+    z = L * np.asarray(grid, dtype=float)
+    r = np.rint(z)
+    out = np.zeros(z.shape)
+    exact = z == r
+    hit = exact & (np.abs(r) <= k_n)
+    out[hit] = coeffs[(r[hit] + k_n).astype(np.int64)]
+    off = np.flatnonzero(~exact)
+    block = max(1, RENDER_BLOCK // coeffs.size)
+    for start in range(0, off.size, block):
+        i = off[start:start + block]
+        sums = (1.0 / (z[i, None] - js)) @ signed
+        out[i] = np.where(r[i] % 2 == 0, 1.0, -1.0) * np.sin(np.pi * (z[i] - r[i])) / np.pi * sums
+    return math.sqrt(L) * out
 
 
 def select_and_estimate(y, config: PpeConfig = PpeConfig(),

@@ -27,6 +27,14 @@ means
     a_hat_{m,l} = (1/n) sum_i 2^{m/2} U_m(2^m Y_i - l),
 
 and the estimator is g_hat(x) = sum_{|l| <= L} a_hat_{m,l} phi_{m,l}(x).
+
+The two halves use the two engines of `_tables`.  The coefficients take the
+band engine: a_hat_{m,l} = 2^{m/2} (1/2pi) int U_m~(omega) psi_n(omega)
+e^{-i omega l} d omega with psi_n the empirical characteristic function of
+the 2^m Y_i, so U_m is never tabulated (`um_table` returns U_m~ at the
+nodes of `band_lattice`).  The render takes the table engine: phi is
+tabulated at TABLE_STEP and summed over the coefficients by
+`lattice_expansion`.
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._tables import Band, Table1D, fourier_table, lattice_expansion, lattice_means
+from ._tables import Band, Table1D, band_lattice, band_samples, fourier_table, lattice_expansion
 from .errors import DataError, ParameterError
 from .grids import DensityGrid, uniform_grid
 from .noisemodel import inv_noise_charfn
@@ -49,7 +57,7 @@ LEVEL_DENOMINATOR = 1.0 + 4.0 * np.pi ** 2 / 3.0
 #: reaches about e^{2 pi^2 2^m / 3} on supp phi~, and from m = 4 on the FFT
 #: table fails its realness (anti-Hermitian bound) check at every bucket
 MAX_LEVEL = 3
-#: tabulation step of phi and U_m; 96 steps per unit shift
+#: tabulation step of phi (and of U_m, for the tests' tables); 96 steps per unit shift
 TABLE_STEP = 1.0 / 96.0
 #: order k of the C^k smoothstep CDF of the auxiliary measure mu
 BUMP_DEGREE = 3
@@ -115,9 +123,9 @@ def scaling_table(extent: float) -> Table1D:
     return SCALING_BAND.table(extent, fourier_table)
 
 
-def um_table(m: int, extent: float) -> Table1D:
-    """Cached tabulation of U_m covering |x| <= extent."""
-    return um_band(m).table(extent, fourier_table)
+def um_table(m: int, extent: float) -> np.ndarray:
+    """Cached spectrum samples of U_m for `band_lattice` over |x| <= extent."""
+    return um_band(m).table(extent, band_samples)
 
 
 # --------------------------------------------------------------------------- estimator
@@ -148,16 +156,15 @@ def wavelet_coefficients(y, m: int, truncation: int) -> np.ndarray:
     """Estimated scaling coefficients a_hat_{m,l} for |l| <= truncation.
 
     Sample-mean structure: a_hat_{m,l} = (1/n) sum_i 2^{m/2} U_m(2^m Y_i - l),
-    evaluated through the tabulated U_m.  The integer shifts land exactly on
-    the table lattice, so the whole family is computed as one correlation.
+    taken on the Fourier side by `band_lattice`: the band integral of U_m's
+    spectrum times the empirical characteristic function of the 2^m Y_i.
     """
     y_arr = as_log_squared(y)
     if truncation < 0:
         raise ParameterError("truncation must be >= 0")
     pts = (2.0 ** m) * y_arr
-    table = um_table(m, float(np.max(np.abs(pts))) + truncation)
-    means = lattice_means(pts, table, step=1.0, j_lo=-truncation, j_hi=truncation)
-    return (2.0 ** (m / 2.0)) * means
+    samples = um_table(m, float(np.max(np.abs(pts))) + truncation)
+    return (2.0 ** (m / 2.0)) * band_lattice(samples, pts, -truncation, truncation)
 
 
 def default_level(n: int) -> tuple[int, float]:

@@ -70,6 +70,17 @@ def sinc_basis(L: int, j: int, x) -> np.ndarray | float:
     return float(out) if out.ndim == 0 else out
 
 
+def sinc_expansion_dense(coeffs: np.ndarray, L: int, grid) -> np.ndarray:
+    """sum_{|j| <= K} a_j psi_{L,j}(x) for 2K+1 coefficients, one dense `np.sinc` row per x.
+
+    The reference for `ppe.render_sinc_expansion`.
+    """
+    coeffs = np.asarray(coeffs, dtype=float)
+    js = np.arange(coeffs.size) - coeffs.size // 2
+    return math.sqrt(L) * np.array([np.sinc(L * x - js) @ coeffs
+                                    for x in np.asarray(grid, dtype=float)])
+
+
 def u_basis(y, L: int, j: int) -> np.ndarray | float:
     """u_{psi_{L,j}}(y), via the tabulated u_{psi_{L,0}} and the shift identity."""
     band = u_band(L)  # checks the level before j / L is formed

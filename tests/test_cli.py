@@ -449,6 +449,20 @@ class TestMainEntry:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "parameter"
 
+    @pytest.mark.parametrize("estimator, target", [("wavelet", "wavelet_estimate"),
+                                                   ("ppe", "select_and_estimate")])
+    def test_memory_error_is_a_json_error(self, tmp_path, capsys, monkeypatch, estimator,
+                                          target):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 4.00 GiB")
+
+        monkeypatch.setattr(cli, target, exhausted)
+        code = main(["--scenario", "ou-exp", "--n", "300", "--estimator", estimator,
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err == {"error": "memory", "message": "Unable to allocate 4.00 GiB"}
+
     @pytest.mark.parametrize("model, edit, kind, needle", [
         ("nonlinear-ar", ("ar.slope = 0.5", "ar.slope = 1.5"), "parameter", "stability"),
         ("ou-exp", ("delta = 0.05\n", ""), "config", "'delta'"),

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from reference import (empirical_contrast, fourier_quad, ppe_oracle_coefficients, sinc_basis,
-                       u_basis)
+                       sinc_expansion_dense, u_basis)
 from voldens.errors import ConfigError, DataError, ParameterError
 from voldens.metrics import PureConvolution
 from voldens.ppe import (MAX_LEVEL, PpeConfig, contrast, penalty, phi_k_integral,
@@ -237,6 +237,21 @@ class TestSelection:
                                   * np.sinc(L * x - js)) * np.sqrt(L)
                            for x in est.density.x])
         np.testing.assert_allclose(est.density.values, manual, rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("L", [1, 9, 70])
+    def test_render_matches_dense_sinc_sum(self, L):
+        # a uniform grid, grid points with L x an exact integer (inside and
+        # beyond |j| <= K) and L x within 1e-12 of one
+        rng = np.random.default_rng(36 + L)
+        coeffs = rng.normal(size=601)
+        ints = np.arange(-320.0, 321.0, 7.0)
+        grid = np.concatenate([np.linspace(-4.0, 3.0, 301), np.arange(-5.0, 6.0),
+                               ints / L, (ints + rng.uniform(-1e-12, 1e-12, ints.size)) / L])
+        z = L * grid
+        assert np.sum(z == np.rint(z)) >= 11 and np.sum(np.abs(z - np.rint(z)) < 2e-12) > 100
+        dense = sinc_expansion_dense(coeffs, L, grid)
+        np.testing.assert_allclose(render_sinc_expansion(coeffs, L, grid), dense,
+                                   rtol=0.0, atol=1e-13 * np.max(np.abs(dense)))
 
     def test_render_rejects_even_coefficient_count(self):
         # K_n is read from the 2K_n+1 coefficients; an even count covers no [-K_n, K_n]

@@ -1,6 +1,10 @@
 """Tests for the shared table/FFT infrastructure."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +12,10 @@ from scipy.integrate import quad
 from scipy.signal import fftconvolve
 
 from reference import band_quad, fourier_quad
-from voldens._tables import (_TAPS, GUARD, Table1D, _bridge_transform, _osc_moments, _stencil,
-                             fourier_table, lattice_expansion, lattice_means, range_bucket)
+import voldens
+from voldens._tables import (_TAPS, BAND_NODES, GUARD, READ_BLOCK, Table1D, _bridge_transform, _ecf,
+                             _osc_moments, _stencil, band_lattice, band_samples, fourier_table,
+                             lattice_expansion, lattice_means, range_bucket)
 from voldens.errors import DataError, NumericsError
 from voldens.grids import uniform_grid
 from voldens.kerneldeconv import TABLE_STEP, deconv_kernel_table, kernel_band
@@ -40,6 +46,53 @@ class TestTable1D:
         table = Table1D(0.0, 0.5, np.arange(16, dtype=float))
         assert isinstance(table(1.0), float)
         assert table(np.array([1.0, 2.0])).shape == (2,)
+
+
+def _unblocked_read(table, x):
+    """`Table1D.__call__` over all of x at once, as it read before it read in blocks."""
+    idx, w = _stencil(table, x)
+    inside = (idx >= 1) & (idx <= table.values.size - 3)
+    idx_c = np.clip(idx, 1, table.values.size - 3)
+    return np.where(inside, np.sum(w * table.values[idx_c + _TAPS[:, None]], axis=0), 0.0)
+
+
+#: estimate_density on n = 2600 points, twice, on every `sys.argv[1]`-th point of
+#: one 200,000-point grid; prints the process's peak RSS in KiB
+_PEAK_RSS_SCRIPT = """
+import resource, sys
+import numpy as np
+from voldens.kerneldeconv import KernelSpec, default_bandwidth, estimate_density
+y = np.random.default_rng(3).normal(-1.2, 2.0, 2600)
+grid = np.linspace(np.min(y) - 2.0, np.max(y) + 2.0, 200_000)[::int(sys.argv[1])]
+spec = KernelSpec(bandwidth=default_bandwidth(y.size, 1.0))
+estimate_density(y, spec, grid)
+estimate_density(y, spec, grid)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+class TestBlockedRead:
+    def test_bit_identical_to_one_pass(self):
+        rng = np.random.default_rng(12)
+        table = Table1D(-30.0, 0.025, rng.normal(size=2401))
+        x = np.sort(rng.uniform(-32.0, 32.0, 2 * READ_BLOCK + 123))
+        assert np.array_equal(table(x), _unblocked_read(table, x))
+
+    def test_fine_grid_peak_is_that_of_a_coarse_grid(self):
+        # both processes hold the 200,000-point grid, so what differs is the
+        # read's own working set: about 13 MiB more at 200,000 points when the
+        # read was one pass; identical runs differ by about 0.3 MiB
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(Path(voldens.__file__).parent.parent),
+                          os.environ.get("PYTHONPATH")])))
+
+        def peak_kib(every):
+            proc = subprocess.run([sys.executable, "-c", _PEAK_RSS_SCRIPT, str(every)],
+                                  env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            return int(proc.stdout)
+
+        assert peak_kib(1) <= peak_kib(10) + 1024
 
 
 class TestOscMoments:
@@ -108,10 +161,13 @@ def test_oracle_rejects_non_hermitian_spectrum():
 
 
 def _estimator_lattice(name):
-    """(points, table, step, j_lo, j_hi): `name`'s own table, read as its estimator reads it."""
+    """(points, table, step, j_lo, j_hi): `name`'s own table at its estimator's shifts.
+
+    U_0 is the table the wavelet coefficients read before they took `band_lattice`.
+    """
     y = np.random.default_rng(3).normal(-1.3, 2.2, 400)
-    if name == "U_0":  # wavelet coefficients, m = 0
-        return y, um_table(0, float(np.max(np.abs(y))) + 20), 1.0, -20, 20
+    if name == "U_0":  # a U_0 table on the wavelet's integer shifts
+        return y, um_band(0).table(float(np.max(np.abs(y))) + 20, fourier_table), 1.0, -20, 20
     if name.startswith("u_L"):  # PPE coefficients at level L
         L = int(name[3:])
         return y, u_zero_table(L, float(np.max(np.abs(y))) + 40 / L), 1.0 / L, -40, 40
@@ -282,15 +338,72 @@ class TestBand:
 
     def test_one_cache_keyed_on_band_bucket_and_build(self):
         r = 40.0
-        assert um_table(0, r) is um_table(0, r)
-        assert um_table(0, r) is not scaling_table(r)
+
+        def u0(extent):
+            return um_band(0).table(extent, fourier_table)
+
+        assert u0(r) is u0(r)
+        assert u0(r) is not scaling_table(r)
         assert u_zero_table(1, r) is not u_zero_table(2, r)
         v = deconv_kernel_table(0.4, r)
         assert v is deconv_kernel_table(0.4, 1.0) and v.dx == TABLE_STEP
         assert v is not deconv_kernel_table(0.9, r)
         # extents up to 64 - GUARD share the 64 bucket; beyond it they need 128
         edge = 64.0 - GUARD
-        assert um_table(0, 1.0) is um_table(0, edge)
-        above = um_table(0, edge + 1e-9)
-        assert above is not um_table(0, edge)
-        assert above.grid()[-1] > 127.0 > um_table(0, edge).grid()[-1]
+        assert u0(1.0) is u0(edge)
+        above = u0(edge + 1e-9)
+        assert above is not u0(edge)
+        assert above.grid()[-1] > 127.0 > u0(edge).grid()[-1]
+        # the wavelet's spectrum samples share that cache, keyed on their own build
+        assert um_table(0, r) is um_table(0, edge) is not u0(r)
+        assert um_table(0, edge + 1e-9) is not um_table(0, edge)
+
+
+class TestBandLattice:
+    def test_ecf_matches_direct_sums(self):
+        # the Gaussian-gridding NUFFT against the sums it replaces, over more
+        # points than one spreading block and out to |points| = P/2
+        rng = np.random.default_rng(9)
+        size = 4096
+        pts = np.concatenate([rng.normal(0.0, 40.0, 9000), [-size / 2, size / 2 - 0.3]])
+        k = np.arange(0, size, 37)
+        direct = np.exp(2j * np.pi * np.outer(k, pts) / size).mean(axis=1)
+        np.testing.assert_allclose(_ecf(pts, size)[k], direct, rtol=0.0, atol=1e-12)
+
+    # 3x the error against quadrature measured when the path came in; the
+    # same bound holds for the sample translated so that |points| + |j| + GUARD
+    # sits just under P/4, the nearest the periodic images may come
+    @pytest.mark.parametrize("m, rtol", [(0, 5.4e-11), (1, 7.4e-10), (2, 2.7e-8),
+                                         (3, 3.8e-7)])
+    def test_matches_quadrature_sums(self, m, rtol):
+        pts = 2.0 ** m * np.array([-1.3, 0.45])
+        js = np.arange(-2, 3)
+        oracle = np.array([band_quad(um_band(m), pts - j).mean() for j in js])
+        shift = BAND_NODES // 8 - 8
+        for off in (0, shift):
+            samples = um_table(m, np.max(np.abs(pts + off)) + off + 2)
+            assert samples.size == BAND_NODES
+            got = band_lattice(samples, pts + off, off - 2, off + 2)
+            assert np.max(np.abs(got - oracle)) <= rtol * np.max(np.abs(oracle)), off
+        reach = shift + 2 + np.ceil(np.max(np.abs(pts + shift))) + GUARD
+        assert BAND_NODES - 4 * reach < 32
+
+    def test_samples_must_cover_the_shifts(self):
+        samples = band_samples(lambda s: np.cos(0.375 * s) ** 2 + 0j, s_max=4.0 / 3.0 * np.pi,
+                               dx=1.0, x_half=64.0)
+        # nodes 2 pi k / P run to the band edge 4 pi / 3 at k = 2P/3, past Nyquist
+        top = 2 * BAND_NODES // 3
+        assert samples.size == BAND_NODES and samples[top] != 0.0
+        assert np.all(samples[top + 1:] == 0.0)
+        band_lattice(samples, np.array([0.5, -3.0]), -100, 100)
+        with pytest.raises(ValueError):
+            band_lattice(samples, np.array([0.5, -3.0]), 0, BAND_NODES // 4)
+
+    def test_non_finite_spectrum_rejected(self):
+        # the check that replaces the realness bound of the table path
+        with pytest.raises(NumericsError):
+            band_samples(lambda s: np.where(s < 1.0, 1.0, np.nan) + 0j, s_max=2.0, dx=1.0,
+                         x_half=64.0)
+        with pytest.raises(ValueError):
+            band_samples(lambda s: np.ones_like(s) + 0j, s_max=2.0, dx=1.0, x_half=64.0,
+                         edge_derivatives=(1.0, 0.0, 1.0, 0.0))

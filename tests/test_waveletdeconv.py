@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from reference import fourier_quad, meyer_wavelet_fourier, sobolev_norm
-from voldens._tables import GUARD
+from reference import band_quad, fourier_quad, meyer_wavelet_fourier, sobolev_norm
+from voldens._tables import GUARD, fourier_table
 from voldens.errors import DataError, ParameterError
 from voldens.noisemodel import inv_noise_charfn
 from voldens.waveletdeconv import (LEVEL_DENOMINATOR, MAX_LEVEL, OMEGA_MAX, default_level,
@@ -61,7 +61,8 @@ class TestUmFunction:
     def test_level_cap_admits_only_tables_that_build(self):
         # every range bucket from 64 to 4096 builds at the top level
         for r in (64.0, 128.0, 256.0, 512.0, *range(1024, 4097, 512)):
-            assert np.all(np.isfinite(um_table(MAX_LEVEL, r - GUARD).raw()))
+            table = um_band(MAX_LEVEL).table(r - GUARD, fourier_table)
+            assert np.all(np.isfinite(table.raw()))
         with pytest.raises(ParameterError):
             um_table(4, 64.0)
         with pytest.raises(ParameterError):
@@ -72,7 +73,7 @@ class TestUmFunction:
         # 1/|phi_k| amplification at the spectral edge within a factor 10
         maxes = {}
         for m in (0, 1, 2):
-            tab = um_table(m, 64.0)
+            tab = um_band(m).table(64.0, fourier_table)
             g = tab.grid()
             maxes[m] = float(np.max(np.abs(tab(g[np.abs(g) <= 40]))))
         for m in (0, 1):
@@ -123,11 +124,12 @@ class TestOrthonormality:
 
 class TestCoefficients:
     def test_single_observation(self):
-        y = np.array([0.7])
-        coeffs = wavelet_coefficients(y, 1, 2)
-        tab = um_table(1, 2 * 0.7 + 2 + 8)
-        expect = np.array([np.sqrt(2) * tab(2 * 0.7 - l) for l in range(-2, 3)])
-        np.testing.assert_allclose(coeffs, expect, rtol=1e-12)
+        # one observation: a_{m,l} = 2^{m/2} U_m(2^m y - l), against quadrature;
+        # each bound is 3x the error measured when the Fourier-side path came in
+        for m, rtol in ((0, 1.8e-11), (1, 2.7e-10), (3, 1.4e-7)):
+            coeffs = wavelet_coefficients(np.array([0.7]), m, 2)
+            expect = 2.0 ** (m / 2) * band_quad(um_band(m), 2.0 ** m * 0.7 - np.arange(-2, 3))
+            assert np.max(np.abs(coeffs - expect)) <= rtol * np.max(np.abs(expect)), m
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(2)
