@@ -28,7 +28,7 @@ from .kerneldeconv import KernelSpec, estimate_density
 from .noisemodel import sample_noise
 from .ppe import PpeConfig, select_and_estimate
 from .svsim import (ArParams, OuParams, RegimeSwitchParams, ScenarioConfig, _rng,
-                    simulate_scenario)
+                    require_finite, simulate_scenario)
 from .waveletdeconv import wavelet_estimate
 
 THREADS_ENV = "VOLDENS_THREADS"
@@ -106,6 +106,7 @@ class PureConvolution:
     seed: int = 1
 
     def __post_init__(self):
+        require_finite(self, "mean", "sd")
         if self.sd <= 0:
             raise ParameterError("sd must be positive")
         if self.n < 1:
@@ -192,6 +193,7 @@ class ExperimentSpec:
     mse_point: float = 0.0
 
     def __post_init__(self):
+        require_finite(self, "mse_point")
         if self.replications < 1:
             raise ParameterError("need at least one replication")
         unknown = set(self.metrics) - set(METRIC_NAMES)

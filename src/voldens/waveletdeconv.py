@@ -8,15 +8,17 @@ f~(omega) = int e^{-i omega x} f(x) dx, the scaling function and wavelet are
     phi~(omega) = ( mu(omega - pi, omega + pi] )^{1/2}
     psi~(omega) = e^{-i omega / 2} ( mu(|omega|/2 - pi, |omega| - pi] )^{1/2}
 
-so supp phi~ = [-4pi/3, 4pi/3] and supp psi~ = +-[2pi/3, 8pi/3].  mu is
-realized through the smoothstep CDF of degree BUMP_DEGREE = 3, the classical
-cubic-matching bump
+so supp phi~ = [-4pi/3, 4pi/3] and supp psi~ = +-[2pi/3, 8pi/3].  mu has the
+classical smoothstep CDF (Daubechies, Ten Lectures, ch. 4) rescaled to
+[-pi/3, pi/3],
 
-    nu(x) = x^4 (35 - 84 x + 70 x^2 - 20 x^3)
+    nu(u) = u^4 (35 - 84 u + 70 u^2 - 20 u^3),
 
-rescaled to [-pi/3, pi/3].  The degree is fixed: every table, oracle and
-estimate uses this one family.  (The square root makes phi~ only C^1 at the
-outer support edge; none of the identities used here depend on more.)
+and since mu is symmetric the window mass is one value of it:
+phi~(omega)^2 = nu(2 - 3|omega|/2pi), the argument clipped to [0, 1].
+Every table, oracle and estimate uses this one bump.  (The square root makes
+phi~ only C^1 at the outer support edge; none of the identities used here
+depend on more.)
 
 Estimation works through the functions U_m with U_m~(omega) =
 phi~(omega) / k~(-2^m omega), where k~(omega) = conj(phi_k(omega)) bridges
@@ -53,48 +55,29 @@ from .svsim import as_log_squared
 OMEGA_MAX = 4.0 * np.pi / 3.0
 #: log n / (1 + 4 pi^2 / 3) is the theory's target for 2^{m_n}
 LEVEL_DENOMINATOR = 1.0 + 4.0 * np.pi ** 2 / 3.0
-#: highest detail level whose U_m table builds at every range bucket: 1/phi_k
-#: reaches about e^{2 pi^2 2^m / 3} on supp phi~, and from m = 4 on the FFT
-#: table fails its realness (anti-Hermitian bound) check at every bucket
+#: highest detail level admitted.  1/phi_k reaches about e^{2 pi^2 2^m / 3} on supp
+#: phi~, so the spread of a_hat_{m,l}, of order ||U_m||_2 / sqrt(n), is 5.4e19 / sqrt(n)
+#: at m = 3 and 7.3e41 / sqrt(n) at m = 4; the level rule gives m = 3 only from n = 6e34.
+#: The numerics are not the limit: U_m tables build at m = 4 and 5, and `band_lattice`
+#: agrees with quadrature there within 2.9e-9 and 2.8e-8 (relative).
 MAX_LEVEL = 3
 #: tabulation step of phi (and of U_m, for the tests' tables); 96 steps per unit shift
 TABLE_STEP = 1.0 / 96.0
-#: order k of the C^k smoothstep CDF of the auxiliary measure mu
-BUMP_DEGREE = 3
-
-# window masses at the (irrational) support boundaries pick up ~4 ulp of
-# rounding noise from the smoothstep; anything below this floor is zero
-_MASS_FLOOR = 1e-14
-
-
-def _smoothstep(u: np.ndarray, k: int) -> np.ndarray:
-    """S_k(u): the C^k-matching polynomial step on [0, 1]."""
-    u = np.clip(u, 0.0, 1.0)
-    acc = np.zeros_like(u)
-    for j in range(k + 1):
-        acc = acc + math.comb(k + j, j) * math.comb(2 * k + 1, k - j) * (-u) ** j
-    return u ** (k + 1) * acc
-
-
-def bump_cdf(x) -> np.ndarray:
-    """CDF of the auxiliary measure mu on [-pi/3, pi/3]."""
-    x = np.asarray(x, dtype=float)
-    return _smoothstep((x + np.pi / 3.0) / (2.0 * np.pi / 3.0), BUMP_DEGREE)
 
 
 def meyer_scaling_fourier(omega) -> np.ndarray | float:
-    """phi~(omega): square root of the mu-mass of the window (omega-pi, omega+pi].
+    """phi~(omega) = nu(u)^{1/2}, u = (4pi/3 - |omega|) / (2pi/3) clipped to [0, 1].
 
-    Equals 1 on [-2pi/3, 2pi/3] and vanishes for |omega| >= 4pi/3; the
-    shifted squares sum to 1 at every omega (the windows tile the line).
+    nu(u) is the mu-mass of the window (omega - pi, omega + pi]: 1 on
+    [-2pi/3, 2pi/3], 0 for |omega| >= 4pi/3, and the shifted squares sum to 1
+    at every omega (nu(u) + nu(1 - u) = 1).  u is 2 - 3|omega|/2pi written so
+    that it is exact at both band edges: the subtraction near 4pi/3, the
+    division at 2pi/3.
     """
     omega = np.asarray(omega, dtype=float)
-    scalar = omega.ndim == 0
-    omega = np.atleast_1d(omega)
-    mass = bump_cdf(omega + np.pi) - bump_cdf(omega - np.pi)
-    mass = np.where(mass > _MASS_FLOOR, mass, 0.0)
-    out = np.sqrt(np.clip(mass, 0.0, 1.0))
-    return float(out[0]) if scalar else out
+    u = np.clip((OMEGA_MAX - np.abs(omega)) / (0.5 * OMEGA_MAX), 0.0, 1.0)
+    out = np.sqrt(u ** 4 * (35.0 + u * (-84.0 + u * (70.0 - 20.0 * u))))
+    return float(out) if out.ndim == 0 else out
 
 
 # --------------------------------------------------------------------------- tabulated functions

@@ -22,7 +22,6 @@ from voldens.errors import DataError, ParameterError
 from voldens.ppe import u_band
 from voldens.svsim import ArParams, ScenarioConfig, simulate_scenario
 from voldens.volreg import RegressionEstimate
-from voldens.waveletdeconv import _MASS_FLOOR, bump_cdf
 
 
 # --------------------------------------------------------------------------- quadrature oracle
@@ -136,16 +135,22 @@ def ppe_oracle_coefficients(y, L: int, k_n: int) -> np.ndarray:
 
 # --------------------------------------------------------------------------- wavelet
 
+def _nu(u) -> np.ndarray:
+    """nu(u) = u^4 (35 - 84 u + 70 u^2 - 20 u^3) for u clipped to [0, 1]."""
+    u = np.clip(u, 0.0, 1.0)
+    return 35.0 * u ** 4 - 84.0 * u ** 5 + 70.0 * u ** 6 - 20.0 * u ** 7
+
+
 def meyer_wavelet_fourier(omega) -> np.ndarray | complex:
-    """psi~(omega) = e^{-i omega/2} ( mu(|omega|/2 - pi, |omega| - pi] )^{1/2}."""
+    """psi~(omega) = e^{-i omega/2} ( nu(3|omega|/2pi - 1) nu(2 - 3|omega|/4pi) )^{1/2}.
+
+    The mu-mass of the window (|omega|/2 - pi, |omega| - pi]: at every omega
+    one of the two factors is 1.
+    """
     omega = np.asarray(omega, dtype=float)
-    scalar = omega.ndim == 0
-    omega = np.atleast_1d(omega)
-    a = np.abs(omega)
-    mass = bump_cdf(a - np.pi) - bump_cdf(0.5 * a - np.pi)
-    mass = np.where(mass > _MASS_FLOOR, mass, 0.0)
-    out = np.exp(-0.5j * omega) * np.sqrt(np.clip(mass, 0.0, 1.0))
-    return complex(out[0]) if scalar else out
+    a = 1.5 * np.abs(omega) / np.pi
+    out = np.exp(-0.5j * omega) * np.sqrt(_nu(a - 1.0) * _nu(2.0 - 0.5 * a))
+    return complex(out) if out.ndim == 0 else out
 
 
 def sobolev_norm(t: np.ndarray, values: np.ndarray, alpha: float) -> float:

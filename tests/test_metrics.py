@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.signal import find_peaks
 
-from voldens.errors import ConfigError, DataError
+from voldens.errors import ConfigError, DataError, ParameterError
 from voldens.grids import DensityGrid
 from voldens.metrics import (ExperimentSpec, PureConvolution, _clipped_density, mise,
                              mode_count, normal_fit, run_experiment, scenario_preset)
@@ -212,6 +212,17 @@ class TestHarness:
     def test_unknown_metric_rejected(self):
         with pytest.raises(ConfigError):
             ExperimentSpec(scenario=PureConvolution(), metrics=("rmse",))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameters_rejected(self, bad):
+        # each names its field, rather than failing later on the data or
+        # aggregating to nan
+        for field, make in (("mean", lambda: PureConvolution(mean=bad)),
+                            ("sd", lambda: PureConvolution(sd=bad)),
+                            ("mse_point", lambda: ExperimentSpec(scenario=PureConvolution(),
+                                                                 mse_point=bad))):
+            with pytest.raises(ParameterError, match=field):
+                make()
 
     def test_regime_switch_scenario_roundtrip(self):
         # n = 5000 gives ~50 regime stays, enough for both mixture components

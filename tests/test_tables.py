@@ -370,12 +370,12 @@ class TestBandLattice:
         direct = np.exp(2j * np.pi * np.outer(k, pts) / size).mean(axis=1)
         np.testing.assert_allclose(_ecf(pts, size)[k], direct, rtol=0.0, atol=1e-12)
 
-    # 3x the error against quadrature measured when the path came in; the
-    # same bound holds for the sample translated so that |points| + |j| + GUARD
-    # sits just under P/4, the nearest the periodic images may come
-    @pytest.mark.parametrize("m, rtol", [(0, 5.4e-11), (1, 7.4e-10), (2, 2.7e-8),
-                                         (3, 3.8e-7)])
-    def test_matches_quadrature_sums(self, m, rtol):
+    # 3x the error against quadrature measured with phi~ in closed form, on
+    # the sample as given and translated so that |points| + |j| + GUARD sits
+    # just under P/4, the nearest the periodic images may come
+    @pytest.mark.parametrize("m", range(4))
+    def test_matches_quadrature_sums(self, m):
+        rtol = (2.4e-12, 1.3e-11, 6.1e-11, 5.3e-10)[m]
         pts = 2.0 ** m * np.array([-1.3, 0.45])
         js = np.arange(-2, 3)
         oracle = np.array([band_quad(um_band(m), pts - j).mean() for j in js])

@@ -29,6 +29,25 @@ class TestMeyerFourier:
                     for l in range(-3, 4))
         assert total == pytest.approx(1.0, abs=1e-10)
 
+    def test_scaling_is_even_and_exact_on_its_plateaus(self):
+        # phi~ is a function of |omega|, and nothing cancels in it
+        w = np.linspace(0.0, 4.3, 100_001)
+        phi = meyer_scaling_fourier(w)
+        assert np.array_equal(meyer_scaling_fourier(-w), phi)
+        inner, outer = w <= 2 * np.pi / 3, w >= OMEGA_MAX
+        assert np.all(phi[inner] == 1.0) and np.all(phi[outer] == 0.0)
+        assert np.all(phi[~inner & ~outer] > 0.0)
+        total = sum(meyer_scaling_fourier(w + 2 * np.pi * l) ** 2 for l in range(-2, 3))
+        assert np.max(np.abs(total - 1.0)) <= 1e-13
+
+    def test_scaling_near_the_band_edge(self):
+        # phi~ = sqrt(35) u^2 (1 + O(u)) with u = 3 d / 2pi at d = 4pi/3 - omega:
+        # positive and increasing in d all the way to the edge
+        values = [meyer_scaling_fourier(OMEGA_MAX - d) for d in (1e-9, 1e-7, 1e-5)]
+        assert 0.0 < values[0] < values[1] < values[2]
+        for d, value in zip((1e-9, 1e-7, 1e-5), values):
+            assert value == pytest.approx(np.sqrt(35.0) * (1.5 * d / np.pi) ** 2, rel=1e-4)
+
     def test_wavelet_at_zero_and_support(self):
         assert meyer_wavelet_fourier(0.0) == 0.0
         assert meyer_wavelet_fourier(2 * np.pi / 3 - 0.05) == 0.0
@@ -125,8 +144,8 @@ class TestOrthonormality:
 class TestCoefficients:
     def test_single_observation(self):
         # one observation: a_{m,l} = 2^{m/2} U_m(2^m y - l), against quadrature;
-        # each bound is 3x the error measured when the Fourier-side path came in
-        for m, rtol in ((0, 1.8e-11), (1, 2.7e-10), (3, 1.4e-7)):
+        # each bound is 3x the error measured with phi~ in closed form
+        for m, rtol in ((0, 2.3e-13), (1, 1.3e-12), (3, 4.0e-10)):
             coeffs = wavelet_coefficients(np.array([0.7]), m, 2)
             expect = 2.0 ** (m / 2) * band_quad(um_band(m), 2.0 ** m * 0.7 - np.arange(-2, 3))
             assert np.max(np.abs(coeffs - expect)) <= rtol * np.max(np.abs(expect)), m
