@@ -15,16 +15,17 @@ for every shift, so both directions reduce to sums over the table lattice:
 `lattice_means` (data to coefficients: the kernel and regression sums on the
 v_h table's own lattice, which `Table1D.__call__` then reads at the grid,
 and the PPE coefficients on the shifts j/L) bins the points and correlates
-them with the table as one `scipy.fft` rfft product at the padded length
+them with the table as one `numpy.fft` rfft product at the padded length
 that `scipy.signal.fftconvolve` uses (the table's own spectrum at that
-length is computed once, by the first call, and kept on the table), and its
+length is computed once, by the first call, and kept on the table; the
+product and its inverse go into per-thread scratch arrays), and its
 transpose `lattice_expansion` (coefficients to grid: the wavelet render)
 takes one contiguous `np.convolve` per residue class of the touched table
 indices modulo the stride.  Spectra that jump at the edges of their
 symmetric band [-s_max, s_max] get a cubic bridge, removed before the FFT
 and added back in elementary closed form (`_bridge_transform`: cos and sin
-times two polynomials in 1/(s_max x), with spherical-Bessel moments only
-near x = 0).
+times two polynomials in 1/(s_max x), with Taylor-series moments only near
+x = 0).
 
 The band engine (the wavelet coefficients) builds no table: `band_lattice`
 takes the means over integer shifts as the band integral of the spectrum
@@ -34,7 +35,7 @@ points and shifts), with the characteristic function from a numpy type-1
 NUFFT (`_ecf`, Gaussian gridding) and one inverse FFT of length P.  Its
 spectra must vanish with their first derivative at the band edge.
 
-Importing this module loads only numpy, `scipy.special` and `scipy.fft`.
+Importing this module loads numpy only.
 
 Each transform is described once, by a frozen `Band`: its spectrum (a
 module-level function of (s, param)), the band edge s_max, the table step
@@ -49,13 +50,14 @@ quadrature of the same spectrum, which shares no code with either engine.
 
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
-from scipy.special import spherical_jn
+from numpy.fft import irfft, rfft
 
 from .errors import NumericsError
 
@@ -70,9 +72,12 @@ OVERSAMPLE = 2.0
 SPECTRUM_SAMPLES = 4096
 #: every table spans this much beyond the extent its caller needs
 GUARD = 8.0
-#: `_bridge_transform` uses the Bessel moments below this |s_max x| and the
-#: elementary closed form from it on
+#: `_bridge_transform` uses the Taylor-series moments below this |s_max x| and
+#: the elementary closed form from it on
 BRIDGE_NEAR_THETA = 4.0
+#: terms of `_osc_moments`'s series in theta^2; at |theta| = BRIDGE_NEAR_THETA
+#: the first one left out is below 1e-20
+OSC_TERMS = 20
 #: `Table1D.__call__` reads its points in blocks of this many
 READ_BLOCK = 16384
 #: `band_lattice` takes at least this many frequency nodes
@@ -267,17 +272,40 @@ def _bridge_coeffs(s_max, qa, dqa, qb, dqb):
     return np.array([b0, b1, b2, b3], dtype=complex)
 
 
+#: _OSC_SERIES[k, m] = 2 / (n! (k + n + 1)) with n = 2m + (k mod 2)
+_OSC_SERIES = np.array([[2.0 / (math.factorial(2 * m + k % 2) * (k + 2 * m + k % 2 + 1))
+                         for m in range(OSC_TERMS)] for k in range(4)])
+
+
 def _osc_moments(theta: np.ndarray) -> np.ndarray:
     """M_k(theta) = int_{-1}^{1} sigma^k e^{i theta sigma} d sigma for k <= 3.
 
     Returns array of shape (4, len(theta)), one row per power of the cubic
-    bridge.  Closed form from int_{-1}^{1} P_n(sigma) e^{i theta sigma} d sigma
-    = 2 i^n j_n(theta) (DLMF 10.54.2) with sigma^2 = (2 P_2 + 1)/3 and
-    sigma^3 = (2 P_3 + 3 P_1)/5.
+    bridge.  Below |theta| = BRIDGE_NEAR_THETA, expanding the exponential
+    gives M_k = sum_n (i theta)^n / n! * 2 / (k + n + 1) over the n with
+    k + n even: a series in -theta^2 (times i theta for odd k), summed by
+    Horner's rule; its largest term is about 5, so it rounds to a few 1e-16.
+    From there on, integrating by parts gives M_0 = 2 sin(theta) / theta and
+    M_k = ([sigma^k e^{i theta sigma}]_{-1}^{1} - k M_{k-1}) / (i theta),
+    which damps each earlier rounding error by k / |theta| < 1.
     """
     theta = np.asarray(theta, dtype=float)
-    j0, j1, j2, j3 = (spherical_jn(n, theta) for n in range(4))
-    return np.stack([2.0 * j0, 2j * j1, (2.0 * j0 - 4.0 * j2) / 3.0, 0.4j * (3.0 * j1 - 2.0 * j3)])
+    out = np.empty((4, theta.size), dtype=complex)
+    near = np.abs(theta) < BRIDGE_NEAR_THETA
+    t2 = -theta[near] ** 2
+    acc = np.broadcast_to(_OSC_SERIES[:, -1:], (4, t2.size))
+    for m in range(OSC_TERMS - 2, -1, -1):
+        acc = acc * t2 + _OSC_SERIES[:, m:m + 1]
+    out[:, near] = acc
+    out[1::2, near] *= 1j * theta[near]
+    t = theta[~near]
+    edge = (2j * np.sin(t), 2.0 * np.cos(t))  # [sigma^k e^{i theta sigma}]_{-1}^{1}, k even / odd
+    mom = edge[0] / (1j * t)
+    out[0, ~near] = mom
+    for k in range(1, 4):
+        mom = (edge[k % 2] - k * mom) / (1j * t)
+        out[k, ~near] = mom
+    return out
 
 
 def _bridge_transform(beta, s_max, x: np.ndarray) -> np.ndarray:
@@ -290,7 +318,7 @@ def _bridge_transform(beta, s_max, x: np.ndarray) -> np.ndarray:
     whose real part is cos(theta) A(u) - sin(theta) B(u) with the real
     A(u) = a1 u + a2 u^2 + a3 u^3 and B(u) = c1 u + c2 u^2 + a2 u^3 + a3 u^4.
     Below |theta| = BRIDGE_NEAR_THETA their high powers of u cancel badly, so
-    those few points take the spherical-Bessel moments of `_osc_moments`.
+    those few points take the series moments of `_osc_moments`.
     """
     theta = s_max * np.asarray(x, dtype=float)
     b0, b1, b2, b3 = np.asarray(beta, dtype=complex)
@@ -307,6 +335,34 @@ def _bridge_transform(beta, s_max, x: np.ndarray) -> np.ndarray:
     return (s_max / (2.0 * np.pi)) * out
 
 
+#: per-thread FFT work arrays of `lattice_means`, grown to the longest
+#: transform seen and then reused, so warm calls map no fresh pages
+_scratch = threading.local()
+
+
+def _scratch_view(name: str, size: int, dtype) -> np.ndarray:
+    """The first `size` elements of this thread's scratch array `name`."""
+    buf = getattr(_scratch, name, None)
+    if buf is None or buf.size < size:
+        buf = np.empty(size, dtype)
+        setattr(_scratch, name, buf)
+    return buf[:size]
+
+
+def _fast_len(size: int) -> int:
+    """The smallest 2^a 3^b 5^c >= size, as `scipy.fft.next_fast_len(size, True)` gives."""
+    best = 1 << (size - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the smallest p35 * 2^a >= size
+            best = min(best, p35 << (-(-size // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def lattice_means(points: np.ndarray, table: Table1D, step: float, j_lo: int, j_hi: int,
                   weights: np.ndarray | None = None) -> np.ndarray:
     """c_j = (1/n) sum_i w_i table(points_i - j*step) for j in [j_lo, j_hi].
@@ -315,12 +371,13 @@ def lattice_means(points: np.ndarray, table: Table1D, step: float, j_lo: int, j_
     table.dx) must be exact (callers build their tables that way), so that
     every shift lands on the table lattice.  With that alignment the per-point
     cubic interpolation weights are independent of j and the whole family of
-    means collapses to one cross-correlation: one `scipy.fft` rfft product
-    at `fftconvolve`'s padded length `next_fast_len(size, real)`, so the
-    result is bit for bit `fftconvolve(binned, v[::-1])` without importing
-    `scipy.signal`.  The binned data always have the table's size, so that
+    means collapses to one cross-correlation: one `numpy.fft` rfft product
+    at `fftconvolve`'s padded length (`_fast_len`), so the result is bit for
+    bit `scipy.signal.fftconvolve(binned, v[::-1])` (both libraries run the
+    same pocketfft).  The binned data always have the table's size, so that
     length is the table's own, and the table's factor of the product is
-    computed by the first call and kept in `table.corr_spectrum`.
+    computed by the first call and kept in `table.corr_spectrum`.  The
+    data's transform and the inverse are written into `_scratch_view`s.
     """
     points = np.asarray(points, dtype=float)
     n = points.size
@@ -339,12 +396,12 @@ def lattice_means(points: np.ndarray, table: Table1D, step: float, j_lo: int, j_
     binned = np.bincount(tgt[ok], taps.ravel()[ok], minlength=v.size)
     # correlation R[s] = sum_m binned[m] v[m - s]; c_j = R[j*stride] / n
     size = binned.size + v.size - 1
-    fast = next_fast_len(size, True)
+    fast = _fast_len(size)
     if table.corr_spectrum is None:
         table.corr_spectrum = rfft(v[::-1], fast)
-    spec = rfft(binned, fast)
+    spec = rfft(binned, fast, out=_scratch_view("spectrum", fast // 2 + 1, complex))
     spec *= table.corr_spectrum
-    corr = irfft(spec, fast)[:size]
+    corr = irfft(spec, fast, out=_scratch_view("correlation", fast, float))[:size]
     wanted = v.size - 1 + stride * np.arange(j_lo, j_hi + 1)
     if wanted.min() < 0 or wanted.max() >= corr.size:
         raise ValueError("table does not cover the requested shift range")

@@ -28,7 +28,9 @@ The tests check v_h against direct adaptive quadrature of the same `Band`
 (`tests/reference.py::band_quad`).  Because phi_k is complex, v_h is real but
 NOT symmetric in its argument: the noise has nonzero mean and skew, and the
 kernel's asymmetry is what undoes them.  Wand's kernel itself is
-48 j_3(|x|) / (pi |x|^3), through scipy's spherical Bessel function j_3.
+48 j_3(|x|) / (pi |x|^3), through scipy's spherical Bessel function j_3;
+`wand_kernel` is library-only, so it imports `scipy.special` when called
+and no estimator or CLI run loads scipy.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import spherical_jn
 
 from ._tables import Band, Table1D, fourier_table, lattice_means
 from .errors import DataError, ParameterError
@@ -65,6 +66,8 @@ def wand_kernel(x) -> np.ndarray | float:
     for |x| below about 1.  Below |x| = 1e-8, where j_3 underflows, w is its
     limit w(0) = 16/(35 pi).
     """
+    from scipy.special import spherical_jn  # kept off the estimators' import path
+
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     ax = np.abs(np.atleast_1d(x))

@@ -55,6 +55,20 @@ def band_quad(band: Band, x) -> np.ndarray | float:
     return fourier_quad(lambda s: band.spectrum(s, band.param), band.s_max, x)
 
 
+def bessel_moments(theta) -> np.ndarray:
+    """M_k(theta) = int_{-1}^{1} sigma^k e^{i theta sigma} d sigma for k <= 3, shape (4, n).
+
+    The oracle for `_tables._osc_moments`.  Closed form from
+    int_{-1}^{1} P_n(sigma) e^{i theta sigma} d sigma = 2 i^n j_n(theta)
+    (DLMF 10.54.2) with sigma^2 = (2 P_2 + 1)/3 and sigma^3 = (2 P_3 + 3 P_1)/5.
+    """
+    from scipy.special import spherical_jn
+
+    theta = np.asarray(theta, dtype=float)
+    j0, j1, j2, j3 = (spherical_jn(n, theta) for n in range(4))
+    return np.stack([2.0 * j0, 2j * j1, (2.0 * j0 - 4.0 * j2) / 3.0, 0.4j * (3.0 * j1 - 2.0 * j3)])
+
+
 # --------------------------------------------------------------------------- PPE
 
 def sinc_basis(L: int, j: int, x) -> np.ndarray | float:

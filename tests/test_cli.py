@@ -82,8 +82,8 @@ class TestIngestPrices:
             ingest_prices(path)
 
 
-# Loaded by scipy.signal, which start-up must not import: each costs start-up
-# time that a CLI run on a price CSV never uses.
+# Loaded by scipy.signal, which a simulation must not import: each costs
+# start-up time that a CLI run never uses.
 HEAVY_SCIPY = {"scipy.signal", "scipy.stats", "scipy.integrate", "scipy.interpolate",
                "scipy.optimize", "scipy.linalg"}
 
@@ -99,11 +99,25 @@ def _modules_loaded_by(code):
     return set(proc.stdout.split())
 
 
+def _scipy_modules(loaded):
+    return sorted(m for m in loaded if m.split(".")[0] == "scipy")
+
+
 @pytest.mark.parametrize("module", ["voldens", "voldens.cli"])
 def test_import_loads_no_heavy_scipy_module(module):
+    # since start-up runs on numpy alone, every scipy module counts as heavy
     loaded = _modules_loaded_by(f"import {module}")
-    assert {"numpy", "scipy.special", "scipy.fft"} <= loaded
-    assert not loaded & HEAVY_SCIPY, sorted(loaded & HEAVY_SCIPY)
+    assert {"numpy", "voldens._tables"} <= loaded
+    assert not _scipy_modules(loaded)
+
+
+@pytest.mark.parametrize("estimator", ["kernel", "wavelet", "ppe", "regression"])
+def test_cli_run_loads_no_scipy_module(estimator, tmp_path):
+    argv = ["--scenario", "nonlinear-ar", "--n", "400", "--estimator", estimator,
+            "--out", str(tmp_path)]
+    loaded = _modules_loaded_by(f"from voldens.cli import main; assert main({argv!r}) == 0")
+    assert (tmp_path / ("regression.csv" if estimator == "regression" else "density.csv")).exists()
+    assert not _scipy_modules(loaded)
 
 
 @pytest.mark.parametrize("preset", ["ou-exp", "regime-switch"])

@@ -155,11 +155,11 @@ class TestNormalFit:
 
 
 class TestHarness:
-    def _spec(self, reps=4):
+    def _spec(self, reps=4, estimator="kernel"):
         return ExperimentSpec(
             scenario=PureConvolution(0.0, 1.0, 400),
-            estimator="kernel",
-            estimator_config={"bandwidth": 0.6},
+            estimator=estimator,
+            estimator_config={"bandwidth": 0.6} if estimator == "kernel" else {},
             replications=reps,
             seed_base=2024,
             metrics=("mise", "mse_at_point", "mode_count"),
@@ -180,11 +180,13 @@ class TestHarness:
         assert mean == pytest.approx(np.mean(vals))
         assert se == pytest.approx(np.std(vals, ddof=1) / 2.0)
 
-    def test_threaded_run_matches_sequential(self):
-        seq = run_experiment(self._spec())
+    # each thread takes its own `_tables` scratch arrays (kernel and ppe)
+    @pytest.mark.parametrize("estimator", ["kernel", "wavelet", "ppe"])
+    def test_threaded_run_matches_sequential(self, estimator):
+        seq = run_experiment(self._spec(estimator=estimator))
         os.environ["VOLDENS_THREADS"] = "4"
         try:
-            par = run_experiment(self._spec())
+            par = run_experiment(self._spec(estimator=estimator))
         finally:
             del os.environ["VOLDENS_THREADS"]
         assert seq.rows == par.rows

@@ -11,11 +11,12 @@ import pytest
 from scipy.integrate import quad
 from scipy.signal import fftconvolve
 
-from reference import band_quad, fourier_quad
+from reference import band_quad, bessel_moments, fourier_quad
 import voldens
-from voldens._tables import (_TAPS, BAND_NODES, GUARD, READ_BLOCK, Table1D, _bridge_transform, _ecf,
-                             _osc_moments, _stencil, band_lattice, band_samples, fourier_table,
-                             lattice_expansion, lattice_means, range_bucket)
+from voldens._tables import (_TAPS, BAND_NODES, BRIDGE_NEAR_THETA, GUARD, READ_BLOCK, Table1D,
+                             _bridge_transform, _ecf, _fast_len, _osc_moments, _stencil,
+                             band_lattice, band_samples, fourier_table, lattice_expansion,
+                             lattice_means, range_bucket)
 from voldens.errors import DataError, NumericsError
 from voldens.grids import uniform_grid
 from voldens.kerneldeconv import TABLE_STEP, deconv_kernel_table, kernel_band
@@ -71,6 +72,37 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
 
 
+#: five warm `ppe_coefficients` calls at level 3 (n = K_n = 2600); prints the
+#: minor page faults they add
+_WARM_FAULTS_SCRIPT = """
+import resource
+import numpy as np
+from voldens.ppe import ppe_coefficients
+y = np.random.default_rng(3).normal(-1.2, 2.0, 2600)
+ppe_coefficients(y, 3, 2600)  # the table, its correlation spectrum and the scratch arrays
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(5):
+    ppe_coefficients(y, 3, 2600)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def _run_script(script, *args):
+    """stdout of `script` run by a fresh interpreter that imports this checkout's voldens."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(voldens.__file__).parent.parent), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script, *map(str, args)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_warm_lattice_means_map_no_fresh_pages():
+    # the FFT product and its inverse reuse this thread's scratch arrays: 0
+    # faults for the five calls here, where allocating them afresh took 20,680
+    assert int(_run_script(_WARM_FAULTS_SCRIPT)) < 200
+
+
 class TestBlockedRead:
     def test_bit_identical_to_one_pass(self):
         rng = np.random.default_rng(12)
@@ -82,15 +114,8 @@ class TestBlockedRead:
         # both processes hold the 200,000-point grid, so what differs is the
         # read's own working set: about 13 MiB more at 200,000 points when the
         # read was one pass; identical runs differ by about 0.3 MiB
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(Path(voldens.__file__).parent.parent),
-                          os.environ.get("PYTHONPATH")])))
-
         def peak_kib(every):
-            proc = subprocess.run([sys.executable, "-c", _PEAK_RSS_SCRIPT, str(every)],
-                                  env=env, capture_output=True, text=True, timeout=120)
-            assert proc.returncode == 0, proc.stderr
-            return int(proc.stdout)
+            return int(_run_script(_PEAK_RSS_SCRIPT, every))
 
         assert peak_kib(1) <= peak_kib(10) + 1024
 
@@ -103,6 +128,13 @@ class TestOscMoments:
             re, _ = quad(lambda s: s ** k * np.cos(theta * s), -1, 1, epsabs=1e-14)
             im, _ = quad(lambda s: s ** k * np.sin(theta * s), -1, 1, epsabs=1e-14)
             assert mom[k, 0] == pytest.approx(re + 1j * im, abs=1e-12)
+
+    def test_against_bessel_moments_on_the_near_branch(self):
+        # the series branch against the spherical-Bessel oracle, at 3x the
+        # largest difference measured on these 3999 points (8.9e-16)
+        theta = np.linspace(-BRIDGE_NEAR_THETA, BRIDGE_NEAR_THETA, 4001)[1:-1]
+        np.testing.assert_allclose(_osc_moments(theta), bessel_moments(theta),
+                                   rtol=0.0, atol=2.7e-15)
 
 
 class TestBridgeTransform:
@@ -117,7 +149,7 @@ class TestBridgeTransform:
         rng = np.random.default_rng(seed)
         beta = rng.normal(size=4) + 1j * rng.normal(size=4)
         x = self.THETA / s_max
-        mom = _osc_moments(s_max * x)
+        mom = bessel_moments(s_max * x)
         expect = (s_max / (2.0 * np.pi) * sum(beta[k] * mom[k] for k in range(4))).real
         got = _bridge_transform(beta, s_max, x)
         assert got.dtype == float
@@ -297,6 +329,13 @@ class TestLatticeMeans:
         lattice_expansion(pts, table, 0.5, np.ones(9))
         with pytest.raises(ValueError):
             lattice_expansion(pts, table, 0.5, np.ones(41))
+
+
+def test_fast_len_is_scipys_next_fast_len():
+    from scipy.fft import next_fast_len
+
+    sizes = [*range(1, 5000), *np.random.default_rng(6).integers(5000, 2 ** 31, 2000).tolist()]
+    assert [_fast_len(n) for n in sizes] == [next_fast_len(n, True) for n in sizes]
 
 
 def test_range_bucket():

@@ -77,7 +77,7 @@ class TestUmFunction:
         np.testing.assert_allclose(fourier_quad(meyer_scaling_fourier, OMEGA_MAX, xs),
                                    scaling_table(8.0)(xs), atol=1e-8)
 
-    def test_level_cap_admits_only_tables_that_build(self):
+    def test_statistical_level_cap_admits_level_3_and_refuses_4(self):
         # every range bucket from 64 to 4096 builds at the top level
         for r in (64.0, 128.0, 256.0, 512.0, *range(1024, 4097, 512)):
             table = um_band(MAX_LEVEL).table(r - GUARD, fourier_table)
