@@ -22,10 +22,9 @@ product and its inverse go into per-thread scratch arrays), and its
 transpose `lattice_expansion` (coefficients to grid: the wavelet render)
 takes one contiguous `np.convolve` per residue class of the touched table
 indices modulo the stride.  Spectra that jump at the edges of their
-symmetric band [-s_max, s_max] get a cubic bridge, removed before the FFT
-and added back in elementary closed form (`_bridge_transform`: cos and sin
-times two polynomials in 1/(s_max x), with Taylor-series moments only near
-x = 0).
+band [-s_max, s_max] get a cubic bridge, removed before the FFT and added
+back in elementary closed form (`_bridge_transform`: cos and sin times two
+polynomials in 1/(s_max x), with Taylor-series moments only near x = 0).
 
 The band engine (the wavelet coefficients) builds no table: `band_lattice`
 takes the means over integer shifts as the band integral of the spectrum
@@ -35,7 +34,8 @@ points and shifts), with the characteristic function from a numpy type-1
 NUFFT (`_ecf`, Gaussian gridding) and one inverse FFT of length P.  Its
 spectra must vanish with their first derivative at the band edge.
 
-Importing this module loads numpy only.
+Every spectrum is Hermitian, q(-s) = conj(q(s)), so both engines read it on
+[0, s_max] only, through `_half_band`.  Importing this module loads numpy only.
 
 Each transform is described once, by a frozen `Band`: its spectrum (a
 module-level function of (s, param)), the band edge s_max, the table step
@@ -61,9 +61,6 @@ from numpy.fft import irfft, rfft
 
 from .errors import NumericsError
 
-# Relative anti-Hermitian spectrum bound above which an "is real" inverse
-# transform is considered broken (a bug or overflow regime, never a data property).
-IMAG_RESIDUE_RTOL = 1e-8
 # Periodic images of a tabulated transform sit this many requested ranges away.
 OVERSAMPLE = 2.0
 # Minimum spectrum samples across the band of every table.  8192 would double
@@ -164,30 +161,20 @@ def range_bucket(x_half: float) -> float:
     return float(512.0 * np.ceil(x / 512.0))
 
 
-def fourier_table(
-    spectrum: Callable[[np.ndarray], np.ndarray],
-    s_max: float,
-    dx: float,
-    x_half: float,
-    edge_derivatives: tuple[complex, complex, complex, complex] | None = None,
-) -> Table1D:
+def fourier_table(spectrum: Callable[[np.ndarray], np.ndarray], s_max: float, dx: float,
+                  x_half: float, edge_derivatives: tuple | None = None) -> Table1D:
     """Tabulate G(x) = (1/2pi) * int_{-s_max}^{s_max} q(s) e^{isx} ds by FFT.
 
-    q must be Hermitian (q(-s) = conj(q(s))) so that G is real: the table is
-    one real inverse FFT (`irfft`) of the s >= 0 half of the band-sampled
-    Hermitian part (q(s) + conj(q(-s)))/2.  The L1 norm of the anti-Hermitian
-    part it drops, (ds/2pi) sum_{s >= 0} |q(s) - conj(q(-s))|, bounds the
-    imaginary part of the complex transform; above IMAG_RESIDUE_RTOL of the
-    table's magnitude it raises NumericsError.
+    q must be Hermitian (q(-s) = conj(q(s))), so that G is real: the table
+    is one real inverse FFT (`irfft`) of q at s = k ds in [0, s_max].
 
     For spectra that vanish (with a couple of derivatives) at +-s_max the
     plain trapezoid-FFT is accurate: the transform decays fast enough that
     periodic images are negligible at OVERSAMPLE times the requested range.
     Spectra with nonzero boundary values produce 1/x Gibbs tails; for those,
-    pass `edge_derivatives` = (q(-s_max), q'(-s_max), q(s_max), q'(s_max)).
-    A cubic Hermite bridge matching those values is removed before the FFT
-    and its transform added back in closed form, which leaves a remainder
-    decaying like 1/x^3.
+    pass `edge_derivatives` = (q(s_max), q'(s_max)).  A Hermitian cubic
+    bridge matching them is removed before the FFT and its transform added
+    back in closed form, which leaves a remainder decaying like 1/x^3.
 
     The output grid step is exactly the requested dx (`lattice_means` needs
     table steps that divide its shifts); the frequency lattice then no longer
@@ -204,30 +191,32 @@ def fourier_table(
     if n_half >= m // 2:
         raise ValueError("spectrum grid does not fit the FFT size; increase dx or reduce x_half")
 
-    s = ds * np.arange(-n_half, n_half + 1)
-    q = spectrum(s).astype(complex)
+    s = np.minimum(ds * np.arange(n_half + 1), s_max)
+    q = _half_band(spectrum, s, s_max)
     if edge_derivatives is not None:
-        beta = _bridge_coeffs(s_max, *edge_derivatives)
-        q -= np.polyval(beta[::-1], s / s_max)
-    q_pos, q_neg = q[n_half:], np.conj(q[n_half::-1])  # q(s) and conj(q(-s)), s >= 0
+        b0, b1, b2, b3 = beta = _bridge_coeffs(s_max, *edge_derivatives)
+        sigma = s / s_max
+        q.real -= b2 * sigma * sigma + b0
+        q.imag -= (b3 * sigma * sigma + b1) * sigma
 
     # G(k dx) = (ds/2pi) sum_{|j| <= n_half} q_j e^{2 pi i jk/m}: an irfft of length m
-    g = np.fft.irfft(0.5 * (q_pos + q_neg), m)
+    g = irfft(q, m)
     k_half = int(np.floor(x_half / dx))
     g_slice = np.concatenate([g[m - k_half:], g[:k_half + 1]]) * (m * ds / (2.0 * np.pi))
     x0 = -k_half * dx
 
     if edge_derivatives is not None:
         g_slice += _bridge_transform(beta, s_max, x0 + dx * np.arange(g_slice.size))
-
-    scale = np.max(np.abs(g_slice)) + 1e-300
-    bound = ds / (2.0 * np.pi) * np.sum(np.abs(q_pos - q_neg))
-    if bound > IMAG_RESIDUE_RTOL * scale + 1e-12:
-        raise NumericsError(
-            f"inverse transform expected real; anti-Hermitian spectrum bound {bound:.3e} "
-            f"against magnitude {scale:.3e}"
-        )
     return Table1D(x0, dx, g_slice)
+
+
+def _half_band(spectrum: Callable[[np.ndarray], np.ndarray], s: np.ndarray,
+               s_max: float) -> np.ndarray:
+    """spectrum(s) at nodes in [0, s_max], as a fresh complex array; NumericsError if not finite."""
+    q = np.array(spectrum(s), dtype=complex)
+    if not np.all(np.isfinite(q)):
+        raise NumericsError(f"spectrum is not finite on its band [0, {s_max:.6g}]")
+    return q
 
 
 @dataclass(frozen=True)
@@ -235,9 +224,10 @@ class Band:
     """G(x) = (1/2pi) int_{-s_max}^{s_max} spectrum(s, param) e^{isx} ds, described once.
 
     `spectrum` and `edges` are module-level functions of (s, param) and
-    (s_max, param), so equal Bands hash equal; `edges`, when given, returns
-    the (q(-s_max), q'(-s_max), q(s_max), q'(s_max)) that `fourier_table`
-    bridges.  `step` is the table step.
+    (s_max, param), so equal Bands hash equal.  `spectrum` must be Hermitian
+    and is only ever called at 0 <= s <= s_max; `edges`, when given, returns
+    the (q(s_max), q'(s_max)) that `fourier_table` bridges.  `step` is the
+    table step.
     """
 
     spectrum: Callable[[np.ndarray, object], np.ndarray]
@@ -260,16 +250,12 @@ def _cached_table(band: Band, x_half: float,
                  x_half=x_half, edge_derivatives=edges)
 
 
-def _bridge_coeffs(s_max, qa, dqa, qb, dqb):
-    """Hermite cubic in sigma = s / s_max taking qa, qb (slopes dqa, dqb) at s = -+s_max."""
-    # p(sigma) = b0 + b1 s + b2 s^2 + b3 s^3 with p(+-1), p'(+-1) prescribed
-    va, vb = qa, qb
-    da, db = dqa * s_max, dqb * s_max
-    b0 = 0.5 * (va + vb) + 0.25 * (da - db)
-    b1 = 0.75 * (vb - va) - 0.25 * (da + db)
-    b2 = 0.25 * (db - da)
-    b3 = 0.25 * (da + db) - 0.25 * (vb - va)
-    return np.array([b0, b1, b2, b3], dtype=complex)
+def _bridge_coeffs(s_max, q, dq):
+    """Real b of the Hermitian cubic p = b0 + b2 sigma^2 + i (b1 sigma + b3 sigma^3),
+    sigma = s / s_max, with value q and slope dq at s_max (so conj(q), -conj(dq) at -s_max)."""
+    d = dq * s_max
+    return np.array([q.real - 0.5 * d.real, 1.5 * q.imag - 0.5 * d.imag,
+                     0.5 * d.real, 0.5 * (d.imag - q.imag)])
 
 
 #: _OSC_SERIES[k, m] = 2 / (n! (k + n + 1)) with n = 2m + (k mod 2)
@@ -278,60 +264,48 @@ _OSC_SERIES = np.array([[2.0 / (math.factorial(2 * m + k % 2) * (k + 2 * m + k %
 
 
 def _osc_moments(theta: np.ndarray) -> np.ndarray:
-    """M_k(theta) = int_{-1}^{1} sigma^k e^{i theta sigma} d sigma for k <= 3.
+    """Rows (C0, S1, C2, S3) of the moments int_{-1}^{1} sigma^k e^{i theta sigma} d sigma
+    = C_k (k even) or i S_k (k odd), for |theta| < BRIDGE_NEAR_THETA.
 
-    Returns array of shape (4, len(theta)), one row per power of the cubic
-    bridge.  Below |theta| = BRIDGE_NEAR_THETA, expanding the exponential
-    gives M_k = sum_n (i theta)^n / n! * 2 / (k + n + 1) over the n with
-    k + n even: a series in -theta^2 (times i theta for odd k), summed by
-    Horner's rule; its largest term is about 5, so it rounds to a few 1e-16.
-    From there on, integrating by parts gives M_0 = 2 sin(theta) / theta and
-    M_k = ([sigma^k e^{i theta sigma}]_{-1}^{1} - k M_{k-1}) / (i theta),
-    which damps each earlier rounding error by k / |theta| < 1.
+    Returns a real array of shape (4, len(theta)), one row per power of the
+    cubic bridge.  Expanding the exponential gives the moment as
+    sum_n (i theta)^n / n! * 2 / (k + n + 1) over the n with k + n even: a
+    series in -theta^2 (times theta for odd k), summed by Horner's rule; its
+    largest term is about 5, so it rounds to a few 1e-16.
     """
     theta = np.asarray(theta, dtype=float)
-    out = np.empty((4, theta.size), dtype=complex)
-    near = np.abs(theta) < BRIDGE_NEAR_THETA
-    t2 = -theta[near] ** 2
+    t2 = -theta ** 2
     acc = np.broadcast_to(_OSC_SERIES[:, -1:], (4, t2.size))
     for m in range(OSC_TERMS - 2, -1, -1):
         acc = acc * t2 + _OSC_SERIES[:, m:m + 1]
-    out[:, near] = acc
-    out[1::2, near] *= 1j * theta[near]
-    t = theta[~near]
-    edge = (2j * np.sin(t), 2.0 * np.cos(t))  # [sigma^k e^{i theta sigma}]_{-1}^{1}, k even / odd
-    mom = edge[0] / (1j * t)
-    out[0, ~near] = mom
-    for k in range(1, 4):
-        mom = (edge[k % 2] - k * mom) / (1j * t)
-        out[k, ~near] = mom
-    return out
+    acc[1::2] *= theta
+    return acc
 
 
 def _bridge_transform(beta, s_max, x: np.ndarray) -> np.ndarray:
-    """Re (1/2pi) * int_{-s_max}^{s_max} p(s) e^{isx} ds for the bridge p, in closed form.
+    """(1/2pi) * int_{-s_max}^{s_max} p(s) e^{isx} ds for the bridge p of `_bridge_coeffs`.
 
     With theta = s_max x and u = 1/theta, integrating the cubic p(sigma) by
     parts four times gives the exact
     int_{-1}^{1} p e^{i theta sigma} d sigma
     = [e^{i theta sigma} sum_{r<=3} (-1)^r p^(r)(sigma) / (i theta)^(r+1)]_{-1}^{1},
-    whose real part is cos(theta) A(u) - sin(theta) B(u) with the real
+    which is real, cos(theta) A(u) - sin(theta) B(u) with
     A(u) = a1 u + a2 u^2 + a3 u^3 and B(u) = c1 u + c2 u^2 + a2 u^3 + a3 u^4.
     Below |theta| = BRIDGE_NEAR_THETA their high powers of u cancel badly, so
     those few points take the series moments of `_osc_moments`.
     """
     theta = s_max * np.asarray(x, dtype=float)
-    b0, b1, b2, b3 = np.asarray(beta, dtype=complex)
-    a1, a2, a3 = 2.0 * (b1 + b3).imag, 4.0 * b2.real, -12.0 * b3.imag
-    c1, c2 = -2.0 * (b0 + b2).real, 2.0 * (b1 + 3.0 * b3).imag
+    b0, b1, b2, b3 = beta
+    a1, a2, a3 = 2.0 * (b1 + b3), 4.0 * b2, -12.0 * b3
+    c1, c2 = -2.0 * (b0 + b2), 2.0 * (b1 + 3.0 * b3)
     near = np.flatnonzero(np.abs(theta) < BRIDGE_NEAR_THETA)
     t = theta.copy()
     t[near] = BRIDGE_NEAR_THETA  # any value off zero; these points are overwritten below
     u = 1.0 / t
     out = np.cos(t) * (u * (a1 + u * (a2 + u * a3)))
     out -= np.sin(t) * (u * (c1 + u * (c2 + u * (a2 + u * a3))))
-    mom = _osc_moments(theta[near])
-    out[near] = sum(beta[k] * mom[k] for k in range(4)).real
+    c0, s1, c2, s3 = _osc_moments(theta[near])
+    out[near] = b0 * c0 - b1 * s1 + b2 * c2 - b3 * s3
     return (s_max / (2.0 * np.pi)) * out
 
 
@@ -449,8 +423,8 @@ def band_samples(spectrum: Callable[[np.ndarray], np.ndarray], s_max: float, dx:
     `fourier_table`'s arguments so that `Band.table` caches either; dx (the
     band's table step) is not read, because the lattice step is 1, and a
     band with `edge_derivatives` is refused: its spectrum must vanish with
-    its first derivative at s_max, where no node need fall.  A non-finite
-    sample raises NumericsError.
+    its first derivative at s_max, where no node need fall.  The samples are
+    taken by `_half_band`, so a non-finite one raises NumericsError.
     """
     if edge_derivatives is not None:
         raise ValueError("band_lattice needs a spectrum that vanishes at its band edge")
@@ -458,9 +432,7 @@ def band_samples(spectrum: Callable[[np.ndarray], np.ndarray], s_max: float, dx:
     s = 2.0 * np.pi / size * np.arange(size)
     inside = s < s_max
     samples = np.zeros(size, dtype=complex)
-    samples[inside] = spectrum(s[inside])
-    if not np.all(np.isfinite(samples)):
-        raise NumericsError(f"spectrum is not finite on its band [0, {s_max:.6g})")
+    samples[inside] = _half_band(spectrum, s[inside], s_max)
     return samples
 
 

@@ -44,11 +44,12 @@ import numpy as np
 from ._tables import Band, Table1D, fourier_table, lattice_means
 from .errors import DataError, ParameterError
 from .grids import DensityGrid, uniform_grid
-from .noisemodel import inv_noise_charfn
+from .noisemodel import CHARFN_CUTOFF, inv_noise_charfn
 from .svsim import ObservationSeries, as_log_squared, require_finite
 
-# smallest usable bandwidth: 1/phi_k(s/h) must stay inside double range on |s| <= 1
-MIN_BANDWIDTH = np.pi / 700.0
+# smallest usable bandwidth: 1/phi_k(s/h) must stay inside double range on |s| <= 1,
+# so 1/h may not pass CHARFN_CUTOFF (at pi/700 itself it does, by one ulp)
+MIN_BANDWIDTH = math.nextafter(np.pi / 700.0, 1.0)
 #: v_h tabulation step in the scaled argument; v_h and the sums of its shifts
 #: are band-limited to [-1, 1], so two cubic reads at this step stay near 1e-9
 TABLE_STEP = 0.025
@@ -102,7 +103,7 @@ def kernel_band(h: float) -> Band:
     """v_h as a `Band` on [-1, 1], tabulated at TABLE_STEP."""
     if h <= 0:
         raise ParameterError("bandwidth must be positive")
-    if h < MIN_BANDWIDTH:
+    if 1.0 / h > CHARFN_CUTOFF:
         raise ParameterError(f"bandwidth below {MIN_BANDWIDTH:.5f} overflows 1/phi_k")
     return Band(_kernel_spectrum, float(h), 1.0, TABLE_STEP)
 

@@ -62,7 +62,7 @@ def _u_spectrum(s, L):
 
 
 def _u_edges(s_max, L):
-    return tuple(complex(f(s)) / math.sqrt(L) for s in (-s_max, s_max)
+    return tuple(complex(f(s_max)) / math.sqrt(L)
                  for f in (inv_noise_charfn, inv_noise_charfn_derivative))
 
 

@@ -9,7 +9,7 @@ from scipy.integrate import quad
 from reference import band_quad, fourier_quad
 from voldens._tables import Table1D, fourier_table
 from voldens.errors import DataError, ParameterError
-from voldens.kerneldeconv import (TABLE_STEP, KernelSpec, check_gamma_constraint,
+from voldens.kerneldeconv import (MIN_BANDWIDTH, TABLE_STEP, KernelSpec, check_gamma_constraint,
                                   deconv_kernel_table, default_bandwidth, estimate_density,
                                   kernel_band, wand_charfn, wand_kernel)
 from voldens.metrics import PureConvolution, mise
@@ -94,6 +94,14 @@ class TestDeconvKernel:
         for h in (float("nan"), float("inf")):
             with pytest.raises(ParameterError, match="bandwidth must be finite"):
                 KernelSpec(bandwidth=h)
+
+    def test_smallest_bandwidth_evaluates_its_band_edge(self):
+        # s/h reaches 1/h at s = +-1, which may not pass CHARFN_CUTOFF; at
+        # pi/700 itself it did, by one ulp
+        band = kernel_band(MIN_BANDWIDTH)
+        assert np.all(np.isfinite(band.spectrum(np.array([-1.0, 1.0]), band.param)))
+        with pytest.raises(ParameterError):
+            kernel_band(np.nextafter(MIN_BANDWIDTH, 0.0))
 
 
 class TestEstimateDensity:

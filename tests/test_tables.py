@@ -19,7 +19,7 @@ from voldens._tables import (_TAPS, BAND_NODES, BRIDGE_NEAR_THETA, GUARD, READ_B
                              lattice_means, range_bucket)
 from voldens.errors import DataError, NumericsError
 from voldens.grids import uniform_grid
-from voldens.kerneldeconv import TABLE_STEP, deconv_kernel_table, kernel_band
+from voldens.kerneldeconv import MIN_BANDWIDTH, TABLE_STEP, deconv_kernel_table, kernel_band
 from voldens.ppe import u_band, u_zero_table
 from voldens.waveletdeconv import SCALING_BAND, scaling_table, um_band, um_table
 
@@ -120,20 +120,25 @@ class TestBlockedRead:
         assert peak_kib(1) <= peak_kib(10) + 1024
 
 
+def _real_rows(mom):
+    """The real (C0, S1, C2, S3) of complex moments (C0, i S1, C2, i S3)."""
+    return np.stack([mom[0].real, mom[1].imag, mom[2].real, mom[3].imag])
+
+
 class TestOscMoments:
-    @pytest.mark.parametrize("theta", [0.01, 0.3, 0.5, 2.0, 41.7, 0.0, 1e-9, -0.49, -7.3])
+    @pytest.mark.parametrize("theta", [0.01, 0.3, 0.5, 2.0, 0.0, 1e-9, -0.49])
     def test_against_quadrature(self, theta):
         mom = _osc_moments(np.array([theta]))
         for k in range(4):
-            re, _ = quad(lambda s: s ** k * np.cos(theta * s), -1, 1, epsabs=1e-14)
-            im, _ = quad(lambda s: s ** k * np.sin(theta * s), -1, 1, epsabs=1e-14)
-            assert mom[k, 0] == pytest.approx(re + 1j * im, abs=1e-12)
+            trig = np.sin if k % 2 else np.cos
+            want, _ = quad(lambda s: s ** k * trig(theta * s), -1, 1, epsabs=1e-14)
+            assert mom[k, 0] == pytest.approx(want, abs=1e-12)
 
     def test_against_bessel_moments_on_the_near_branch(self):
-        # the series branch against the spherical-Bessel oracle, at 3x the
-        # largest difference measured on these 3999 points (8.9e-16)
+        # the series against the spherical-Bessel oracle, at 3x the largest
+        # difference measured on these 3999 points (8.9e-16)
         theta = np.linspace(-BRIDGE_NEAR_THETA, BRIDGE_NEAR_THETA, 4001)[1:-1]
-        np.testing.assert_allclose(_osc_moments(theta), bessel_moments(theta),
+        np.testing.assert_allclose(_osc_moments(theta), _real_rows(bessel_moments(theta)),
                                    rtol=0.0, atol=2.7e-15)
 
 
@@ -143,14 +148,16 @@ class TestBridgeTransform:
     @pytest.mark.parametrize("s_max", [1.0, 3.0 * np.pi])
     @pytest.mark.parametrize("seed", range(5))
     def test_closed_form_matches_bessel_moments(self, s_max, seed):
-        # both sides of the |theta| = 4 branch against the spherical-Bessel form.
+        # both sides of the |theta| = 4 branch against the spherical-Bessel form,
+        # for the Hermitian bridge b0 + b2 sigma^2 + i (b1 sigma + b3 sigma^3).
         # Both round at the size of their terms, which (s_max/pi) sum |beta_k|
         # bounds at every theta, while the value itself may cancel to far less.
         rng = np.random.default_rng(seed)
-        beta = rng.normal(size=4) + 1j * rng.normal(size=4)
+        beta = rng.normal(size=4)
         x = self.THETA / s_max
-        mom = bessel_moments(s_max * x)
-        expect = (s_max / (2.0 * np.pi) * sum(beta[k] * mom[k] for k in range(4))).real
+        c0, s1, c2, s3 = _real_rows(bessel_moments(s_max * x))
+        expect = s_max / (2.0 * np.pi) * (beta[0] * c0 - beta[1] * s1 + beta[2] * c2
+                                          - beta[3] * s3)
         got = _bridge_transform(beta, s_max, x)
         assert got.dtype == float
         bound = s_max / np.pi * np.sum(np.abs(beta))
@@ -175,21 +182,54 @@ class TestFourierTable:
     def test_edge_correction_handles_jump_spectrum(self):
         # q = 1 on [-pi, pi]: G(x) = sin(pi x)/(pi x), whose 1/x Gibbs tails a
         # bare trapezoid-FFT aliases badly
-        edges = (1.0 + 0j, 0.0 + 0j, 1.0 + 0j, 0.0 + 0j)
+        edges = (1.0 + 0j, 0.0 + 0j)
         table = fourier_table(lambda s: np.ones_like(s) + 0j, s_max=np.pi,
                               dx=0.01, x_half=50.0, edge_derivatives=edges)
         xs = np.array([-20.3, -4.0, -0.5, 0.0, 0.5, 1.0, 7.7, 40.1])
         np.testing.assert_allclose(table(xs), np.sinc(xs), atol=1e-8)
 
-    def test_non_hermitian_spectrum_rejected(self):
-        with pytest.raises(NumericsError):
-            fourier_table(lambda s: np.exp(-((s - 0.5) ** 2)) + 0j, s_max=6.0,
-                          dx=0.02, x_half=8.0)
-
 
 def test_oracle_rejects_non_hermitian_spectrum():
     with pytest.raises(DataError):
         fourier_quad(lambda s: np.exp(-((s - 0.5) ** 2)), 6.0, 0.3)
+
+
+@pytest.mark.parametrize("build", [fourier_table, band_samples],
+                         ids=["fourier_table", "band_samples"])
+def test_non_finite_spectrum_rejected(build):
+    # both builds sample through `_half_band`; the table's former realness
+    # bound let NaN through (nan > bound is False)
+    with pytest.raises(NumericsError):
+        build(lambda s: np.where(s < 1.0, 1.0, np.nan) + 0j, s_max=2.0, dx=1.0, x_half=64.0)
+
+
+def _frequencies_read(build, s_max, edges):
+    """Every s at which `build` calls a spy spectrum, in call order."""
+    calls = []
+
+    def spy(s):
+        calls.append(np.array(s))
+        return np.cos(0.375 * s) ** 2 + 0j
+
+    build(spy, s_max=s_max, dx=0.01, x_half=64.0, edge_derivatives=edges)
+    return np.concatenate(calls)
+
+
+@pytest.mark.parametrize("build, edges", [(fourier_table, None), (fourier_table, (1.0 + 0j, 0j)),
+                                          (band_samples, None)],
+                         ids=["fourier_table", "bridged", "band_samples"])
+def test_spectrum_read_on_its_half_band_only(build, edges):
+    # every Band spectrum is Hermitian, so no build needs it at s < 0 (nor
+    # past s_max, where 1/phi_k may overflow).  The second build puts s_max
+    # one ulp below the first's top node, which the table keeps within its
+    # 1e-12 slack and reads at s_max itself.
+    first = _frequencies_read(build, np.pi, edges)
+    edge = np.nextafter((first.size - 1) * first[1], 0.0)
+    second = _frequencies_read(build, edge, edges)
+    for s, s_max in ((first, np.pi), (second, edge)):
+        assert s.min() == 0.0 and s.max() <= s_max
+    if build is fourier_table:
+        assert second.max() == edge
 
 
 def _estimator_lattice(name):
@@ -362,6 +402,23 @@ ORACLE_SWEEP = [
 ]
 
 
+#: every production spectrum: v_h at five bandwidths, phi, U_0..U_3 and u_L for L = 1..70
+PRODUCTION_BANDS = {
+    **{f"v_h{h:.3g}": kernel_band(h) for h in (MIN_BANDWIDTH, 0.05, 0.27, 0.9, 2.0)},
+    "phi": SCALING_BAND,
+    **{f"U_{m}": um_band(m) for m in range(4)},
+    **{f"u_L{L}": u_band(L) for L in range(1, 71)},
+}
+
+
+@pytest.mark.parametrize("name", PRODUCTION_BANDS)
+def test_production_spectrum_is_hermitian_bit_for_bit(name):
+    # the premise of reading [0, s_max] only: q(-s) = conj(q(s)) exactly
+    band = PRODUCTION_BANDS[name]
+    s = np.linspace(0.0, band.s_max, 20_001)
+    assert np.array_equal(band.spectrum(-s, band.param), np.conj(band.spectrum(s, band.param)))
+
+
 class TestBand:
     @pytest.mark.parametrize("case", range(len(ORACLE_SWEEP)),
                              ids=[name for name, *_ in ORACLE_SWEEP])
@@ -438,11 +495,7 @@ class TestBandLattice:
         with pytest.raises(ValueError):
             band_lattice(samples, np.array([0.5, -3.0]), 0, BAND_NODES // 4)
 
-    def test_non_finite_spectrum_rejected(self):
-        # the check that replaces the realness bound of the table path
-        with pytest.raises(NumericsError):
-            band_samples(lambda s: np.where(s < 1.0, 1.0, np.nan) + 0j, s_max=2.0, dx=1.0,
-                         x_half=64.0)
+    def test_bridged_spectrum_refused(self):
         with pytest.raises(ValueError):
             band_samples(lambda s: np.ones_like(s) + 0j, s_max=2.0, dx=1.0, x_half=64.0,
-                         edge_derivatives=(1.0, 0.0, 1.0, 0.0))
+                         edge_derivatives=(1.0, 0.0))
