@@ -15,10 +15,10 @@ for every shift, so both directions reduce to sums over the table lattice:
 `lattice_means` (data to coefficients: the kernel and regression sums on the
 v_h table's own lattice, which `Table1D.__call__` then reads at the grid,
 and the PPE coefficients on the shifts j/L) bins the points and correlates
-them with the table as one `numpy.fft` rfft product at the padded length
-that `scipy.signal.fftconvolve` uses (the table's own spectrum at that
-length is computed once, by the first call, and kept on the table; the
-product and its inverse go into per-thread scratch arrays), and its
+them with the table in polyphase form: one batched `numpy.fft` rfft of the
+binned rows, one row per residue of the table index modulo the stride,
+times the table's row spectra (computed once per stride and length, and
+kept on the table), and one irfft as long as the table's rows; and its
 transpose `lattice_expansion` (coefficients to grid: the wavelet render)
 takes one contiguous `np.convolve` per residue class of the touched table
 indices modulo the stride.  Spectra that jump at the edges of their
@@ -51,7 +51,6 @@ quadrature of the same spectrum, which shares no code with either engine.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -102,9 +101,9 @@ class Table1D:
         self.values = np.concatenate([[0.0, 0.0], values, [0.0, 0.0]])
         self.x0 = float(x0) - 2.0 * dx
         self.dx = float(dx)
-        # rfft of the reversed values at the padded length of `lattice_means`,
-        # computed by its first call and reused by every later one
-        self.corr_spectrum: np.ndarray | None = None
+        # `lattice_means`'s conjugate row spectra of the values, keyed by
+        # (stride, FFT length), each computed by the first call that needs it
+        self.corr_spectrum: dict[tuple[int, int], np.ndarray] = {}
 
     def grid(self) -> np.ndarray:
         return self.x0 + self.dx * np.arange(2, self.values.size - 2)
@@ -309,20 +308,6 @@ def _bridge_transform(beta, s_max, x: np.ndarray) -> np.ndarray:
     return (s_max / (2.0 * np.pi)) * out
 
 
-#: per-thread FFT work arrays of `lattice_means`, grown to the longest
-#: transform seen and then reused, so warm calls map no fresh pages
-_scratch = threading.local()
-
-
-def _scratch_view(name: str, size: int, dtype) -> np.ndarray:
-    """The first `size` elements of this thread's scratch array `name`."""
-    buf = getattr(_scratch, name, None)
-    if buf is None or buf.size < size:
-        buf = np.empty(size, dtype)
-        setattr(_scratch, name, buf)
-    return buf[:size]
-
-
 def _fast_len(size: int) -> int:
     """The smallest 2^a 3^b 5^c >= size, as `scipy.fft.next_fast_len(size, True)` gives."""
     best = 1 << (size - 1).bit_length()
@@ -341,17 +326,22 @@ def lattice_means(points: np.ndarray, table: Table1D, step: float, j_lo: int, j_
                   weights: np.ndarray | None = None) -> np.ndarray:
     """c_j = (1/n) sum_i w_i table(points_i - j*step) for j in [j_lo, j_hi].
 
-    The weights w_i default to 1 (plain means).  The stride round(step /
+    The weights w_i default to 1 (plain means).  The stride s = round(step /
     table.dx) must be exact (callers build their tables that way), so that
     every shift lands on the table lattice.  With that alignment the per-point
-    cubic interpolation weights are independent of j and the whole family of
-    means collapses to one cross-correlation: one `numpy.fft` rfft product
-    at `fftconvolve`'s padded length (`_fast_len`), so the result is bit for
-    bit `scipy.signal.fftconvolve(binned, v[::-1])` (both libraries run the
-    same pocketfft).  The binned data always have the table's size, so that
-    length is the table's own, and the table's factor of the product is
-    computed by the first call and kept in `table.corr_spectrum`.  The
-    data's transform and the inverse are written into `_scratch_view`s.
+    cubic interpolation weights are independent of j, and the means are
+    c_j = (1/n) sum_m b[m] v[m - s j] for the taps b binned on the table
+    values v.  Only every s-th lag is read, so the correlation is taken in
+    polyphase form (Vaidyanathan 1993): with m = s u + r, the rows
+    b_r[u] = b[s u + r] and v_r[u] = v[s u + r] (nu = ceil(len(v) / s)) give
+    c_j = (1/n) sum_r sum_u b_r[u] v_r[u - j]: one batched rfft of the s data
+    rows (the columns of the taps binned as an (F, s) array, whose entry
+    (u, r) is index s u + r) times the table's conjugate row spectra, summed
+    over r, and one irfft of length F read at j mod F.  F spans every d = u - j of the call's
+    taps and shifts together with [0, nu), so a d off the table wraps onto
+    zero padding and the circular correlation is the linear one; in the
+    estimators every d lies in [0, nu) and F = `_fast_len(nu)`.  The row
+    spectra are computed once per (s, F) and kept in `table.corr_spectrum`.
     """
     points = np.asarray(points, dtype=float)
     n = points.size
@@ -360,26 +350,30 @@ def lattice_means(points: np.ndarray, table: Table1D, step: float, j_lo: int, j_
     stride = _stride(table, step)
     if j_hi < j_lo:
         raise ValueError("empty shift range")
-
     v = table.values
+    if stride * max(-j_lo, j_hi) >= v.size:
+        raise ValueError("table does not cover the requested shift range")
+
     idx, taps = _stencil(table, points)
     if weights is not None:
         taps = taps * np.asarray(weights, dtype=float)
     tgt = (idx + _TAPS[:, None]).ravel()
     ok = (tgt >= 0) & (tgt < v.size)  # off-table taps contribute zero
-    binned = np.bincount(tgt[ok], taps.ravel()[ok], minlength=v.size)
-    # correlation R[s] = sum_m binned[m] v[m - s]; c_j = R[j*stride] / n
-    size = binned.size + v.size - 1
-    fast = _fast_len(size)
-    if table.corr_spectrum is None:
-        table.corr_spectrum = rfft(v[::-1], fast)
-    spec = rfft(binned, fast, out=_scratch_view("spectrum", fast // 2 + 1, complex))
-    spec *= table.corr_spectrum
-    corr = irfft(spec, fast, out=_scratch_view("correlation", fast, float))[:size]
-    wanted = v.size - 1 + stride * np.arange(j_lo, j_hi + 1)
-    if wanted.min() < 0 or wanted.max() >= corr.size:
-        raise ValueError("table does not cover the requested shift range")
-    return corr[wanted] / n
+    if not ok.any():
+        return np.zeros(j_hi - j_lo + 1)
+    tgt = tgt[ok]
+    nu = -(-v.size // stride)
+    u_lo, u_hi = int(tgt.min()) // stride, int(tgt.max()) // stride
+    fast = _fast_len(max(u_hi - j_lo + 1, nu) - min(u_lo - j_hi, 0))
+    spectra = table.corr_spectrum.get((stride, fast))
+    if spectra is None:
+        padded = np.zeros(fast * stride)
+        padded[:v.size] = v
+        spectra = np.conj(rfft(padded.reshape(fast, stride), axis=0))  # column r: v[s u + r]
+        table.corr_spectrum[stride, fast] = spectra
+    binned = np.bincount(tgt, taps.ravel()[ok], minlength=fast * stride).reshape(fast, stride)
+    corr = irfft(np.einsum("kr,kr->k", rfft(binned, axis=0), spectra), fast)
+    return corr[np.arange(j_lo, j_hi + 1) % fast] / n
 
 
 def lattice_expansion(points: np.ndarray, table: Table1D, step: float,

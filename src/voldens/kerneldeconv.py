@@ -101,8 +101,8 @@ def _kernel_spectrum(s, h):
 
 def kernel_band(h: float) -> Band:
     """v_h as a `Band` on [-1, 1], tabulated at TABLE_STEP."""
-    if h <= 0:
-        raise ParameterError("bandwidth must be positive")
+    if not 0 < h < math.inf:
+        raise ParameterError("bandwidth must be positive and finite")
     if 1.0 / h > CHARFN_CUTOFF:
         raise ParameterError(f"bandwidth below {MIN_BANDWIDTH:.5f} overflows 1/phi_k")
     return Band(_kernel_spectrum, float(h), 1.0, TABLE_STEP)

@@ -95,6 +95,13 @@ class TestDeconvKernel:
             with pytest.raises(ParameterError, match="bandwidth must be finite"):
                 KernelSpec(bandwidth=h)
 
+    @pytest.mark.parametrize("h", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_bandwidth_rejected_before_any_table(self, h):
+        # nan reached NumericsError from the spectrum samples; inf built the
+        # plain Wand kernel's table
+        with pytest.raises(ParameterError, match="bandwidth must be positive and finite"):
+            deconv_kernel_table(h, 10.0)
+
     def test_smallest_bandwidth_evaluates_its_band_edge(self):
         # s/h reaches 1/h at s = +-1, which may not pass CHARFN_CUTOFF; at
         # pi/700 itself it did, by one ulp

@@ -20,7 +20,7 @@ from voldens._tables import (_TAPS, BAND_NODES, BRIDGE_NEAR_THETA, GUARD, READ_B
 from voldens.errors import DataError, NumericsError
 from voldens.grids import uniform_grid
 from voldens.kerneldeconv import MIN_BANDWIDTH, TABLE_STEP, deconv_kernel_table, kernel_band
-from voldens.ppe import u_band, u_zero_table
+from voldens.ppe import ppe_coefficients, u_band, u_zero_table
 from voldens.waveletdeconv import SCALING_BAND, scaling_table, um_band, um_table
 
 
@@ -79,7 +79,7 @@ import resource
 import numpy as np
 from voldens.ppe import ppe_coefficients
 y = np.random.default_rng(3).normal(-1.2, 2.0, 2600)
-ppe_coefficients(y, 3, 2600)  # the table, its correlation spectrum and the scratch arrays
+ppe_coefficients(y, 3, 2600)  # the table, its row spectra and the heap the FFTs reuse
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 for _ in range(5):
     ppe_coefficients(y, 3, 2600)
@@ -98,8 +98,8 @@ def _run_script(script, *args):
 
 
 def test_warm_lattice_means_map_no_fresh_pages():
-    # the FFT product and its inverse reuse this thread's scratch arrays: 0
-    # faults for the five calls here, where allocating them afresh took 20,680
+    # the warm calls' FFT arrays reuse heap that the first call mapped: 0
+    # faults for the five calls here, where mapping them afresh took 20,680
     assert int(_run_script(_WARM_FAULTS_SCRIPT)) < 200
 
 
@@ -264,6 +264,18 @@ def _fftconvolve_means(points, table, step, j_lo, j_hi, weights=None):
     return corr[v.size - 1 + round(step / table.dx) * np.arange(j_lo, j_hi + 1)] / points.size
 
 
+#: `lattice_means` against `_fftconvolve_means`: the largest difference over
+#: the cases below, relative to sum |w taps| max|v| / n, was 1.2e-16
+FFTCONVOLVE_TOL = 3.5e-16
+
+
+def _assert_agrees_with_fftconvolve(out, points, table, step, j_lo, j_hi, weights=None):
+    ref = _fftconvolve_means(points, table, step, j_lo, j_hi, weights)
+    taps = _stencil(table, points)[1] * (1.0 if weights is None else weights)
+    scale = np.sum(np.abs(taps)) * np.max(np.abs(table.values)) / points.size
+    assert np.max(np.abs(out - ref)) <= FFTCONVOLVE_TOL * scale
+
+
 class TestLatticeMeans:
     def test_dense_and_fft_paths_agree(self):
         # the FFT correlation against the pointwise definition on a larger case
@@ -318,32 +330,71 @@ class TestLatticeMeans:
             pts = rng.uniform(-0.6, 0.6, int(rng.integers(1, 500))) * size * dx
             w = rng.normal(size=pts.size) if case % 2 else None
             out = lattice_means(pts, table, stride * dx, j_lo, j_hi, weights=w)
-            ref = _fftconvolve_means(pts, table, stride * dx, j_lo, j_hi, weights=w)
-            assert np.array_equal(out, ref), (case, size, stride)
+            _assert_agrees_with_fftconvolve(out, pts, table, stride * dx, j_lo, j_hi, w)
 
     @pytest.mark.parametrize("name", ["U_0", "u_L1", "u_L3", "v_h"])
     @pytest.mark.parametrize("weighted", [False, True])
     def test_bit_identical_to_fftconvolve_at_estimator_strides(self, name, weighted):
         pts, table, step, j_lo, j_hi = _estimator_lattice(name)
         w = np.random.default_rng(4).normal(2.0, 1.0, pts.size) if weighted else None
-        assert np.array_equal(lattice_means(pts, table, step, j_lo, j_hi, weights=w),
-                              _fftconvolve_means(pts, table, step, j_lo, j_hi, weights=w))
+        out = lattice_means(pts, table, step, j_lo, j_hi, weights=w)
+        _assert_agrees_with_fftconvolve(out, pts, table, step, j_lo, j_hi, w)
 
     @pytest.mark.parametrize("weighted", [False, True])
     def test_correlation_spectrum_cached_per_table(self, weighted):
-        # a second call with other points and shifts reuses the first call's spectrum
+        # each (stride, length) gets its row spectra once: a call at another
+        # stride adds its own, and a repeat of the first call reuses the first's
         rng = np.random.default_rng(5)
         table = Table1D(-40.0, 0.05, rng.normal(size=1601))
-        assert table.corr_spectrum is None
+        assert table.corr_spectrum == {}
         calls = [(rng.uniform(-20.0, 20.0, 300), 1.0, -15, 15),
                  (rng.uniform(-5.0, 5.0, 50), 0.25, -60, 3)]
         for k, (pts, step, j_lo, j_hi) in enumerate(calls):
             w = rng.normal(size=pts.size) if weighted else None
             out = lattice_means(pts, table, step, j_lo, j_hi, weights=w)
-            assert np.array_equal(out, _fftconvolve_means(pts, table, step, j_lo, j_hi, w))
+            _assert_agrees_with_fftconvolve(out, pts, table, step, j_lo, j_hi, w)
+            assert len(table.corr_spectrum) == k + 1
             if k == 0:
-                spectrum = table.corr_spectrum
-        assert table.corr_spectrum is spectrum
+                (key, spectrum), = table.corr_spectrum.items()
+        assert table.corr_spectrum[key] is spectrum
+        pts, step, j_lo, j_hi = calls[0]
+        lattice_means(pts, table, step, j_lo, j_hi)
+        assert len(table.corr_spectrum) == 2 and table.corr_spectrum[key] is spectrum
+
+    def test_shifts_off_the_table_on_both_sides_do_not_alias(self):
+        # stride 50: the table's rows are nu = 41 long, but u - j spans
+        # [-30, 70], more than a row-length FFT (45) could hold apart.  The
+        # table ends in zeros, as production tables decay: `Table1D` reads a
+        # point within two steps outside it as 0, the lattice by its taps
+        rng = np.random.default_rng(7)
+        table = Table1D(-10.0, 0.01, np.pad(rng.normal(size=1985), 8))
+        pts = np.concatenate([[-9.9, 9.9], rng.uniform(-10.0, 10.0, 200)])
+        w = rng.normal(size=pts.size)
+        rows = (_stencil(table, pts)[0] + _TAPS[:, None]) // 50
+        nu = -(-table.values.size // 50)
+        assert rows.min() - 30 < 0 and rows.max() + 30 >= nu
+        assert rows.max() - rows.min() + 61 > _fast_len(nu)
+        out = lattice_means(pts, table, 0.5, -30, 30, weights=w)
+        dense = [np.mean(w * table(pts - 0.5 * j)) for j in range(-30, 31)]
+        np.testing.assert_allclose(out, dense, rtol=1e-10, atol=1e-13)
+
+    def test_every_tap_off_the_table_gives_zeros(self):
+        table = Table1D(-10.0, 0.01, np.ones(2001))
+        out = lattice_means(np.array([-40.0, 25.0, 60.0]), table, 0.5, -5, 7)
+        assert np.array_equal(out, np.zeros(13))
+
+    def test_production_row_spectra_take_8_bytes_per_row_point(self):
+        # the PPE table at L = 3, n = K_n = 2600 (72 table steps per shift):
+        # F // 2 + 1 complex values per row, 8 bytes per point of the
+        # stride x F rows; F rounds nu = 6145 up to 6250, so 8.14 bytes per
+        # table point, where the full-length spectrum took 16.02
+        y = np.random.default_rng(3).normal(-1.2, 2.0, 2600)
+        ppe_coefficients(y, 3, 2600)
+        table = u_zero_table(3, float(np.max(np.abs(y))) + 2600 / 3)
+        nu = -(-table.values.size // 72)
+        spectra = table.corr_spectrum[72, _fast_len(nu)]
+        assert spectra.nbytes <= 8 * 72 * _fast_len(nu) + 16 * 72
+        assert spectra.nbytes <= 8.2 * table.values.size
 
     def test_step_misaligned_with_table_rejected(self):
         table = Table1D(0.0, 0.1, np.ones(32))
