@@ -48,9 +48,9 @@ from .svsim import as_log_squared, require_finite
 
 #: past this level the band edge pi L leaves the range where 1/phi_k is finite
 MAX_LEVEL = math.floor(CHARFN_CUTOFF / math.pi)
-#: table stride per basis spacing 1/L; pi/stride ~ 0.044 keeps the cubic
-#: interpolation of the band-limited u below 1e-8 relative error
-TABLE_STRIDE = 72
+#: table stride per basis spacing 1/L, which is the Nyquist step of u's band
+#: pi L: the 8-point stencil reads u within about 2e-9 of its maximum there
+TABLE_STRIDE = 16
 #: `render_sinc_expansion` forms at most this many terms at once
 RENDER_BLOCK = 1 << 20
 

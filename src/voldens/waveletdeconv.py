@@ -61,8 +61,9 @@ LEVEL_DENOMINATOR = 1.0 + 4.0 * np.pi ** 2 / 3.0
 #: The numerics are not the limit: U_m tables build at m = 4 and 5, and `band_lattice`
 #: agrees with quadrature there within 2.9e-9 and 2.8e-8 (relative).
 MAX_LEVEL = 3
-#: tabulation step of phi (and of U_m, for the tests' tables); 96 steps per unit shift
-TABLE_STEP = 1.0 / 96.0
+#: tabulation step of phi (and of U_m, for the tests' tables): 24 steps per unit
+#: shift, 18 per Nyquist step 3/4 of the band 4 pi/3, for the 8-point stencil
+TABLE_STEP = 1.0 / 24.0
 
 
 def meyer_scaling_fourier(omega) -> np.ndarray | float:

@@ -193,6 +193,7 @@ def test_criterion_05_bimodality_detection():
 
 # --------------------------------------------------------------------- 6
 
+@pytest.mark.slow
 def test_criterion_06_wavelet_coefficients_unbiased():
     reps, n = 500, 1000
     levels = (0, 1)

@@ -154,6 +154,19 @@ class TestCoefficientsAndContrast:
         assert np.max(np.abs(a_hat - oracle)) <= coeff_rtol * np.max(np.abs(oracle))
         assert contrast(a_hat) == pytest.approx(contrast(oracle), rel=contrast_rtol)
 
+    #: max |a_hat - oracle| / max |oracle| at L = 1..8 on the sample above,
+    #: measured with the 8-point stencil at TABLE_STRIDE = 16 (3.9e-8 to
+    #: 2.3e-7 with the 4-point cubic at 72)
+    ORACLE_ERROR = (7.3e-10, 5.6e-10, 1.5e-9, 2.7e-9, 5.2e-9, 7.4e-9, 9.6e-9, 2.5e-8)
+
+    def test_coefficients_at_every_level_within_the_stencil_error(self):
+        # 3x the error measured at each level, K_n = 20
+        y = PureConvolution(0.0, 1.0, 200, seed=64000).draw()
+        for L, error in enumerate(self.ORACLE_ERROR, start=1):
+            oracle = ppe_oracle_coefficients(y, L, 20)
+            a_hat = ppe_coefficients(y, L, 20)
+            assert np.max(np.abs(a_hat - oracle)) <= 3 * error * np.max(np.abs(oracle)), L
+
     def test_contrast_nonincreasing_in_truncation(self):
         rng = np.random.default_rng(23)
         y = rng.normal(size=200)

@@ -20,7 +20,7 @@ from voldens._tables import (_TAPS, BAND_NODES, BRIDGE_NEAR_THETA, GUARD, READ_B
 from voldens.errors import DataError, NumericsError
 from voldens.grids import uniform_grid
 from voldens.kerneldeconv import MIN_BANDWIDTH, TABLE_STEP, deconv_kernel_table, kernel_band
-from voldens.ppe import ppe_coefficients, u_band, u_zero_table
+from voldens.ppe import TABLE_STRIDE, ppe_coefficients, u_band, u_zero_table
 from voldens.waveletdeconv import SCALING_BAND, scaling_table, um_band, um_table
 
 
@@ -50,11 +50,12 @@ class TestTable1D:
 
 
 def _unblocked_read(table, x):
-    """`Table1D.__call__` over all of x at once, as it read before it read in blocks."""
+    """`Table1D.__call__` over all of x at once, as it read before it read in blocks:
+    a tap off the array reads 0, a tap on it its value."""
     idx, w = _stencil(table, x)
-    inside = (idx >= 1) & (idx <= table.values.size - 3)
-    idx_c = np.clip(idx, 1, table.values.size - 3)
-    return np.where(inside, np.sum(w * table.values[idx_c + _TAPS[:, None]], axis=0), 0.0)
+    tap = idx + _TAPS[:, None]
+    on = (tap >= 0) & (tap < table.values.size)
+    return np.sum(np.where(on, w * table.values[np.where(on, tap, 0)], 0.0), axis=0)
 
 
 #: estimate_density on n = 2600 points, twice, on every `sys.argv[1]`-th point of
@@ -101,6 +102,22 @@ def test_warm_lattice_means_map_no_fresh_pages():
     # the warm calls' FFT arrays reuse heap that the first call mapped: 0
     # faults for the five calls here, where mapping them afresh took 20,680
     assert int(_run_script(_WARM_FAULTS_SCRIPT)) < 200
+
+
+#: the 8-point stencil's largest error reading sinc(x/2)^2 (band pi, max 1)
+#: at 16 and 24 table steps per Nyquist step 1, over 20,000 points
+STENCIL_ERROR = {16: 5.2e-11, 24: 2.1e-12}
+
+
+@pytest.mark.parametrize("per_step", [16, 24])
+def test_stencil_error_on_a_band_limited_function(per_step):
+    # exact samples, so what is left is the stencil's own error: 3x the
+    # measured maximum (the 4-point cubic: 2.3e-6 at 16 steps, 5.6e-9 at 72)
+    dx = 1.0 / per_step
+    grid = -40.0 + dx * np.arange(80 * per_step + 1)
+    table = Table1D(-40.0, dx, np.sinc(grid / 2) ** 2)
+    x = np.random.default_rng(0).uniform(-30.0, 30.0, 20_000)
+    assert np.max(np.abs(table(x) - np.sinc(x / 2) ** 2)) <= 3 * STENCIL_ERROR[per_step]
 
 
 class TestBlockedRead:
@@ -252,16 +269,19 @@ def _estimator_lattice(name):
 
 
 def _fftconvolve_means(points, table, step, j_lo, j_hi, weights=None):
-    """`lattice_means` with its correlation taken by `scipy.signal.fftconvolve`."""
+    """`lattice_means` with its correlation taken by `scipy.signal.fftconvolve`:
+    tap m reads v[m - stride j], zero off the table."""
     v = table.values
     idx, taps = _stencil(table, points)
     if weights is not None:
         taps = taps * weights
     tgt = (idx + _TAPS[:, None]).ravel()
-    ok = (tgt >= 0) & (tgt < v.size)
-    binned = np.bincount(tgt[ok], taps.ravel()[ok], minlength=v.size)
+    binned = np.bincount(tgt - tgt.min(), taps.ravel())
+    # corr[v.size - 1 + k] = sum_m binned[m] v[m - k], with m = tap - tgt.min()
     corr = fftconvolve(binned, v[::-1])
-    return corr[v.size - 1 + round(step / table.dx) * np.arange(j_lo, j_hi + 1)] / points.size
+    k = v.size - 1 + round(step / table.dx) * np.arange(j_lo, j_hi + 1) - tgt.min()
+    inside = (k >= 0) & (k < corr.size)
+    return np.where(inside, corr[np.clip(k, 0, corr.size - 1)], 0.0) / points.size
 
 
 #: `lattice_means` against `_fftconvolve_means`: the largest difference over
@@ -306,7 +326,7 @@ class TestLatticeMeans:
         expect = [np.mean(table(pts - 0.5 * j)) for j in range(-3, 4)]
         np.testing.assert_allclose(out, expect, rtol=1e-12)
 
-    @pytest.mark.parametrize("name, stride", [("U_0", 96), ("u_L1", 72), ("u_L3", 72),
+    @pytest.mark.parametrize("name, stride", [("U_0", 24), ("u_L1", 16), ("u_L3", 16),
                                               ("v_h", 1)])
     @pytest.mark.parametrize("weighted", [False, True])
     def test_estimator_tables_at_their_strides(self, name, stride, weighted):
@@ -364,8 +384,7 @@ class TestLatticeMeans:
     def test_shifts_off_the_table_on_both_sides_do_not_alias(self):
         # stride 50: the table's rows are nu = 41 long, but u - j spans
         # [-30, 70], more than a row-length FFT (45) could hold apart.  The
-        # table ends in zeros, as production tables decay: `Table1D` reads a
-        # point within two steps outside it as 0, the lattice by its taps
+        # table ends in zeros, as production tables decay
         rng = np.random.default_rng(7)
         table = Table1D(-10.0, 0.01, np.pad(rng.normal(size=1985), 8))
         pts = np.concatenate([[-9.9, 9.9], rng.uniform(-10.0, 10.0, 200)])
@@ -378,22 +397,41 @@ class TestLatticeMeans:
         dense = [np.mean(w * table(pts - 0.5 * j)) for j in range(-30, 31)]
         np.testing.assert_allclose(out, dense, rtol=1e-10, atol=1e-13)
 
+    @pytest.mark.parametrize("stride", [1, 50])
+    def test_taps_off_the_table_read_zero_in_both_reads(self, stride):
+        # one rule for `Table1D` and the lattice: a tap off the zero-padded
+        # array reads 0, a tap on it its value.  The tables do not end in
+        # zeros, so points within four steps outside them read their edge
+        # values; `Table1D(0.0, 1.0, np.ones(16))` once read 0.0 at -1.5
+        # where the lattice gave -0.0625
+        rng = np.random.default_rng(8)
+        values = np.ones(16) if stride == 1 else 1.0 + rng.uniform(size=400)
+        table = Table1D(0.0, 1.0, values)
+        top = values.size - 1.0
+        pts = np.array([-1.5, -0.3, -3.7, -4.2, -9.5, 7.25, top + 0.4, top + 2.5, top + 3.9])
+        w = rng.normal(size=pts.size)
+        reach = (table.values.size - 1) // stride
+        out = lattice_means(pts, table, float(stride), -reach, reach, weights=w)
+        dense = [np.mean(w * table(pts - j * stride)) for j in range(-reach, reach + 1)]
+        assert table(-1.5) != 0.0 and table(top + 3.9) != 0.0
+        np.testing.assert_allclose(out, dense, rtol=1e-10, atol=1e-13)
+
     def test_every_tap_off_the_table_gives_zeros(self):
         table = Table1D(-10.0, 0.01, np.ones(2001))
         out = lattice_means(np.array([-40.0, 25.0, 60.0]), table, 0.5, -5, 7)
         assert np.array_equal(out, np.zeros(13))
 
     def test_production_row_spectra_take_8_bytes_per_row_point(self):
-        # the PPE table at L = 3, n = K_n = 2600 (72 table steps per shift):
-        # F // 2 + 1 complex values per row, 8 bytes per point of the
+        # the PPE table at L = 3, n = K_n = 2600 (TABLE_STRIDE table steps per
+        # shift): F // 2 + 1 complex values per row, 8 bytes per point of the
         # stride x F rows; F rounds nu = 6145 up to 6250, so 8.14 bytes per
         # table point, where the full-length spectrum took 16.02
         y = np.random.default_rng(3).normal(-1.2, 2.0, 2600)
         ppe_coefficients(y, 3, 2600)
         table = u_zero_table(3, float(np.max(np.abs(y))) + 2600 / 3)
-        nu = -(-table.values.size // 72)
-        spectra = table.corr_spectrum[72, _fast_len(nu)]
-        assert spectra.nbytes <= 8 * 72 * _fast_len(nu) + 16 * 72
+        nu = -(-table.values.size // TABLE_STRIDE)
+        spectra = table.corr_spectrum[TABLE_STRIDE, _fast_len(nu)]
+        assert spectra.nbytes <= 8 * TABLE_STRIDE * _fast_len(nu) + 16 * TABLE_STRIDE
         assert spectra.nbytes <= 8.2 * table.values.size
 
     def test_step_misaligned_with_table_rejected(self):
