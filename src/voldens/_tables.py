@@ -25,9 +25,10 @@ kept on the table), and one irfft as long as the table's rows; and its
 transpose `lattice_expansion` (coefficients to grid: the wavelet render)
 takes one contiguous `np.convolve` per residue class of the touched table
 indices modulo the stride.  Spectra that jump at the edges of their
-band [-s_max, s_max] get a cubic bridge, removed before the FFT and added
-back in elementary closed form (`_bridge_transform`: cos and sin times two
-polynomials in 1/(s_max x), with Taylor-series moments only near x = 0).
+band [-s_max, s_max] get a cubic bridge read off the spectrum at the edge
+(`_bridge_coeffs`), removed before the FFT and added back in elementary
+closed form (`_bridge_transform`: cos and sin times two polynomials in
+1/(s_max x), with Taylor-series moments only near x = 0).
 
 The band engine (the wavelet coefficients) builds no table: `band_lattice`
 takes the means over integer shifts as the band integral of the spectrum
@@ -42,7 +43,7 @@ Every spectrum is Hermitian, q(-s) = conj(q(s)), so both engines read it on
 
 Each transform is described once, by a frozen `Band`: its spectrum (a
 module-level function of (s, param)), the band edge s_max, the table step
-and, for spectra that jump at the edge, the edge values to bridge.
+and whether the spectrum jumps at the edge, so that its table is bridged.
 `Band.table` builds either a table (`fourier_table`) or the spectrum samples
 (`band_samples`) through the one cache keyed on the band, the range bucket
 and the build function; every table spans GUARD beyond the extent its
@@ -77,6 +78,8 @@ BRIDGE_NEAR_THETA = 4.0
 #: terms of `_osc_moments`'s series in theta^2; at |theta| = BRIDGE_NEAR_THETA
 #: the first one left out is below 1e-20
 OSC_TERMS = 20
+#: `_bridge_coeffs` reads a spectrum at s_max - EDGE_STEP (0, 1, 2)
+EDGE_STEP = 1e-5
 #: `Table1D.__call__` reads its points in blocks of this many
 READ_BLOCK = 16384
 #: `band_lattice` takes at least this many frequency nodes
@@ -188,7 +191,7 @@ def range_bucket(x_half: float) -> float:
 
 
 def fourier_table(spectrum: Callable[[np.ndarray], np.ndarray], s_max: float, dx: float,
-                  x_half: float, edge_derivatives: tuple | None = None) -> Table1D:
+                  x_half: float, bridged: bool = False) -> Table1D:
     """Tabulate G(x) = (1/2pi) * int_{-s_max}^{s_max} q(s) e^{isx} ds by FFT.
 
     q must be Hermitian (q(-s) = conj(q(s))), so that G is real: the table
@@ -198,9 +201,10 @@ def fourier_table(spectrum: Callable[[np.ndarray], np.ndarray], s_max: float, dx
     plain trapezoid-FFT is accurate: the transform decays fast enough that
     periodic images are negligible at OVERSAMPLE times the requested range.
     Spectra with nonzero boundary values produce 1/x Gibbs tails; for those,
-    pass `edge_derivatives` = (q(s_max), q'(s_max)).  A Hermitian cubic
-    bridge matching them is removed before the FFT and its transform added
-    back in closed form, which leaves a remainder decaying like 1/x^3.
+    pass `bridged`.  A Hermitian cubic bridge matching q(s_max) and
+    q'(s_max), both read from q itself (`_bridge_coeffs`), is removed
+    before the FFT and its transform added back in closed form, which
+    leaves a remainder decaying like 1/x^3.
 
     The output grid step is exactly the requested dx (`lattice_means` needs
     table steps that divide its shifts); the frequency lattice then no longer
@@ -219,8 +223,8 @@ def fourier_table(spectrum: Callable[[np.ndarray], np.ndarray], s_max: float, dx
 
     s = np.minimum(ds * np.arange(n_half + 1), s_max)
     q = _half_band(spectrum, s, s_max)
-    if edge_derivatives is not None:
-        b0, b1, b2, b3 = beta = _bridge_coeffs(s_max, *edge_derivatives)
+    if bridged:
+        b0, b1, b2, b3 = beta = _bridge_coeffs(spectrum, s_max)
         sigma = s / s_max
         q.real -= b2 * sigma * sigma + b0
         q.imag -= (b3 * sigma * sigma + b1) * sigma
@@ -231,7 +235,7 @@ def fourier_table(spectrum: Callable[[np.ndarray], np.ndarray], s_max: float, dx
     g_slice = np.concatenate([g[m - k_half:], g[:k_half + 1]]) * (m * ds / (2.0 * np.pi))
     x0 = -k_half * dx
 
-    if edge_derivatives is not None:
+    if bridged:
         g_slice += _bridge_transform(beta, s_max, x0 + dx * np.arange(g_slice.size))
     return Table1D(x0, dx, g_slice)
 
@@ -249,18 +253,18 @@ def _half_band(spectrum: Callable[[np.ndarray], np.ndarray], s: np.ndarray,
 class Band:
     """G(x) = (1/2pi) int_{-s_max}^{s_max} spectrum(s, param) e^{isx} ds, described once.
 
-    `spectrum` and `edges` are module-level functions of (s, param) and
-    (s_max, param), so equal Bands hash equal.  `spectrum` must be Hermitian
-    and is only ever called at 0 <= s <= s_max; `edges`, when given, returns
-    the (q(s_max), q'(s_max)) that `fourier_table` bridges.  `step` is the
-    table step.
+    `spectrum` is a module-level function of (s, param), so equal Bands
+    hash equal.  It must be Hermitian and is only ever called at
+    0 <= s <= s_max.  `step` is the table step.  `bridged` declares that
+    the spectrum jumps at s_max, so that `fourier_table` bridges it with
+    the value and slope it reads there and `band_samples` refuses it.
     """
 
     spectrum: Callable[[np.ndarray, object], np.ndarray]
     param: object
     s_max: float
     step: float
-    edges: Callable[[float, object], tuple] | None = None
+    bridged: bool = False
 
     def table(self, extent: float,
               build: Callable[..., Table1D | np.ndarray]) -> Table1D | np.ndarray:
@@ -271,15 +275,18 @@ class Band:
 @lru_cache(maxsize=128)
 def _cached_table(band: Band, x_half: float,
                   build: Callable[..., Table1D | np.ndarray]) -> Table1D | np.ndarray:
-    edges = None if band.edges is None else band.edges(band.s_max, band.param)
     return build(lambda s: band.spectrum(s, band.param), s_max=band.s_max, dx=band.step,
-                 x_half=x_half, edge_derivatives=edges)
+                 x_half=x_half, bridged=band.bridged)
 
 
-def _bridge_coeffs(s_max, q, dq):
+def _bridge_coeffs(spectrum: Callable[[np.ndarray], np.ndarray], s_max: float) -> np.ndarray:
     """Real b of the Hermitian cubic p = b0 + b2 sigma^2 + i (b1 sigma + b3 sigma^3),
-    sigma = s / s_max, with value q and slope dq at s_max (so conj(q), -conj(dq) at -s_max)."""
-    d = dq * s_max
+    sigma = s / s_max, with the spectrum's value q and slope dq at s_max (so conj(q),
+    -conj(dq) at -s_max): one `_half_band` read at s_max - EDGE_STEP (0, 1, 2) gives q
+    and the one-sided second-order difference dq = (3 q0 - 4 q1 + q2) / (2 EDGE_STEP).
+    """
+    q, q1, q2 = _half_band(spectrum, s_max - EDGE_STEP * np.arange(3), s_max)
+    d = (3.0 * q - 4.0 * q1 + q2) * (s_max / (2.0 * EDGE_STEP))
     return np.array([q.real - 0.5 * d.real, 1.5 * q.imag - 0.5 * d.imag,
                      0.5 * d.real, 0.5 * (d.imag - q.imag)])
 
@@ -457,7 +464,7 @@ def lattice_expansion(points: np.ndarray, table: Table1D, step: float,
 
 
 def band_samples(spectrum: Callable[[np.ndarray], np.ndarray], s_max: float, dx: float,
-                 x_half: float, edge_derivatives: tuple | None = None) -> np.ndarray:
+                 x_half: float, bridged: bool = False) -> np.ndarray:
     """The spectrum at the nodes of `band_lattice` for points and shifts within |x| <= x_half.
 
     Returns q(s_k) at s_k = 2 pi k / P for k = 0..P-1, zero from s_max on,
@@ -465,11 +472,11 @@ def band_samples(spectrum: Callable[[np.ndarray], np.ndarray], s_max: float, dx:
     s < 0 half is the conjugate (q must be Hermitian).  It takes
     `fourier_table`'s arguments so that `Band.table` caches either; dx (the
     band's table step) is not read, because the lattice step is 1, and a
-    band with `edge_derivatives` is refused: its spectrum must vanish with
-    its first derivative at s_max, where no node need fall.  The samples are
-    taken by `_half_band`, so a non-finite one raises NumericsError.
+    `bridged` band is refused: its spectrum must vanish with its first
+    derivative at s_max, where no node need fall.  The samples are taken by
+    `_half_band`, so a non-finite one raises NumericsError.
     """
-    if edge_derivatives is not None:
+    if bridged:
         raise ValueError("band_lattice needs a spectrum that vanishes at its band edge")
     size = 1 << (int(np.ceil(max(BAND_NODES, 4.0 * x_half))) - 1).bit_length()
     s = 2.0 * np.pi / size * np.arange(size)

@@ -1,4 +1,4 @@
-"""The evaluated-function container and the default evaluation grid."""
+"""The evaluated-function container, the grid check and the default evaluation grid."""
 
 from __future__ import annotations
 
@@ -16,9 +16,27 @@ def uniform_grid(lo: float, hi: float, points: int) -> np.ndarray:
     return np.linspace(lo, hi, points)
 
 
+def as_grid(x) -> np.ndarray:
+    """x as a float array, or DataError unless it is 1-d, finite, strictly
+    increasing and at least 2 points long."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1 or x.size < 2:
+        raise DataError("grid must be a 1-d array of at least two points")
+    if not np.all(np.isfinite(x)) or not np.all(np.diff(x) > 0):
+        raise DataError("grid must be finite and strictly increasing")
+    return x
+
+
+def estimator_grid(grid, y: np.ndarray, pad: float, points: int) -> np.ndarray:
+    """`grid` through `as_grid`, or by default `uniform_grid` over y's range padded by pad."""
+    if grid is None:
+        return uniform_grid(float(np.min(y)) - pad, float(np.max(y)) + pad, points)
+    return as_grid(grid)
+
+
 @dataclass(eq=False)
 class DensityGrid:
-    """A function sampled on strictly increasing abscissae.
+    """A function sampled on finite, strictly increasing abscissae (`as_grid`).
 
     This is the universal output of every estimator and ground-truth oracle.
     ``signed`` declares whether negative values are legitimate (raw
@@ -31,14 +49,10 @@ class DensityGrid:
     signed: bool = True
 
     def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float)
+        self.x = as_grid(self.x)
         self.values = np.asarray(self.values, dtype=float)
-        if self.x.ndim != 1 or self.x.shape != self.values.shape:
-            raise DataError("grid abscissae and values must be 1-d arrays of equal length")
-        if self.x.size < 2:
-            raise DataError("grid needs at least two points")
-        if not np.all(np.diff(self.x) > 0):
-            raise DataError("grid abscissae must be strictly increasing")
+        if self.x.shape != self.values.shape:
+            raise DataError("grid abscissae and values must be of equal length")
         if not self.signed and np.any(self.values < 0):
             raise DataError("negative values in a grid declared nonnegative")
 

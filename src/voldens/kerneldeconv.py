@@ -42,8 +42,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._tables import Band, Table1D, fourier_table, lattice_means
-from .errors import DataError, ParameterError
-from .grids import DensityGrid, uniform_grid
+from .errors import ParameterError
+from .grids import DensityGrid, estimator_grid
 from .noisemodel import CHARFN_CUTOFF, inv_noise_charfn
 from .svsim import ObservationSeries, as_log_squared, require_finite
 
@@ -115,9 +115,7 @@ def deconv_kernel_table(h: float, extent: float) -> Table1D:
 
 
 def _kernel_extent(y: np.ndarray, grid: np.ndarray, h: float) -> float:
-    """max |x - Y_j| / h over an increasing grid: the v_h range `kernel_sums` reads."""
-    if grid.ndim != 1 or grid.size < 2 or not np.all(np.diff(grid) > 0):
-        raise DataError("grid must be an increasing 1-d array of at least two points")
+    """max |x - Y_j| / h over an `as_grid` grid: the v_h range `kernel_sums` reads."""
     return max(abs(float(grid[0] - np.max(y))), abs(float(grid[-1] - np.min(y)))) / h
 
 
@@ -210,12 +208,7 @@ def estimate_density(y, spec: KernelSpec, grid: np.ndarray | None = None) -> Est
     """
     y_arr = as_log_squared(y)
     h = spec.bandwidth
-    if grid is None:
-        grid = uniform_grid(float(np.min(y_arr)) - 3.0 * h, float(np.max(y_arr)) + 3.0 * h,
-                            spec.grid_points)
-    else:
-        grid = np.asarray(grid, dtype=float)
-
+    grid = estimator_grid(grid, y_arr, 3.0 * h, spec.grid_points)
     table = deconv_kernel_table(h, _kernel_extent(y_arr, grid, h))
     values = kernel_sums(y_arr, table, grid, h)
     return EstimateReport(density=DensityGrid(grid, values, signed=True), diagnostics={

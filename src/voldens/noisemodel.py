@@ -20,10 +20,7 @@ The first identity gives the modulus exactly, so the only special function
 needed is the phase theta(t) = Im log Gamma(1/2 + it): the recurrence
 Gamma(z + 1) = z Gamma(z) shifts the argument by SHIFT, where the Stirling
 series (DLMF 5.11.1) is accurate to rounding, and the shift adds back
-arctan2 terms.  The derivative of 1/phi_k needs digamma(1/2 + it), whose
-imaginary part is exactly (pi/2) tanh(pi t) (DLMF 5.4.17) and whose real
-part comes from the same shift and asymptotic series (DLMF 5.11.2).  This
-module loads numpy only.
+arctan2 terms.  This module loads numpy only.
 """
 
 from __future__ import annotations
@@ -35,23 +32,11 @@ from .errors import ParameterError
 # Beyond this frequency |phi_k| < 1e-152 and downstream ratios are
 # meaningless; phi_k returns exactly 0 there.
 CHARFN_CUTOFF = 700.0 / np.pi
-#: the series below are summed at w = 1/2 + SHIFT + it, where |w| >= 8.5 puts
+#: the series below is summed at w = 1/2 + SHIFT + it, where |w| >= 8.5 puts
 #: the first omitted term near 5e-15 (absolute) at t = 0 and lower elsewhere
 SHIFT = 8
-#: B_2m / (2m (2m - 1)) and B_2m / (2m), m = 1..6: the Stirling series of
-#: log Gamma(w) and the asymptotic series of digamma(w), both in powers of 1/w
+#: B_2m / (2m (2m - 1)), m = 1..6: the Stirling series of log Gamma(w) in powers of 1/w
 _LOGGAMMA_SERIES = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360)
-_DIGAMMA_SERIES = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760)
-
-
-def _series(t: np.ndarray, coeffs) -> tuple[np.ndarray, np.ndarray]:
-    """(u, sum_m coeffs[m-1] u^(2m-2)) at u = 1/w, w = 1/2 + SHIFT + it, by Horner's rule."""
-    u = 1.0 / (0.5 + SHIFT + 1j * t)
-    u2 = u * u
-    acc = coeffs[-1]
-    for c in coeffs[-2::-1]:
-        acc = acc * u2 + c
-    return u, acc
 
 
 def _phase(t: np.ndarray) -> np.ndarray:
@@ -62,7 +47,11 @@ def _phase(t: np.ndarray) -> np.ndarray:
     the shift factors 1/2 + k + it, k < SHIFT, is arctan2(t, k + 1/2).
     """
     a = 0.5 + SHIFT
-    u, acc = _series(t, _LOGGAMMA_SERIES)
+    u = 1.0 / (a + 1j * t)
+    u2 = u * u
+    acc = _LOGGAMMA_SERIES[-1]
+    for c in _LOGGAMMA_SERIES[-2::-1]:  # Horner's rule in 1/w^2
+        acc = acc * u2 + c
     out = (SHIFT * np.arctan2(t, a) + t * (np.log(2.0) - 1.0 + 0.5 * np.log(a * a + t * t))
            + (u * acc).imag)
     for k in range(SHIFT):
@@ -123,29 +112,6 @@ def inv_noise_charfn(t) -> np.ndarray | complex:
         raise ParameterError(
             f"1/phi_k overflows for |t| > {CHARFN_CUTOFF:.1f}; got {np.max(np.abs(t)):.1f}")
     out = np.cosh(np.pi * t) * np.conj(noise_charfn(t))
-    return complex(out[0]) if scalar else out
-
-
-def inv_noise_charfn_derivative(t) -> np.ndarray | complex:
-    """d(1/phi_k)/dt = -(1/phi_k(t)) * i * (log 2 + digamma(1/2 + it)).
-
-    The penalized-projection tables need the boundary value and slope of
-    1/phi_k to peel off its spectrum-edge discontinuity before an FFT.
-    Im digamma(1/2 + it) = (pi/2) tanh(pi t) exactly; the real part is
-    log|w| - Re 1/(2w) - Re sum_m B_2m / (2m w^(2m)) at w = 1/2 + SHIFT + it,
-    less the shift terms Re 1/(1/2 + k + it).
-    """
-    t = np.asarray(t, dtype=float)
-    scalar = t.ndim == 0
-    t = np.atleast_1d(t)
-    a = 0.5 + SHIFT
-    u, acc = _series(t, _DIGAMMA_SERIES)
-    re = 0.5 * np.log(a * a + t * t) - 0.5 * u.real - (u * u * acc).real
-    for k in range(SHIFT):
-        b = k + 0.5
-        re -= b / (b * b + t * t)
-    d = 1j * (np.log(2.0) + re + 0.5j * np.pi * np.tanh(np.pi * t))
-    out = -inv_noise_charfn(t) * d
     return complex(out[0]) if scalar else out
 
 

@@ -27,10 +27,10 @@ the closed form following from |phi_k(s)|^{-2} = cosh(pi s).  All
 are hard-capped where 1/phi_k overflows on the band edge pi L (L <= 70).
 
 u_{psi_{L,j}}(y) = u_{psi_{L,0}}(y - j / L) (a pure shift), so one
-tabulation of u_{psi_{L,0}} per level serves every coefficient; the table is
-built by FFT after removing a cubic Hermite bridge at the spectrum edges
-(the truncated 1/phi_k spectrum has jump discontinuities there whose 1/z
-tails a bare FFT would alias).
+tabulation of u_{psi_{L,0}} per level serves every coefficient.  Its `Band`
+is declared bridged: the truncated 1/phi_k spectrum jumps at +-pi L, whose
+1/z tails a bare FFT would alias, so `fourier_table` removes a cubic Hermite
+bridge matched to the value and slope it reads from the spectrum there.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ import numpy as np
 
 from ._tables import Band, Table1D, fourier_table, lattice_means
 from .errors import ConfigError, DataError, ParameterError
-from .grids import DensityGrid, uniform_grid
-from .noisemodel import CHARFN_CUTOFF, inv_noise_charfn, inv_noise_charfn_derivative
+from .grids import DensityGrid, estimator_grid
+from .noisemodel import CHARFN_CUTOFF, inv_noise_charfn
 from .svsim import as_log_squared, require_finite
 
 #: past this level the band edge pi L leaves the range where 1/phi_k is finite
@@ -61,18 +61,13 @@ def _u_spectrum(s, L):
     return inv_noise_charfn(s) / math.sqrt(L)
 
 
-def _u_edges(s_max, L):
-    return tuple(complex(f(s_max)) / math.sqrt(L)
-                 for f in (inv_noise_charfn, inv_noise_charfn_derivative))
-
-
 def u_band(L: int) -> Band:
     """u_{psi_{L,0}} as a `Band`:
 
     u_{psi_{L,0}}(z) = (1/(2 pi sqrt(L))) int_{-pi L}^{pi L} e^{isz} / phi_k(s) ds.
     """
     _check_level(L)
-    return Band(_u_spectrum, L, np.pi * L, 1.0 / (TABLE_STRIDE * L), _u_edges)
+    return Band(_u_spectrum, L, np.pi * L, 1.0 / (TABLE_STRIDE * L), bridged=True)
 
 
 def _check_level(L: int, top: float = MAX_LEVEL) -> None:
@@ -226,6 +221,7 @@ def select_and_estimate(y, config: PpeConfig = PpeConfig(),
     if n < 3:
         raise DataError("need at least 3 observations")
     k_n, levels = config.resolve(n)
+    grid = estimator_grid(grid, y_arr, 3.0, config.grid_points)
 
     coefficients: dict[int, np.ndarray] = {}
     contrasts: dict[int, float] = {}
@@ -240,11 +236,6 @@ def select_and_estimate(y, config: PpeConfig = PpeConfig(),
     scores = np.array([contrasts[L] + penalties[L] for L in ordered])
     selected = ordered[int(np.argmin(scores))]  # argmin returns the first of ties
 
-    if grid is None:
-        grid = uniform_grid(float(np.min(y_arr)) - 3.0, float(np.max(y_arr)) + 3.0,
-                            config.grid_points)
-    else:
-        grid = np.asarray(grid, dtype=float)
     values = render_sinc_expansion(coefficients[selected], selected, grid)
     density = DensityGrid(grid, values, signed=True)
     return PpeEstimate(

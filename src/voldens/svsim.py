@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, DataError, ParameterError
-from .grids import DensityGrid
+from .grids import DensityGrid, as_grid
 
 LOG_FLOOR_DEFAULT = 1e-300
 #: steps the nonlinear AR runs from xi = 0 before its first returned value
@@ -538,11 +538,9 @@ def invariant_density(drift: Callable[[float], float],
     """
     from scipy.integrate import quad  # kept off the CLI's import path
 
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 3:
-        raise DataError("grid must be a 1-d array with at least 3 points")
-    if not np.all(np.diff(grid) > 0):
-        raise DataError("grid must be strictly increasing")
+    grid = as_grid(grid)
+    if grid.size < 3:
+        raise DataError("grid must have at least 3 points")
     if not (grid[0] <= x0 <= grid[-1]):
         raise ParameterError("anchor x0 must lie inside the grid span")
 

@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, ParameterError
+from .grids import as_grid
 from .kerneldeconv import _kernel_extent, deconv_kernel_table, kernel_sums
 from .svsim import as_log_squared, require_finite
 
@@ -105,7 +106,7 @@ def regression_estimate(y, h: float, grid: np.ndarray,
     require_finite(h=h, floor=floor)
     if h <= 0:
         raise ParameterError("bandwidth must be positive")
-    grid = np.asarray(grid, dtype=float)
+    grid = as_grid(grid)
     y_now = y_arr[:-1]
     y_next = y_arr[1:] - NOISE_MEAN
 

@@ -48,7 +48,7 @@ import numpy as np
 
 from ._tables import Band, Table1D, band_lattice, band_samples, fourier_table, lattice_expansion
 from .errors import DataError, ParameterError
-from .grids import DensityGrid, uniform_grid
+from .grids import DensityGrid, estimator_grid
 from .noisemodel import inv_noise_charfn
 from .svsim import as_log_squared
 
@@ -183,15 +183,9 @@ def wavelet_estimate(y, level: int | None = None, truncation: int | None = None,
     else:
         m, target = int(level), float(2 ** int(level))  # um_table checks the cap
     truncation = n if truncation is None else int(truncation)
+    grid = estimator_grid(grid, y_arr, 3.0, grid_points)
 
     coeffs = wavelet_coefficients(y_arr, m, truncation)
-
-    if grid is None:
-        grid = uniform_grid(float(np.min(y_arr)) - 3.0, float(np.max(y_arr)) + 3.0,
-                            grid_points)
-    else:
-        grid = np.asarray(grid, dtype=float)
-
     values = render_scaling_expansion(coeffs, m, grid)
     density = DensityGrid(grid, values, signed=True)
     return WaveletEstimate(

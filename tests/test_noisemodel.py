@@ -6,8 +6,8 @@ from scipy import special
 from scipy.integrate import quad
 
 from voldens.errors import ParameterError
-from voldens.noisemodel import (CHARFN_CUTOFF, inv_noise_charfn, inv_noise_charfn_derivative,
-                                noise_charfn, noise_density, sample_noise)
+from voldens.noisemodel import (CHARFN_CUTOFF, inv_noise_charfn, noise_charfn, noise_density,
+                                sample_noise)
 
 
 class TestNoiseDensity:
@@ -73,13 +73,6 @@ class TestCharFn:
         with pytest.raises(ParameterError):
             inv_noise_charfn(CHARFN_CUTOFF + 1.0)
 
-    @pytest.mark.parametrize("t", [0.0, 0.7, -2.3, 6.0])
-    def test_inverse_derivative_matches_finite_differences(self, t):
-        h = 1e-6
-        numeric = (inv_noise_charfn(t + h) - inv_noise_charfn(t - h)) / (2 * h)
-        analytic = inv_noise_charfn_derivative(t)
-        assert analytic == pytest.approx(numeric, rel=1e-7)
-
     def test_matches_scipy_loggamma_on_the_whole_band(self):
         # the Stirling phase against scipy's complex log-gamma on 10^6 points:
         # 3x the largest relative difference measured (9.1e-13), which sits
@@ -92,14 +85,6 @@ class TestCharFn:
         # the modulus is exact: |phi_k|^2 cosh(pi t) = 1 within 4 ulp (3 measured)
         modulus2 = phi.real ** 2 + phi.imag ** 2
         assert np.max(np.abs(modulus2 * np.cosh(np.pi * t) - 1.0)) <= 4 * np.finfo(float).eps
-
-    def test_inverse_derivative_matches_scipy_digamma_at_ppe_band_edges(self):
-        # the PPE bridges read d(1/phi_k)/dt at pi L; 3x the largest relative
-        # difference measured for L = 1..70 (5.1e-16)
-        s = np.pi * np.arange(1, 71)
-        ref = -inv_noise_charfn(s) * 1j * (np.log(2.0) + special.digamma(0.5 + 1j * s))
-        got = inv_noise_charfn_derivative(s)
-        assert np.max(np.abs(got - ref) / np.abs(ref)) < 1.5e-15
 
     def test_density_is_inverse_transform_of_charfn(self):
         # k(x) = (1/2pi) int phi_k(t) e^{-itx} dt, quadrature over the decay range

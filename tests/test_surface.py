@@ -3,8 +3,8 @@
 Every public top-level name in `src/voldens` must either be exported through
 `__all__` or be used somewhere else in `src/`.  Code that only the tests call
 belongs in `tests/reference.py`.  The parameters of the entry points and the
-fields of the option and result classes are pinned too, so that a new option
-is a reviewed edit here.
+fields of the option and result classes (and of `_tables.Band`) are pinned
+too, so that a new option is a reviewed edit here.
 """
 
 import ast
@@ -13,6 +13,7 @@ import inspect
 from pathlib import Path
 
 import voldens
+from voldens._tables import Band
 from voldens.cli import PipelineConfig, ingest_prices
 from voldens.svsim import VolatilityPath, simulate_ar_logvol
 
@@ -66,6 +67,8 @@ FIELDS = {
                      "truncation", "kappa", "kn", "denominator_floor"),
     voldens.EstimateReport: ("density", "diagnostics"),
     VolatilityPath: ("sigma2", "log_sigma2", "truth"),
+    # one description per transform: a second per-band description is an edit here
+    Band: ("spectrum", "param", "s_max", "step", "bridged"),
 }
 
 

@@ -8,18 +8,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import special
 from scipy.integrate import quad
 from scipy.signal import fftconvolve
 
 from reference import band_quad, bessel_moments, fourier_quad
 import voldens
 from voldens._tables import (_TAPS, BAND_NODES, BRIDGE_NEAR_THETA, GUARD, READ_BLOCK, Table1D,
-                             _bridge_transform, _ecf, _fast_len, _osc_moments, _stencil,
+                             _bridge_coeffs, _bridge_transform, _ecf, _fast_len, _osc_moments,
+                             _stencil,
                              band_lattice, band_samples, fourier_table, lattice_expansion,
                              lattice_means, range_bucket)
 from voldens.errors import DataError, NumericsError
 from voldens.grids import uniform_grid
 from voldens.kerneldeconv import MIN_BANDWIDTH, TABLE_STEP, deconv_kernel_table, kernel_band
+from voldens.noisemodel import inv_noise_charfn
 from voldens.ppe import TABLE_STRIDE, ppe_coefficients, u_band, u_zero_table
 from voldens.waveletdeconv import SCALING_BAND, scaling_table, um_band, um_table
 
@@ -181,6 +184,26 @@ class TestBridgeTransform:
         np.testing.assert_allclose(got, expect, rtol=0.0, atol=4e-16 * bound + 1e-300)
 
 
+def test_bridge_reads_the_u_spectrum_slope_at_its_band_edge():
+    # the PPE bridge of level L matches u_L's spectrum 1/(phi_k sqrt(L)) at
+    # pi L, where d(1/phi_k)/ds = -(1/phi_k) i (log 2 + digamma(1/2 + is)).
+    # The cubic's value is p(1) = b0 + b2 + i (b1 + b3) and its slope
+    # p'(1) / s_max = (2 b2 + i (b1 + 3 b3)) / s_max.  Bounds: 3x the largest
+    # relative differences measured for L = 1..70, 1.09e-8 for the slope
+    # (at L = 66, the samples' rounding over 2 EDGE_STEP) and 5.9e-14 for the
+    # value (at L = 57, the rounding of b0 + b2 against the slope term)
+    value, slope, ref_value, ref_slope = (np.empty(70, dtype=complex) for _ in range(4))
+    for i, L in enumerate(range(1, 71)):
+        band = u_band(L)
+        b0, b1, b2, b3 = _bridge_coeffs(lambda s: band.spectrum(s, L), band.s_max)
+        value[i], slope[i] = b0 + b2 + 1j * (b1 + b3), (2 * b2 + 1j * (b1 + 3 * b3)) / band.s_max
+        s = np.pi * L
+        ref_value[i] = inv_noise_charfn(s) / np.sqrt(L)
+        ref_slope[i] = -ref_value[i] * 1j * (np.log(2.0) + special.digamma(0.5 + 1j * s))
+    assert np.max(np.abs(slope - ref_slope) / np.abs(ref_slope)) < 3.3e-8
+    assert np.max(np.abs(value - ref_value) / np.abs(ref_value)) < 1.8e-13
+
+
 class TestFourierTable:
     def test_gaussian_spectrum_roundtrip(self):
         # q(s) = exp(-s^2/2) on a wide support: G is the standard normal pdf
@@ -199,9 +222,8 @@ class TestFourierTable:
     def test_edge_correction_handles_jump_spectrum(self):
         # q = 1 on [-pi, pi]: G(x) = sin(pi x)/(pi x), whose 1/x Gibbs tails a
         # bare trapezoid-FFT aliases badly
-        edges = (1.0 + 0j, 0.0 + 0j)
         table = fourier_table(lambda s: np.ones_like(s) + 0j, s_max=np.pi,
-                              dx=0.01, x_half=50.0, edge_derivatives=edges)
+                              dx=0.01, x_half=50.0, bridged=True)
         xs = np.array([-20.3, -4.0, -0.5, 0.0, 0.5, 1.0, 7.7, 40.1])
         np.testing.assert_allclose(table(xs), np.sinc(xs), atol=1e-8)
 
@@ -220,29 +242,31 @@ def test_non_finite_spectrum_rejected(build):
         build(lambda s: np.where(s < 1.0, 1.0, np.nan) + 0j, s_max=2.0, dx=1.0, x_half=64.0)
 
 
-def _frequencies_read(build, s_max, edges):
-    """Every s at which `build` calls a spy spectrum, in call order."""
+def _frequencies_read(build, s_max, bridged):
+    """The arrays of s at which `build` calls a spy spectrum, one per call, in call order."""
     calls = []
 
     def spy(s):
         calls.append(np.array(s))
         return np.cos(0.375 * s) ** 2 + 0j
 
-    build(spy, s_max=s_max, dx=0.01, x_half=64.0, edge_derivatives=edges)
-    return np.concatenate(calls)
+    build(spy, s_max=s_max, dx=0.01, x_half=64.0, bridged=bridged)
+    return calls
 
 
-@pytest.mark.parametrize("build, edges", [(fourier_table, None), (fourier_table, (1.0 + 0j, 0j)),
-                                          (band_samples, None)],
+@pytest.mark.parametrize("build, bridged", [(fourier_table, False), (fourier_table, True),
+                                            (band_samples, False)],
                          ids=["fourier_table", "bridged", "band_samples"])
-def test_spectrum_read_on_its_half_band_only(build, edges):
+def test_spectrum_read_on_its_half_band_only(build, bridged):
     # every Band spectrum is Hermitian, so no build needs it at s < 0 (nor
-    # past s_max, where 1/phi_k may overflow).  The second build puts s_max
-    # one ulp below the first's top node, which the table keeps within its
-    # 1e-12 slack and reads at s_max itself.
-    first = _frequencies_read(build, np.pi, edges)
-    edge = np.nextafter((first.size - 1) * first[1], 0.0)
-    second = _frequencies_read(build, edge, edges)
+    # past s_max, where 1/phi_k may overflow); a bridged table's three edge
+    # samples are reads too.  The second build puts s_max one ulp below the
+    # first's top node (the node spacing is the first call's), which the
+    # table keeps within its 1e-12 slack and reads at s_max itself.
+    first = _frequencies_read(build, np.pi, bridged)
+    edge = np.nextafter((first[0].size - 1) * first[0][1], 0.0)
+    second = _frequencies_read(build, edge, bridged)
+    first, second = np.concatenate(first), np.concatenate(second)
     for s, s_max in ((first, np.pi), (second, edge)):
         assert s.min() == 0.0 and s.max() <= s_max
     if build is fourier_table:
@@ -587,4 +611,4 @@ class TestBandLattice:
     def test_bridged_spectrum_refused(self):
         with pytest.raises(ValueError):
             band_samples(lambda s: np.ones_like(s) + 0j, s_max=2.0, dx=1.0, x_half=64.0,
-                         edge_derivatives=(1.0, 0.0))
+                         bridged=True)
