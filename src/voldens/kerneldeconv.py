@@ -45,7 +45,7 @@ from ._tables import Band, Table1D, fourier_table, lattice_means
 from .errors import ParameterError
 from .grids import DensityGrid, estimator_grid
 from .noisemodel import CHARFN_CUTOFF, inv_noise_charfn
-from .svsim import ObservationSeries, as_log_squared, require_finite
+from .svsim import ObservationSeries, as_log_squared, require_finite, require_int
 
 # smallest usable bandwidth: 1/phi_k(s/h) must stay inside double range on |s| <= 1,
 # so 1/h may not pass CHARFN_CUTOFF (at pi/700 itself it does, by one ulp)
@@ -136,19 +136,6 @@ def kernel_sums(y: np.ndarray, table: Table1D, grid: np.ndarray, h: float,
 
 # --------------------------------------------------------------------------- estimator
 
-@dataclass(frozen=True)
-class KernelSpec:
-    """Kernel estimator configuration; the kernel is always Wand's (rho = 3)."""
-
-    bandwidth: float
-    grid_points: int = 512
-
-    def __post_init__(self):
-        require_finite(self, "bandwidth")
-        if self.bandwidth <= 0:
-            raise ParameterError("bandwidth must be positive")
-
-
 @dataclass(eq=False)
 class EstimateReport:
     """Estimator output bundle: the density grid plus diagnostics."""
@@ -159,6 +146,7 @@ class EstimateReport:
 
 def default_bandwidth(n: int, gamma: float) -> float:
     """Theory bandwidth h = gamma * pi / log n for the deconvolution estimator."""
+    require_finite(gamma=gamma)
     if n < 3:
         raise ParameterError("bandwidth rule needs n >= 3")
     if gamma <= 0:
@@ -172,6 +160,7 @@ def check_gamma_constraint(n: int, delta: float, gamma: float) -> bool:
     Returns True when satisfied; emits a warning (and returns False)
     otherwise, including when Delta >= 1 so no valid exponent exists.
     """
+    require_finite(delta=delta, gamma=gamma)
     if n < 3 or delta <= 0:
         raise ParameterError("need n >= 3 and delta > 0")
     if delta >= 1.0:
@@ -192,27 +181,31 @@ def check_gamma_constraint(n: int, delta: float, gamma: float) -> bool:
     return True
 
 
-def estimate_density(y, spec: KernelSpec, grid: np.ndarray | None = None) -> EstimateReport:
-    """Deconvolution kernel density estimate on a grid.
+def estimate_density(y, bandwidth: float, grid: np.ndarray | None = None,
+                     grid_points: int = 512) -> EstimateReport:
+    """Deconvolution kernel density estimate on a grid, with Wand's kernel (rho = 3).
 
     Parameters
     ----------
     y : ObservationSeries or 1-d array
         Log-squared normalized increments.
-    spec : KernelSpec
-    grid : optional increasing abscissae; default is a linspace spanning the
-        data range with 3h padding.
+    bandwidth : h > 0
+    grid : optional increasing abscissae; default is `grid_points` uniform
+        points spanning the data range with 3h padding.
 
     The estimator is linear in the empirical measure and can be negative;
     it is returned as is, a signed density.
     """
+    require_finite(bandwidth=bandwidth)
+    require_int(grid_points=grid_points)
+    if bandwidth <= 0:
+        raise ParameterError("bandwidth must be positive")
     y_arr = as_log_squared(y)
-    h = spec.bandwidth
-    grid = estimator_grid(grid, y_arr, 3.0 * h, spec.grid_points)
-    table = deconv_kernel_table(h, _kernel_extent(y_arr, grid, h))
-    values = kernel_sums(y_arr, table, grid, h)
+    grid = estimator_grid(grid, y_arr, 3.0 * bandwidth, grid_points)
+    table = deconv_kernel_table(bandwidth, _kernel_extent(y_arr, grid, bandwidth))
+    values = kernel_sums(y_arr, table, grid, bandwidth)
     return EstimateReport(density=DensityGrid(grid, values, signed=True), diagnostics={
-        "bandwidth": h,
+        "bandwidth": bandwidth,
         "n": int(y_arr.size),
         "zero_increment_count": (y.zero_increment_count
                                  if isinstance(y, ObservationSeries) else 0),

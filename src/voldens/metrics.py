@@ -24,11 +24,11 @@ import numpy as np
 
 from .errors import ConfigError, DataError, ParameterError
 from .grids import DensityGrid
-from .kerneldeconv import KernelSpec, estimate_density
+from .kerneldeconv import estimate_density
 from .noisemodel import sample_noise
-from .ppe import PpeConfig, select_and_estimate
+from .ppe import select_and_estimate
 from .svsim import (ArParams, OuParams, RegimeSwitchParams, ScenarioConfig, _rng,
-                    require_finite, simulate_scenario)
+                    require_finite, require_int, simulate_scenario)
 from .waveletdeconv import wavelet_estimate
 
 THREADS_ENV = "VOLDENS_THREADS"
@@ -172,6 +172,10 @@ def default_evaluation_grid(scenario, points: int = 512) -> np.ndarray:
 # --------------------------------------------------------------------------- harness
 
 METRIC_NAMES = ("mise", "mse_at_point", "mode_count", "normal_fit_mean", "normal_fit_var")
+#: harness estimator -> the name of its function as imported here; it is looked
+#: up per call, so a wrapper set on this module's attribute is the one that runs
+ESTIMATOR_FUNCTIONS = {"kernel": "estimate_density", "wavelet": "wavelet_estimate",
+                       "ppe": "select_and_estimate"}
 
 
 @dataclass(frozen=True)
@@ -194,24 +198,14 @@ class ExperimentSpec:
 
     def __post_init__(self):
         require_finite(self, "mse_point")
+        require_int(self, "replications", "grid_points")
         if self.replications < 1:
             raise ParameterError("need at least one replication")
         unknown = set(self.metrics) - set(METRIC_NAMES)
         if unknown:
             raise ConfigError(f"unknown metrics {sorted(unknown)}; expected {METRIC_NAMES}")
-        if self.estimator not in ("kernel", "wavelet", "ppe"):
+        if self.estimator not in ESTIMATOR_FUNCTIONS:
             raise ConfigError(f"harness supports density estimators, not {self.estimator!r}")
-
-
-def _estimate(estimator: str, cfg: dict, y: np.ndarray, grid: np.ndarray) -> DensityGrid:
-    if estimator == "kernel":
-        spec = KernelSpec(**cfg)
-        return estimate_density(y, spec, grid).density
-    if estimator == "wavelet":
-        return wavelet_estimate(y, grid=grid, **cfg).density
-    if estimator == "ppe":
-        return select_and_estimate(y, PpeConfig(**cfg), grid).density
-    raise ConfigError(f"unknown estimator {estimator!r}")
 
 
 @dataclass(eq=False)
@@ -257,7 +251,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     def one(rep: int) -> dict:
         sc = _replicate_scenario(scenario, spec.seed_base, rep)
         y, truth = _draw(sc)
-        est = _estimate(spec.estimator, dict(spec.estimator_config), y, grid)
+        estimate = globals()[ESTIMATOR_FUNCTIONS[spec.estimator]]
+        est = estimate(y, grid=grid, **spec.estimator_config).density
         row: dict = {"replication": rep,
                      "seed": sc.seed if isinstance(sc, PureConvolution) else sc.vol_seed}
         true_grid = None if truth is None else DensityGrid(grid, truth(grid), signed=False)

@@ -44,7 +44,7 @@ from ._tables import Band, Table1D, fourier_table, lattice_means
 from .errors import ConfigError, DataError, ParameterError
 from .grids import DensityGrid, estimator_grid
 from .noisemodel import CHARFN_CUTOFF, inv_noise_charfn
-from .svsim import as_log_squared, require_finite
+from .svsim import as_log_squared, require_finite, require_int
 
 #: past this level the band edge pi L leaves the range where 1/phi_k is finite
 MAX_LEVEL = math.floor(CHARFN_CUTOFF / math.pi)
@@ -72,6 +72,7 @@ def u_band(L: int) -> Band:
 
 def _check_level(L: int, top: float = MAX_LEVEL) -> None:
     """Levels start at 1; beyond MAX_LEVEL, 1/phi_k overflows on the band edge."""
+    require_int(level=L)
     if not 1 <= L <= top:
         raise ParameterError(f"level must be in [1, {top}] (got {L})")
 
@@ -90,6 +91,7 @@ def ppe_coefficients(y, L: int, k_n: int) -> np.ndarray:
     tabulated u_{psi_{L,0}}; entry i corresponds to j = i - k_n.
     """
     y_arr = as_log_squared(y)
+    require_int(k_n=k_n)
     if k_n < 0:
         raise ParameterError("coefficient truncation must be >= 0")
     _check_level(L)
@@ -113,6 +115,7 @@ def phi_k_integral(L: int) -> float:
 
 def penalty(L: int, n: int, kappa: float) -> float:
     """pen_n(L) = kappa (1 + L) Phi_k(L) / n."""
+    require_finite(kappa=kappa)
     if kappa <= 0:
         raise ParameterError("kappa must be positive")
     if n < 1:
@@ -121,44 +124,6 @@ def penalty(L: int, n: int, kappa: float) -> float:
 
 
 # --------------------------------------------------------------------------- selection
-
-@dataclass(frozen=True)
-class PpeConfig:
-    """Selection configuration.
-
-    kappa = 1 is the shipped calibration (see README for the simulation
-    sweep that fixed it); K_n defaults to n and the candidate levels to
-    {1, ..., floor(log n)}.
-    """
-
-    kappa: float = 1.0
-    k_n: int | None = None
-    levels: tuple[int, ...] | None = None
-    grid_points: int = 512
-
-    def __post_init__(self):
-        require_finite(self, "kappa")
-        if self.kappa <= 0:
-            raise ParameterError("kappa must be positive")
-        if self.k_n is not None and self.k_n < 1:
-            raise ParameterError("K_n must be >= 1")
-        if self.levels is not None and len(self.levels) == 0:
-            raise ConfigError("candidate level set must be nonempty")
-
-    def resolve(self, n: int) -> tuple[int, tuple[int, ...]]:
-        k_n = self.k_n if self.k_n is not None else n
-        if self.levels is not None:
-            levels = tuple(int(L) for L in self.levels)
-        else:
-            levels = tuple(range(1, max(1, math.floor(math.log(n))) + 1))
-        if any(L < 1 for L in levels):
-            raise ConfigError("candidate levels must be >= 1")
-        if any(L > MAX_LEVEL for L in levels):
-            raise ConfigError(
-                f"candidate levels beyond {MAX_LEVEL} overflow 1/phi_k on the band edge; "
-                f"refusing to truncate silently")
-        return k_n, levels
-
 
 @dataclass(eq=False)
 class PpeEstimate:
@@ -208,29 +173,43 @@ def render_sinc_expansion(coeffs: np.ndarray, L: int, grid: np.ndarray) -> np.nd
     return math.sqrt(L) * out
 
 
-def select_and_estimate(y, config: PpeConfig = PpeConfig(),
-                        grid: np.ndarray | None = None) -> PpeEstimate:
+def select_and_estimate(y, kappa: float = 1.0, k_n: int | None = None,
+                        levels: tuple[int, ...] | None = None, grid: np.ndarray | None = None,
+                        grid_points: int = 512) -> PpeEstimate:
     """Fit every candidate level, select by penalized contrast, render the winner.
 
-    Ties in the penalized contrast go to the smallest level (the smoothest
-    model); the selected estimate is rendered on `grid` (default: the data
-    range with 3-unit padding).
+    K_n defaults to n and the candidate levels to {1, ..., floor(log n)}.
+    kappa = 1 is the shipped calibration (see README for the simulation
+    sweep that fixed it).  Ties in the penalized contrast go to the smallest
+    level (the smoothest model); the selected estimate is rendered on `grid`
+    (default: `grid_points` uniform points over the data range padded by 3).
     """
+    require_finite(kappa=kappa)
+    require_int(k_n=k_n, grid_points=grid_points)
+    if kappa <= 0:
+        raise ParameterError("kappa must be positive")
+    if k_n is not None and k_n < 1:
+        raise ParameterError("K_n must be >= 1")
+    if levels is not None:
+        if len(levels) == 0:
+            raise ConfigError("candidate level set must be nonempty")
+        try:
+            for L in levels:
+                _check_level(L)
+        except ParameterError as exc:
+            raise ConfigError(f"candidate {exc}") from None
     y_arr = as_log_squared(y)
     n = y_arr.size
     if n < 3:
         raise DataError("need at least 3 observations")
-    k_n, levels = config.resolve(n)
-    grid = estimator_grid(grid, y_arr, 3.0, config.grid_points)
+    k_n = n if k_n is None else k_n
+    levels = (tuple(range(1, max(1, math.floor(math.log(n))) + 1)) if levels is None
+              else tuple(int(L) for L in levels))
+    grid = estimator_grid(grid, y_arr, 3.0, grid_points)
 
-    coefficients: dict[int, np.ndarray] = {}
-    contrasts: dict[int, float] = {}
-    penalties: dict[int, float] = {}
-    for L in levels:
-        a_hat = ppe_coefficients(y_arr, L, k_n)
-        coefficients[L] = a_hat
-        contrasts[L] = contrast(a_hat)
-        penalties[L] = penalty(L, n, config.kappa)
+    coefficients = {L: ppe_coefficients(y_arr, L, k_n) for L in levels}
+    contrasts = {L: contrast(a_hat) for L, a_hat in coefficients.items()}
+    penalties = {L: penalty(L, n, kappa) for L in levels}
 
     ordered = sorted(levels)
     scores = np.array([contrasts[L] + penalties[L] for L in ordered])
@@ -242,5 +221,5 @@ def select_and_estimate(y, config: PpeConfig = PpeConfig(),
         selected_level=selected, k_n=k_n,
         coefficients=coefficients, contrasts=contrasts, penalties=penalties,
         density=density,
-        diagnostics={"n": n, "kappa": config.kappa, "levels": ordered},
+        diagnostics={"n": n, "kappa": kappa, "levels": ordered},
     )

@@ -27,6 +27,7 @@ Scenario files go through one key table, `SCENARIO_KEYS`.
 from __future__ import annotations
 
 from dataclasses import MISSING, dataclass, fields, replace
+from numbers import Integral
 from typing import Callable
 
 import numpy as np
@@ -47,6 +48,14 @@ def require_finite(owner=None, /, *names: str, **values) -> None:
     for name, value in [(name, getattr(owner, name)) for name in names] + [*values.items()]:
         if value is not None and not np.isfinite(value):
             raise ParameterError(f"{name} must be finite, got {value!r}")
+
+
+def require_int(owner=None, /, *names: str, error=ParameterError, **values) -> None:
+    """`error` naming the first value (picked as in `require_finite`) that is a
+    float, even 2.0, or a bool where an integer belongs; None passes."""
+    for name, value in [(name, getattr(owner, name)) for name in names] + [*values.items()]:
+        if value is not None and (isinstance(value, bool) or not isinstance(value, Integral)):
+            raise error(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -176,6 +185,7 @@ class ScenarioConfig:
         if not isinstance(self.params, MODELS[self.model]):
             raise ConfigError(f"{self.model} needs {MODELS[self.model].__name__} parameters")
         require_finite(self, "delta", "drift")
+        require_int(self, "n", "substeps", "vol_seed", "price_seed")
         if self.delta <= 0:
             raise ParameterError("sampling gap delta must be positive")
         if self.n < 2:

@@ -55,6 +55,7 @@ NOISE_MEAN = -(np.euler_gamma + np.log(2.0))
 
 def default_regression_bandwidth(n: int, gamma: float) -> float:
     """h = gamma / log n; the variance theory wants gamma > pi (warned below)."""
+    require_finite(gamma=gamma)
     if n < 3:
         raise ParameterError("bandwidth rule needs n >= 3")
     if gamma <= 0:

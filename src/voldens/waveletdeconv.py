@@ -50,7 +50,7 @@ from ._tables import Band, Table1D, band_lattice, band_samples, fourier_table, l
 from .errors import DataError, ParameterError
 from .grids import DensityGrid, estimator_grid
 from .noisemodel import inv_noise_charfn
-from .svsim import as_log_squared
+from .svsim import as_log_squared, require_int
 
 OMEGA_MAX = 4.0 * np.pi / 3.0
 #: log n / (1 + 4 pi^2 / 3) is the theory's target for 2^{m_n}
@@ -144,6 +144,7 @@ def wavelet_coefficients(y, m: int, truncation: int) -> np.ndarray:
     spectrum times the empirical characteristic function of the 2^m Y_i.
     """
     y_arr = as_log_squared(y)
+    require_int(m=m, truncation=truncation)
     if truncation < 0:
         raise ParameterError("truncation must be >= 0")
     pts = (2.0 ** m) * y_arr
@@ -174,6 +175,7 @@ def wavelet_estimate(y, level: int | None = None, truncation: int | None = None,
     `level`/`truncation` win.  Without a `grid` the estimate is rendered on
     `grid_points` uniform points spanning the data range padded by 3.
     """
+    require_int(level=level, truncation=truncation, grid_points=grid_points)
     y_arr = as_log_squared(y)
     n = y_arr.size
     if n < 3:

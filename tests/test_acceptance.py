@@ -17,11 +17,11 @@ from scipy.stats import gamma as gamma_dist
 
 from reference import regression_residual_field, simulate_discrete_ar, sinc_basis, u_basis
 from voldens.grids import DensityGrid
-from voldens.kerneldeconv import KernelSpec, estimate_density, wand_charfn, wand_kernel
+from voldens.kerneldeconv import estimate_density, wand_charfn, wand_kernel
 from voldens.metrics import (PureConvolution, default_evaluation_grid, mise,
                              mode_count)
 from voldens.noisemodel import noise_charfn
-from voldens.ppe import PpeConfig, phi_k_integral, render_sinc_expansion, select_and_estimate
+from voldens.ppe import phi_k_integral, render_sinc_expansion, select_and_estimate
 from voldens.svsim import (ArParams, OuParams, RegimeSwitchParams, ScenarioConfig,
                            invariant_density, simulate_scenario)
 from voldens.volreg import regression_estimate
@@ -128,8 +128,7 @@ def test_criterion_03_bias_expansion():
     biases = []
     for rep in range(200):
         pc = PureConvolution(0.0, 1.0, n, seed=31000 + rep)
-        est = estimate_density(pc.draw(), KernelSpec(bandwidth=h),
-                               np.array([-1.0, 0.0, 1.0]))
+        est = estimate_density(pc.draw(), h, np.array([-1.0, 0.0, 1.0]))
         biases.append(est.density.values[1] - f0)
     biases = np.array(biases)
     mean_bias = float(biases.mean())
@@ -184,7 +183,7 @@ def test_criterion_05_bimodality_detection():
                             substeps=16, vol_seed=5000 + 2 * rep,
                             price_seed=5001 + 2 * rep)
         series, _ = simulate_scenario(sc)
-        est = estimate_density(series.log_squared, KernelSpec(bandwidth=0.35))
+        est = estimate_density(series.log_squared, 0.35)
         hits += mode_count(est.density, prominence=0.05) == 2
     ok = hits >= int(np.ceil(0.9 * reps))
     _report("criterion 5 (bimodality detection)", ok,
@@ -297,7 +296,7 @@ def test_criterion_09_ppe_adaptive_selection():
         grid = default_evaluation_grid(pc)
         truth = DensityGrid(grid, pc.truth(grid), signed=False)
         y = pc.draw()
-        est = select_and_estimate(y, PpeConfig(kappa=1.0), grid)
+        est = select_and_estimate(y, kappa=1.0, grid=grid)
         level_ok &= 1 <= est.selected_level <= l_max
         ises = {}
         for L, coeffs in est.coefficients.items():

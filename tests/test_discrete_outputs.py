@@ -21,7 +21,7 @@ import json
 from pathlib import Path
 
 from voldens.cli import DEFAULT_GAMMA_KERNEL, DEFAULT_GAMMA_REGRESSION
-from voldens.kerneldeconv import KernelSpec, default_bandwidth, estimate_density
+from voldens.kerneldeconv import default_bandwidth, estimate_density
 from voldens.metrics import default_evaluation_grid, mode_count, scenario_preset
 from voldens.ppe import penalty, select_and_estimate
 from voldens.svsim import simulate_scenario
@@ -40,7 +40,7 @@ def discrete_outputs(seed: int) -> dict[str, int]:
     scenario = scenario_preset(PRESETS[seed % len(PRESETS)], N)
     y = simulate_scenario(scenario.with_seeds(2 * seed, 2 * seed + 1))[0].log_squared
     grid = default_evaluation_grid(scenario)
-    kernel = estimate_density(y, KernelSpec(default_bandwidth(N, DEFAULT_GAMMA_KERNEL)), grid)
+    kernel = estimate_density(y, default_bandwidth(N, DEFAULT_GAMMA_KERNEL), grid)
     ppe = select_and_estimate(y, grid=grid)
     regression = regression_estimate(y, default_regression_bandwidth(N, DEFAULT_GAMMA_REGRESSION),
                                      grid)

@@ -3,18 +3,17 @@
 import numpy as np
 import pytest
 
-from voldens import (KernelSpec, PpeConfig, estimate_density, regression_estimate,
-                     select_and_estimate, wavelet_estimate)
+from voldens import estimate_density, regression_estimate, select_and_estimate, wavelet_estimate
 from voldens._tables import _cached_table
 from voldens.errors import DataError
 
 Y = np.random.default_rng(11).normal(-1.3, 2.0, 300)
 
 ESTIMATORS = {
-    "kernel": lambda grid: estimate_density(Y, KernelSpec(0.5), grid),
+    "kernel": lambda grid: estimate_density(Y, 0.5, grid),
     "regression": lambda grid: regression_estimate(Y, 0.8, grid),
     "wavelet": lambda grid: wavelet_estimate(Y, grid=grid),
-    "ppe": lambda grid: select_and_estimate(Y, PpeConfig(levels=(1, 2)), grid),
+    "ppe": lambda grid: select_and_estimate(Y, levels=(1, 2), grid=grid),
 }
 
 MALFORMED = {

@@ -9,7 +9,7 @@ from scipy.integrate import quad
 from reference import band_quad, fourier_quad
 from voldens._tables import Table1D, fourier_table
 from voldens.errors import DataError, ParameterError
-from voldens.kerneldeconv import (MIN_BANDWIDTH, TABLE_STEP, KernelSpec, check_gamma_constraint,
+from voldens.kerneldeconv import (MIN_BANDWIDTH, TABLE_STEP, check_gamma_constraint,
                                   deconv_kernel_table, default_bandwidth, estimate_density,
                                   kernel_band, wand_charfn, wand_kernel)
 from voldens.metrics import PureConvolution, mise
@@ -93,7 +93,7 @@ class TestDeconvKernel:
             deconv_kernel_table(1e-4, 10.0)
         for h in (float("nan"), float("inf")):
             with pytest.raises(ParameterError, match="bandwidth must be finite"):
-                KernelSpec(bandwidth=h)
+                estimate_density(np.zeros(3), h)
 
     @pytest.mark.parametrize("h", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_bandwidth_rejected_before_any_table(self, h):
@@ -119,7 +119,7 @@ class TestEstimateDensity:
         y = np.array([1.3])
         h = 0.6
         grid = np.linspace(-2, 4, 41)
-        rep = estimate_density(y, KernelSpec(bandwidth=h), grid)
+        rep = estimate_density(y, h, grid)
         table = deconv_kernel_table(h, 16.0)  # the estimator's table: same range bucket
         u = TABLE_STEP * np.arange(-200, 300)  # covers grid / h with room for the stencil
         lattice = Table1D(u[0], TABLE_STEP, table(u - 1.3 / h))
@@ -131,7 +131,7 @@ class TestEstimateDensity:
         direct = table((grid - 1.3) / h) / h
         assert np.max(np.abs(expect - direct)) <= 3.1e-9 * np.max(np.abs(direct))
         # and the same x reads the same value from any grid that contains it
-        sub = estimate_density(y, KernelSpec(bandwidth=h), grid[7:30:3])
+        sub = estimate_density(y, h, grid[7:30:3])
         np.testing.assert_allclose(sub.density.values, rep.density.values[7:30:3],
                                    rtol=0, atol=1e-13 * np.max(np.abs(expect)))
 
@@ -146,7 +146,7 @@ class TestEstimateDensity:
     @staticmethod
     def _oracle_error(h, grid):
         y = np.random.default_rng(21).normal(-1.0, 1.5, 8)
-        est = estimate_density(y, KernelSpec(bandwidth=h), grid).density.values
+        est = estimate_density(y, h, grid).density.values
         direct = np.array([np.mean(band_quad(kernel_band(h), (x - y) / h)) / h for x in grid])
         return np.max(np.abs(est - direct)) / np.max(np.abs(direct))
 
@@ -162,7 +162,7 @@ class TestEstimateDensity:
     def test_non_increasing_grid_rejected(self):
         y = np.array([0.1, 0.5, 1.2])
         with pytest.raises(DataError):
-            estimate_density(y, KernelSpec(bandwidth=0.5), np.array([-1.0, 0.5, 0.0, 2.0]))
+            estimate_density(y, 0.5, np.array([-1.0, 0.5, 0.0, 2.0]))
 
     def test_fine_grid_keeps_a_coarse_table(self):
         # grid step / h ~ 1.7e-3, far below TABLE_STEP: the grid only changes
@@ -171,8 +171,7 @@ class TestEstimateDensity:
         series, _ = simulate_scenario(config)
         y = series.log_squared
         h = np.pi / np.log(y.size)
-        spec = KernelSpec(bandwidth=h, grid_points=20_000)
-        est = estimate_density(y, spec).density
+        est = estimate_density(y, h, grid_points=20_000).density
         x_half = max(est.x[-1] - np.min(y), np.max(y) - est.x[0]) / h
         assert deconv_kernel_table(h, x_half).dx == TABLE_STEP
         fine = replace(kernel_band(h), step=TABLE_STEP / 8).table(x_half, fourier_table)
@@ -189,7 +188,7 @@ class TestEstimateDensity:
         h = 0.4321  # no other test builds this bandwidth's table
         rng = np.random.default_rng(12)
         for _ in range(6):
-            estimate_density(rng.normal(-1.0, 1.5, 500), KernelSpec(bandwidth=h))
+            estimate_density(rng.normal(-1.0, 1.5, 500), h)
         regression_estimate(rng.normal(-1.0, 1.5, 500), h, np.linspace(-2.0, 1.0, 77))
         assert len(builds) == 1
 
@@ -199,8 +198,8 @@ class TestEstimateDensity:
         y = rng.normal(size=200)
         c = 2.5
         grid = np.linspace(-3, 3, 101)
-        a = estimate_density(y, KernelSpec(bandwidth=0.5), grid)
-        b = estimate_density(y + c, KernelSpec(bandwidth=0.5), grid + c)
+        a = estimate_density(y, 0.5, grid)
+        b = estimate_density(y + c, 0.5, grid + c)
         np.testing.assert_allclose(a.density.values, b.density.values,
                                    rtol=1e-10, atol=1e-12)
 
@@ -208,34 +207,33 @@ class TestEstimateDensity:
         rng = np.random.default_rng(8)
         y1, y2 = rng.normal(size=150), rng.normal(size=50)
         grid = np.linspace(-4, 4, 64)
-        spec = KernelSpec(bandwidth=0.45)
-        est1 = estimate_density(y1, spec, grid).density.values
-        est2 = estimate_density(y2, spec, grid).density.values
-        both = estimate_density(np.concatenate([y1, y2]), spec, grid).density.values
+        est1 = estimate_density(y1, 0.45, grid).density.values
+        est2 = estimate_density(y2, 0.45, grid).density.values
+        both = estimate_density(np.concatenate([y1, y2]), 0.45, grid).density.values
         np.testing.assert_allclose(both, (150 * est1 + 50 * est2) / 200, rtol=1e-12)
 
     def test_default_grid_covers_sample_range_plus_padding(self):
         y = np.array([-3.0, 0.0, 4.0])
-        rep = estimate_density(y, KernelSpec(bandwidth=0.5))
+        rep = estimate_density(y, 0.5)
         lo, hi = rep.density.span
         assert lo == pytest.approx(-3.0 - 1.5) and hi == pytest.approx(4.0 + 1.5)
         assert rep.diagnostics["grid_span"] == (lo, hi)
 
     def test_empty_series_rejected(self):
         with pytest.raises(DataError):
-            estimate_density(np.array([]), KernelSpec(bandwidth=0.5))
+            estimate_density(np.array([]), 0.5)
 
     def test_negative_values_allowed(self):
         rng = np.random.default_rng(3)
         y = rng.normal(size=400)
         grid = np.linspace(-6, 6, 201)
-        raw = estimate_density(y, KernelSpec(bandwidth=0.3), grid)
+        raw = estimate_density(y, 0.3, grid)
         assert raw.density.signed and np.any(raw.density.values < 0)
 
     def test_observation_series_input_carries_zero_count(self):
         from voldens.svsim import ObservationSeries
         series = ObservationSeries(np.array([0.0, 1.0, 1.0, 1.5]), delta=1.0)
-        rep = estimate_density(series, KernelSpec(bandwidth=5.0))
+        rep = estimate_density(series, 5.0)
         assert rep.diagnostics["zero_increment_count"] == 1
 
     def test_expectation_matches_quadrature_oracle(self):
@@ -248,8 +246,7 @@ class TestEstimateDensity:
         vals = []
         for rep in range(60):
             pc = PureConvolution(0.0, 1.0, 2000, seed=41000 + rep)
-            est = estimate_density(pc.draw(), KernelSpec(bandwidth=h),
-                                   np.array([-1.0, 0.0, 1.0]))
+            est = estimate_density(pc.draw(), h, np.array([-1.0, 0.0, 1.0]))
             vals.append(est.density.values[1])
         vals = np.array(vals)
         se = vals.std(ddof=1) / np.sqrt(vals.size)
@@ -289,8 +286,7 @@ class TestVarianceDecay:
             vals = []
             for rep in range(40):
                 pc = PureConvolution(0.0, 1.0, n, seed=52000 + rep)
-                est = estimate_density(pc.draw(), KernelSpec(bandwidth=h),
-                                       np.array([-1.0, 0.0, 1.0]))
+                est = estimate_density(pc.draw(), h, np.array([-1.0, 0.0, 1.0]))
                 vals.append(est.density.values[1])
             spreads[n] = np.var(vals, ddof=1)
         assert spreads[4000] < spreads[500]
@@ -312,8 +308,7 @@ class TestConsistencyProperty:
                                     price_seed=101 + 2 * rep)
                 series, _ = simulate_scenario(sc)
                 h = default_bandwidth(n, 1.0)
-                est = estimate_density(series.log_squared, KernelSpec(bandwidth=h),
-                                       grid)
+                est = estimate_density(series.log_squared, h, grid)
                 errs[n] = mise(est.density, truth)
             wins += errs[10_000] < errs[1000]
         assert wins >= 16  # >= 80% of 20 seeded replications

@@ -1,6 +1,7 @@
 """Tests for error metrics and the Monte Carlo experiment harness."""
 
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,8 +10,12 @@ from scipy.signal import find_peaks
 
 from voldens.errors import ConfigError, DataError, ParameterError
 from voldens.grids import DensityGrid
-from voldens.metrics import (ExperimentSpec, PureConvolution, _clipped_density, mise,
-                             mode_count, normal_fit, run_experiment, scenario_preset)
+from voldens.kerneldeconv import estimate_density
+from voldens.metrics import (ExperimentSpec, PureConvolution, _clipped_density,
+                             default_evaluation_grid, mise, mode_count, normal_fit,
+                             run_experiment, scenario_preset)
+from voldens.ppe import select_and_estimate
+from voldens.waveletdeconv import wavelet_estimate
 
 
 def _normal_grid(x, mean=0.0, sd=1.0):
@@ -190,6 +195,25 @@ class TestHarness:
         finally:
             del os.environ["VOLDENS_THREADS"]
         assert seq.rows == par.rows
+
+    # each option set differs from the estimator's defaults; the direct call
+    # names them in its own call form, so a dropped or misrouted option shows
+    @pytest.mark.parametrize("estimator, options, direct", [
+        ("kernel", {"bandwidth": 0.4}, lambda y, grid: estimate_density(y, 0.4, grid)),
+        ("wavelet", {"level": 0, "truncation": 40},
+         lambda y, grid: wavelet_estimate(y, 0, 40, grid)),
+        ("ppe", {"kappa": 2.0, "k_n": 30, "levels": (1, 2)},
+         lambda y, grid: select_and_estimate(y, 2.0, 30, (1, 2), grid)),
+        # the set above selects level 1 with or without its `levels`; this one cannot
+        ("ppe", {"levels": (2,)}, lambda y, grid: select_and_estimate(y, 1.0, None, (2,), grid)),
+    ])
+    def test_options_reach_the_estimator(self, estimator, options, direct):
+        scenario = PureConvolution(0.0, 1.0, 400)
+        spec = ExperimentSpec(scenario, estimator, options, replications=1, seed_base=77)
+        row = run_experiment(spec).rows[0]
+        grid = default_evaluation_grid(scenario, spec.grid_points)
+        est = direct(replace(scenario, seed=row["seed"]).draw(), grid).density
+        assert row["mise"] == mise(est, DensityGrid(grid, scenario.truth(grid), signed=False))
 
     def test_csv_and_summary(self, tmp_path):
         report = run_experiment(self._spec(reps=3))

@@ -8,7 +8,7 @@ from reference import (empirical_contrast, fourier_quad, ppe_oracle_coefficients
                        sinc_expansion_dense, u_basis)
 from voldens.errors import ConfigError, DataError, ParameterError
 from voldens.metrics import PureConvolution
-from voldens.ppe import (MAX_LEVEL, PpeConfig, contrast, penalty, phi_k_integral,
+from voldens.ppe import (MAX_LEVEL, contrast, penalty, phi_k_integral,
                          ppe_coefficients, render_sinc_expansion, select_and_estimate,
                          u_band, u_zero_table)
 
@@ -209,13 +209,13 @@ class TestSelection:
     def test_large_kappa_selects_smallest_level(self):
         rng = np.random.default_rng(31)
         y = rng.normal(size=500)
-        est = select_and_estimate(y, PpeConfig(kappa=1e9))
+        est = select_and_estimate(y, kappa=1e9)
         assert est.selected_level == 1
 
     def test_selected_level_in_candidate_range(self):
         rng = np.random.default_rng(32)
         y = rng.normal(size=800)
-        est = select_and_estimate(y, PpeConfig())
+        est = select_and_estimate(y)
         assert 1 <= est.selected_level <= int(np.floor(np.log(800)))
         assert est.k_n == 800
         assert set(est.contrasts) == set(range(1, int(np.floor(np.log(800))) + 1))
@@ -225,25 +225,25 @@ class TestSelection:
         # force a tie by duplicating a level
         rng = np.random.default_rng(33)
         y = rng.normal(size=300)
-        est = select_and_estimate(y, PpeConfig(levels=(2, 1, 2), k_n=50))
+        est = select_and_estimate(y, levels=(2, 1, 2), k_n=50)
         scores = {L: est.contrasts[L] + est.penalties[L] for L in est.contrasts}
         assert est.selected_level == min(scores, key=lambda L: (scores[L], L))
 
     @pytest.mark.parametrize("kappa", [float("nan"), float("inf")])
     def test_non_finite_kappa_rejected(self, kappa):
         with pytest.raises(ParameterError, match="kappa must be finite"):
-            PpeConfig(kappa=kappa)
+            select_and_estimate(np.zeros(3), kappa=kappa)
 
     def test_overflow_levels_rejected_loudly(self):
         rng = np.random.default_rng(34)
         y = rng.normal(size=100)
         with pytest.raises(ConfigError):
-            select_and_estimate(y, PpeConfig(levels=(1, MAX_LEVEL + 5), k_n=10))
+            select_and_estimate(y, levels=(1, MAX_LEVEL + 5), k_n=10)
 
     def test_render_matches_manual_expansion(self):
         rng = np.random.default_rng(35)
         y = rng.normal(size=150)
-        est = select_and_estimate(y, PpeConfig(k_n=40), grid=np.linspace(-3, 3, 21))
+        est = select_and_estimate(y, k_n=40, grid=np.linspace(-3, 3, 21))
         L = est.selected_level
         js = np.arange(-40, 41)
         manual = np.array([np.sum(est.coefficients[L] * sinc_basis(L, 0, 0) / np.sqrt(L)
@@ -273,4 +273,4 @@ class TestSelection:
 
     def test_short_series_rejected(self):
         with pytest.raises(DataError):
-            select_and_estimate(np.array([1.0, 2.0]), PpeConfig())
+            select_and_estimate(np.array([1.0, 2.0]))

@@ -22,12 +22,12 @@ SRC = Path(voldens.__file__).resolve().parent
 EXPORTS = {
     "ConfigError", "DataError", "NumericsError", "ParameterError", "VoldensError",
     "DensityGrid",
-    "EstimateReport", "KernelSpec", "default_bandwidth", "estimate_density",
+    "EstimateReport", "default_bandwidth", "estimate_density",
     "wand_charfn", "wand_kernel",
     "ExperimentSpec", "PureConvolution", "mise", "mode_count", "normal_fit",
     "run_experiment", "scenario_preset",
     "inv_noise_charfn", "noise_charfn", "noise_density",
-    "PpeConfig", "PpeEstimate", "contrast", "penalty", "phi_k_integral",
+    "PpeEstimate", "contrast", "penalty", "phi_k_integral",
     "ppe_coefficients", "select_and_estimate",
     "ArParams", "ObservationSeries", "OuParams", "RegimeSwitchParams", "ScenarioConfig",
     "invariant_density", "log_squared_transform", "simulate_markov2", "simulate_ou",
@@ -38,10 +38,10 @@ EXPORTS = {
 
 #: entry point -> its parameter names, in order
 PARAMETERS = {
-    voldens.estimate_density: ("y", "spec", "grid"),
+    voldens.estimate_density: ("y", "bandwidth", "grid", "grid_points"),
     voldens.regression_estimate: ("y", "h", "grid", "floor"),
     voldens.wavelet_estimate: ("y", "level", "truncation", "grid", "grid_points"),
-    voldens.select_and_estimate: ("y", "config", "grid"),
+    voldens.select_and_estimate: ("y", "kappa", "k_n", "levels", "grid", "grid_points"),
     voldens.run_experiment: ("spec",),
     voldens.simulate_ou: ("params", "steps", "dt", "seed"),
     voldens.simulate_markov2: ("rate_01", "rate_10", "steps", "dt", "seed"),
@@ -53,8 +53,6 @@ PARAMETERS = {
 
 #: option or result dataclass -> its field names, in order
 FIELDS = {
-    voldens.KernelSpec: ("bandwidth", "grid_points"),
-    voldens.PpeConfig: ("kappa", "k_n", "levels", "grid_points"),
     voldens.ExperimentSpec: ("scenario", "estimator", "estimator_config", "replications",
                              "seed_base", "metrics", "grid_points", "mse_point"),
     voldens.ScenarioConfig: ("model", "params", "delta", "n", "substeps", "drift",

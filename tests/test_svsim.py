@@ -9,11 +9,11 @@ from voldens.svsim import (ArParams, ObservationSeries, OuParams,
                            RegimeSwitchParams, ScenarioConfig, invariant_density,
                            log_squared_transform, simulate_markov2, simulate_ou,
                            simulate_price, simulate_scenario, simulate_volatility)
-from voldens.kerneldeconv import KernelSpec, estimate_density
-from voldens.metrics import scenario_preset
-from voldens.ppe import select_and_estimate
-from voldens.volreg import regression_estimate
-from voldens.waveletdeconv import wavelet_estimate
+from voldens.kerneldeconv import check_gamma_constraint, default_bandwidth, estimate_density
+from voldens.metrics import ExperimentSpec, PureConvolution, scenario_preset
+from voldens.ppe import penalty, ppe_coefficients, select_and_estimate
+from voldens.volreg import default_regression_bandwidth, regression_estimate
+from voldens.waveletdeconv import wavelet_coefficients, wavelet_estimate
 
 
 def _philox(seed):
@@ -296,6 +296,67 @@ def test_non_finite_parameter_names_its_field(field, value):
         NON_FINITE_SETTERS[field](value)
 
 
+_Y = np.random.default_rng(6).normal(size=50)
+
+
+#: an integer option set to a float or a bool raises the error kind of that
+#: option's range check, rather than being truncated or failing untyped later
+@pytest.mark.parametrize("call, value, error", [
+    (lambda v: select_and_estimate(_Y, levels=(v,)), 2.7, ConfigError),
+    (lambda v: select_and_estimate(_Y, levels=(v,)), True, ConfigError),
+    (lambda v: wavelet_estimate(_Y, level=v), 0.9, ParameterError),
+    (lambda v: wavelet_estimate(_Y, truncation=v), 2.5, ParameterError),
+    (lambda v: wavelet_coefficients(_Y, v, 3), 0.5, ParameterError),
+    (lambda v: wavelet_coefficients(_Y, 0, v), 2.5, ParameterError),
+    (lambda v: select_and_estimate(_Y, k_n=v), 2.5, ParameterError),
+    (lambda v: ppe_coefficients(_Y, 1, v), 2.5, ParameterError),
+    (lambda v: estimate_density(_Y, 0.5, grid_points=v), 100.5, ParameterError),
+    (lambda v: wavelet_estimate(_Y, grid_points=v), 100.5, ParameterError),
+    (lambda v: select_and_estimate(_Y, grid_points=v), 100.5, ParameterError),
+    (lambda v: ScenarioConfig("ou-exp", OuParams(1.0), delta=0.1, n=v), 2.5, ParameterError),
+    (lambda v: ScenarioConfig("ou-exp", OuParams(1.0), 0.1, 10, substeps=v), 1.5,
+     ParameterError),
+    (lambda v: ScenarioConfig("ou-exp", OuParams(1.0), 0.1, 10, substeps=v), True,
+     ParameterError),
+    # Philox keys 2.5 as 2: the two streams would be one, though the seeds differ
+    (lambda v: ScenarioConfig("ou-exp", OuParams(1.0), 0.1, 10, vol_seed=v, price_seed=2), 2.5,
+     ParameterError),
+    (lambda v: ExperimentSpec(PureConvolution(), replications=v), 2.5, ParameterError),
+    (lambda v: ExperimentSpec(PureConvolution(), replications=v), True, ParameterError),
+    (lambda v: ExperimentSpec(PureConvolution(), grid_points=v), 100.5, ParameterError),
+], ids=["levels", "levels-bool", "level", "truncation", "wavelet_coefficients-m",
+        "wavelet_coefficients-truncation", "k_n", "ppe_coefficients-k_n",
+        "kernel-grid_points", "wavelet-grid_points", "ppe-grid_points", "scenario-n",
+        "substeps", "substeps-bool", "vol_seed", "replications", "replications-bool",
+        "experiment-grid_points"])
+def test_integer_options_refuse_non_integers(call, value, error):
+    with pytest.raises(error, match=f"must be an integer, got {value!r}"):
+        call(value)
+
+
+def test_numpy_integers_are_integers():
+    est = wavelet_estimate(_Y, level=np.int64(0), truncation=np.int64(5),
+                           grid_points=np.int32(16))
+    assert (est.level, est.truncation, len(est.density)) == (0, 5, 16)
+    assert select_and_estimate(_Y, k_n=np.int64(5), levels=(np.int64(1),)).k_n == 5
+
+
+#: the bandwidth and penalty rules refuse NaN and inf, which `x <= 0` and the
+#: gamma constraint let through to a nan or inf result or a "satisfied"
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("name, call", [
+    ("delta", lambda v: check_gamma_constraint(1000, v, 5.0)),
+    ("gamma", lambda v: check_gamma_constraint(1000, 0.01, v)),
+    ("gamma", lambda v: default_bandwidth(100, v)),
+    ("gamma", lambda v: default_regression_bandwidth(100, v)),
+    ("kappa", lambda v: penalty(1, 10, v)),
+], ids=["gamma_constraint-delta", "gamma_constraint-gamma", "default_bandwidth",
+        "default_regression_bandwidth", "penalty"])
+def test_rule_functions_refuse_non_finite(name, call, value):
+    with pytest.raises(ParameterError, match=f"^{name} must be finite"):
+        call(value)
+
+
 class TestObservationSeries:
     def test_increment_identity(self):
         s = np.array([0.0, 0.3, -0.1, 0.4])
@@ -402,7 +463,7 @@ class TestInvariantDensity:
 
 
 @pytest.mark.parametrize("estimate", [
-    lambda y: estimate_density(y, KernelSpec(bandwidth=0.5)),
+    lambda y: estimate_density(y, 0.5),
     lambda y: regression_estimate(y, 0.5, np.linspace(-2.0, 2.0, 16)),
     wavelet_estimate,
     select_and_estimate,
@@ -414,7 +475,7 @@ def test_estimators_reject_non_series_input(estimate, y):
 
 
 @pytest.mark.parametrize("estimate", [
-    lambda y: estimate_density(y, KernelSpec(bandwidth=0.5)),
+    lambda y: estimate_density(y, 0.5),
     lambda y: regression_estimate(y, 0.5, np.linspace(-2.0, 2.0, 16)),
     wavelet_estimate,
     select_and_estimate,

@@ -66,12 +66,12 @@ def _unblocked_read(table, x):
 _PEAK_RSS_SCRIPT = """
 import resource, sys
 import numpy as np
-from voldens.kerneldeconv import KernelSpec, default_bandwidth, estimate_density
+from voldens.kerneldeconv import default_bandwidth, estimate_density
 y = np.random.default_rng(3).normal(-1.2, 2.0, 2600)
 grid = np.linspace(np.min(y) - 2.0, np.max(y) + 2.0, 200_000)[::int(sys.argv[1])]
-spec = KernelSpec(bandwidth=default_bandwidth(y.size, 1.0))
-estimate_density(y, spec, grid)
-estimate_density(y, spec, grid)
+h = default_bandwidth(y.size, 1.0)
+estimate_density(y, h, grid)
+estimate_density(y, h, grid)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
 
