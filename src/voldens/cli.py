@@ -201,13 +201,9 @@ def _resolve_scenario(config: PipelineConfig) -> ScenarioConfig:
     return scenario.with_seeds(config.seed * 2 + 1, config.seed * 2 + 2)
 
 
-def _bandwidth(config: PipelineConfig, n: int) -> float:
-    """--bandwidth, or the kernel or regression rule at --gamma (or its default)."""
+def _kernel_bandwidth(config: PipelineConfig, n: int) -> float:
     if config.bandwidth is not None:
         return config.bandwidth
-    if config.estimator == "regression":
-        gamma = config.gamma if config.gamma is not None else DEFAULT_GAMMA_REGRESSION
-        return default_regression_bandwidth(n, gamma)
     gamma = config.gamma if config.gamma is not None else DEFAULT_GAMMA_KERNEL
     check_gamma_constraint(n, config.delta, gamma)
     return default_bandwidth(n, gamma)
@@ -236,10 +232,12 @@ def run_pipeline(config: PipelineConfig) -> list[Path]:
     ]
 
     if config.estimator == "kernel":
-        h = _bandwidth(config, n)
+        h = _kernel_bandwidth(config, n)
         density = estimate_density(y, h, grid_points=config.grid_points).density
         diag_rows += [("bandwidth", h),
                       ("grid_lo", density.x[0]), ("grid_hi", density.x[-1])]
+        _append_shape_diagnostics(diag_rows, density)
+        written.append(_write_density(out / "density.csv", density, "fhat"))
     elif config.estimator == "wavelet":
         level = None if config.level == "auto" else int(config.level)
         trunc = None if config.truncation == "auto" else int(config.truncation)
@@ -249,6 +247,8 @@ def run_pipeline(config: PipelineConfig) -> list[Path]:
         diag_rows += [("level", est.level), ("level_target", est.level_target),
                       ("truncation", est.truncation),
                       ("coefficient_norm", est.diagnostics["coefficient_norm"])]
+        _append_shape_diagnostics(diag_rows, density)
+        written.append(_write_density(out / "density.csv", density, "ghat"))
         coeff_path = out / "coefficients.csv"
         ls = np.arange(-est.truncation, est.truncation + 1)
         np.savetxt(coeff_path, np.column_stack([ls, est.coefficients]),
@@ -262,8 +262,14 @@ def run_pipeline(config: PipelineConfig) -> list[Path]:
             diag_rows.append((f"contrast_L{L}", est.contrasts[L]))
             diag_rows.append((f"penalty_L{L}", est.penalties[L]))
             diag_rows.append((f"selected_L{L}", int(L == est.selected_level)))
+        _append_shape_diagnostics(diag_rows, density)
+        written.append(_write_density(out / "density.csv", density, "fhat"))
     else:  # regression
-        h = _bandwidth(config, n)
+        if config.bandwidth is not None:
+            h = config.bandwidth
+        else:
+            gamma = config.gamma if config.gamma is not None else DEFAULT_GAMMA_REGRESSION
+            h = default_regression_bandwidth(n, gamma)
         grid = uniform_grid(np.quantile(y, 0.05), np.quantile(y, 0.95), config.grid_points)
         est = regression_estimate(y, h, grid, floor=config.denominator_floor)
         diag_rows += [("bandwidth", h), ("denominator_floor", config.denominator_floor),
@@ -277,11 +283,6 @@ def run_pipeline(config: PipelineConfig) -> list[Path]:
                                  "" if est.mask[i] else repr(float(est.m_hat[i])),
                                  repr(float(est.denominator[i])), int(est.mask[i])])
         written.append(path)
-    if config.estimator != "regression":
-        _append_shape_diagnostics(diag_rows, density)
-        density.to_csv(out / "density.csv",
-                       value_name="ghat" if config.estimator == "wavelet" else "fhat")
-        written.append(out / "density.csv")
 
     diag_path = out / "diagnostics.csv"
     with open(diag_path, "w", newline="") as fh:
@@ -303,6 +304,11 @@ def run_pipeline(config: PipelineConfig) -> list[Path]:
         f"plot '{target}' using 1:2 with lines\n")
     written.append(plot_path)
     return written
+
+
+def _write_density(path: Path, density, value_name: str) -> Path:
+    density.to_csv(path, value_name=value_name)
+    return path
 
 
 def _append_shape_diagnostics(rows: list, density) -> None:

@@ -185,7 +185,7 @@ def select_and_estimate(y, kappa: float = 1.0, k_n: int | None = None,
     (default: `grid_points` uniform points over the data range padded by 3).
     """
     require_finite(kappa=kappa)
-    require_int(k_n=k_n, grid_points=grid_points)
+    require_int(grid_points=grid_points)
     if kappa <= 0:
         raise ParameterError("kappa must be positive")
     if k_n is not None and k_n < 1:
@@ -207,9 +207,14 @@ def select_and_estimate(y, kappa: float = 1.0, k_n: int | None = None,
               else tuple(int(L) for L in levels))
     grid = estimator_grid(grid, y_arr, 3.0, grid_points)
 
-    coefficients = {L: ppe_coefficients(y_arr, L, k_n) for L in levels}
-    contrasts = {L: contrast(a_hat) for L, a_hat in coefficients.items()}
-    penalties = {L: penalty(L, n, kappa) for L in levels}
+    coefficients: dict[int, np.ndarray] = {}
+    contrasts: dict[int, float] = {}
+    penalties: dict[int, float] = {}
+    for L in levels:
+        a_hat = ppe_coefficients(y_arr, L, k_n)
+        coefficients[L] = a_hat
+        contrasts[L] = contrast(a_hat)
+        penalties[L] = penalty(L, n, kappa)
 
     ordered = sorted(levels)
     scores = np.array([contrasts[L] + penalties[L] for L in ordered])

@@ -50,12 +50,12 @@ def require_finite(owner=None, /, *names: str, **values) -> None:
             raise ParameterError(f"{name} must be finite, got {value!r}")
 
 
-def require_int(owner=None, /, *names: str, error=ParameterError, **values) -> None:
-    """`error` naming the first value (picked as in `require_finite`) that is a
-    float, even 2.0, or a bool where an integer belongs; None passes."""
+def require_int(owner=None, /, *names: str, **values) -> None:
+    """ParameterError naming the first value (picked as in `require_finite`) that
+    is a float, even 2.0, or a bool where an integer belongs; None passes."""
     for name, value in [(name, getattr(owner, name)) for name in names] + [*values.items()]:
         if value is not None and (isinstance(value, bool) or not isinstance(value, Integral)):
-            raise error(f"{name} must be an integer, got {value!r}")
+            raise ParameterError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)

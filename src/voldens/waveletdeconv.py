@@ -175,7 +175,7 @@ def wavelet_estimate(y, level: int | None = None, truncation: int | None = None,
     `level`/`truncation` win.  Without a `grid` the estimate is rendered on
     `grid_points` uniform points spanning the data range padded by 3.
     """
-    require_int(level=level, truncation=truncation, grid_points=grid_points)
+    require_int(grid_points=grid_points)
     y_arr = as_log_squared(y)
     n = y_arr.size
     if n < 3:
@@ -183,8 +183,8 @@ def wavelet_estimate(y, level: int | None = None, truncation: int | None = None,
     if level is None:
         m, target = default_level(n)
     else:
-        m, target = int(level), float(2 ** int(level))  # um_table checks the cap
-    truncation = n if truncation is None else int(truncation)
+        m, target = level, float(2.0 ** level)  # um_table checks the cap
+    truncation = n if truncation is None else truncation
     grid = estimator_grid(grid, y_arr, 3.0, grid_points)
 
     coeffs = wavelet_coefficients(y_arr, m, truncation)
