@@ -15,9 +15,8 @@ so 1e-10 is the right comparison tolerance for archived results.
 from __future__ import annotations
 
 import csv
+import inspect
 import io
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -28,10 +27,8 @@ from .kerneldeconv import estimate_density
 from .noisemodel import sample_noise
 from .ppe import select_and_estimate
 from .svsim import (ArParams, OuParams, RegimeSwitchParams, ScenarioConfig, _rng,
-                    require_finite, require_int, simulate_scenario)
+                    normal_mixture_density, require_finite, require_int, simulate_scenario)
 from .waveletdeconv import wavelet_estimate
-
-THREADS_ENV = "VOLDENS_THREADS"
 
 
 # --------------------------------------------------------------------------- metrics
@@ -107,10 +104,15 @@ class PureConvolution:
 
     def __post_init__(self):
         require_finite(self, "mean", "sd")
+        require_int(self, "n", "seed")
         if self.sd <= 0:
             raise ParameterError("sd must be positive")
         if self.n < 1:
             raise ParameterError("n must be >= 1")
+
+    def stationary_law(self) -> tuple[tuple, tuple, tuple]:
+        """(weights, means, variances) of the normal law of xi, as `ScenarioConfig` gives it."""
+        return (1.0,), (self.mean,), (self.sd ** 2,)
 
     def draw(self) -> np.ndarray:
         rng = _rng(self.seed)
@@ -118,9 +120,7 @@ class PureConvolution:
         return xi + sample_noise(self.n, rng)
 
     def truth(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return np.exp(-(x - self.mean) ** 2 / (2 * self.sd ** 2)) / (
-            self.sd * np.sqrt(2 * np.pi))
+        return normal_mixture_density(*self.stationary_law())(x)
 
 
 def scenario_preset(name: str, n: int, delta: float = 0.05) -> ScenarioConfig | PureConvolution:
@@ -140,27 +140,21 @@ def scenario_preset(name: str, n: int, delta: float = 0.05) -> ScenarioConfig | 
 PRESET_NAMES = ("ou-exp", "regime-switch", "nonlinear-ar", "pure-convolution")
 
 
-def _replicate_scenario(scenario, seed_base: int, rep: int):
-    """Scenario copy with deterministically derived, distinct seeds."""
+def _replicate(scenario, seed_base: int, rep: int) -> tuple[np.ndarray, int]:
+    """(Y series, seed) of replication `rep`, drawn with seeds derived from `seed_base`:
+    seed_base + rep for a PureConvolution, else the two seeds from seed_base + 2 rep."""
     if isinstance(scenario, PureConvolution):
-        return replace(scenario, seed=seed_base + rep)
-    return scenario.with_seeds(seed_base + 2 * rep, seed_base + 2 * rep + 1)
-
-
-def _draw(scenario) -> tuple[np.ndarray, object]:
-    """(Y series, truth-density callable or None) for one scenario realization."""
-    if isinstance(scenario, PureConvolution):
-        return scenario.draw(), scenario.truth
-    series, vol = simulate_scenario(scenario)
-    return series.log_squared, vol.truth
+        seed = seed_base + rep
+        return replace(scenario, seed=seed).draw(), seed
+    seed = seed_base + 2 * rep
+    series, _ = simulate_scenario(scenario.with_seeds(seed, seed + 1))
+    return series.log_squared, seed
 
 
 def default_evaluation_grid(scenario, points: int = 512) -> np.ndarray:
     """Six standard deviations past every component of the stationary law
     ([-10, 10] when the law has no closed form, as for the tanh AR)."""
-    if isinstance(scenario, PureConvolution):
-        lo, hi = scenario.mean - 6 * scenario.sd, scenario.mean + 6 * scenario.sd
-    elif (law := scenario.params.stationary_law()) is None:
+    if (law := scenario.stationary_law()) is None:
         lo, hi = -10.0, 10.0
     else:
         _, means, variances = law
@@ -182,8 +176,8 @@ ESTIMATOR_FUNCTIONS = {"kernel": "estimate_density", "wavelet": "wavelet_estimat
 class ExperimentSpec:
     """One seeded Monte Carlo experiment.
 
-    `scenario` is a ScenarioConfig or a PureConvolution; `run_experiment`
-    raises ConfigError for a preset name, which `scenario_preset` resolves.
+    `scenario` is a ScenarioConfig or a PureConvolution; a preset name is
+    refused with a ConfigError, since `scenario_preset` resolves it.
     Per-replication seeds derive deterministically from `seed_base`.
     """
 
@@ -197,8 +191,10 @@ class ExperimentSpec:
     mse_point: float = 0.0
 
     def __post_init__(self):
+        if isinstance(self.scenario, str):
+            raise ConfigError("resolve preset names with scenario_preset(...) first")
         require_finite(self, "mse_point")
-        require_int(self, "replications", "grid_points")
+        require_int(self, "replications", "seed_base", "grid_points")
         if self.replications < 1:
             raise ParameterError("need at least one replication")
         unknown = set(self.metrics) - set(METRIC_NAMES)
@@ -206,6 +202,12 @@ class ExperimentSpec:
             raise ConfigError(f"unknown metrics {sorted(unknown)}; expected {METRIC_NAMES}")
         if self.estimator not in ESTIMATOR_FUNCTIONS:
             raise ConfigError(f"harness supports density estimators, not {self.estimator!r}")
+        # the harness passes the series and the grid; the config gives the rest
+        estimate = globals()[ESTIMATOR_FUNCTIONS[self.estimator]]
+        try:
+            inspect.signature(estimate).bind(None, grid=None, **self.estimator_config)
+        except TypeError as exc:
+            raise ConfigError(f"estimator_config for {self.estimator}: {exc}") from None
 
 
 @dataclass(eq=False)
@@ -237,35 +239,27 @@ class ExperimentReport:
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
-    """Run the replications (optionally threaded) and aggregate deterministically.
-
-    Thread count comes from the VOLDENS_THREADS environment variable
-    (default 1); results are keyed by replication index, so the aggregation
-    order never depends on scheduling.
-    """
+    """Run the replications in index order and aggregate them."""
     scenario = spec.scenario
-    if isinstance(scenario, str):
-        raise ConfigError("resolve preset names with scenario_preset(...) first")
     grid = default_evaluation_grid(scenario, spec.grid_points)
+    law = scenario.stationary_law()
+    if law is None and {"mise", "mse_at_point"} & set(spec.metrics):
+        raise ConfigError("mise and mse_at_point need a scenario with a known truth")
+    truth = None if law is None else DensityGrid(grid, normal_mixture_density(*law)(grid),
+                                                 signed=False)
 
-    def one(rep: int) -> dict:
-        sc = _replicate_scenario(scenario, spec.seed_base, rep)
-        y, truth = _draw(sc)
-        estimate = globals()[ESTIMATOR_FUNCTIONS[spec.estimator]]
+    estimate = globals()[ESTIMATOR_FUNCTIONS[spec.estimator]]
+    rows = []
+    for rep in range(spec.replications):
+        y, seed = _replicate(scenario, spec.seed_base, rep)
         est = estimate(y, grid=grid, **spec.estimator_config).density
-        row: dict = {"replication": rep,
-                     "seed": sc.seed if isinstance(sc, PureConvolution) else sc.vol_seed}
-        true_grid = None if truth is None else DensityGrid(grid, truth(grid), signed=False)
+        row: dict = {"replication": rep, "seed": seed}
         for name in spec.metrics:
             if name == "mise":
-                if true_grid is None:
-                    raise ConfigError("mise metric needs a scenario with a known truth")
-                row["mise"] = mise(est, true_grid)
+                row["mise"] = mise(est, truth)
             elif name == "mse_at_point":
-                if true_grid is None:
-                    raise ConfigError("mse_at_point needs a scenario with a known truth")
                 fhat = float(np.interp(spec.mse_point, est.x, est.values))
-                f0 = float(np.interp(spec.mse_point, true_grid.x, true_grid.values))
+                f0 = float(np.interp(spec.mse_point, truth.x, truth.values))
                 row["mse_at_point"] = (fhat - f0) ** 2
             elif name == "mode_count":
                 row["mode_count"] = mode_count(est)
@@ -273,15 +267,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
                 row["normal_fit_mean"] = normal_fit(est)[0]
             elif name == "normal_fit_var":
                 row["normal_fit_var"] = normal_fit(est)[1]
-        return row
-
-    workers = max(1, int(os.environ.get(THREADS_ENV, "1")))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, range(spec.replications)))
-    else:
-        rows = [one(rep) for rep in range(spec.replications)]
-    rows.sort(key=lambda r: r["replication"])
+        rows.append(row)
 
     columns = tuple(spec.metrics)
     aggregate = {}

@@ -198,6 +198,9 @@ class ScenarioConfig:
     def with_seeds(self, vol_seed: int, price_seed: int) -> "ScenarioConfig":
         return replace(self, vol_seed=vol_seed, price_seed=price_seed)
 
+    def stationary_law(self) -> tuple[tuple, tuple, tuple] | None:
+        return self.params.stationary_law()
+
     # -- plain-text key = value serialization ------------------------------
     def to_kv(self) -> str:
         groups = [(self, "", COMMON_KEYS)] + [
@@ -351,7 +354,13 @@ def log_squared_transform(series) -> np.ndarray:
 
 # --------------------------------------------------------------------------- path simulators
 
-def _rng(seed: int) -> np.random.Generator:
+def _rng(seed: int | np.random.Generator) -> np.random.Generator:
+    """The Philox stream keyed by an integer seed in [0, 2^128), or the Generator given."""
+    if isinstance(seed, np.random.Generator):
+        return seed
+    require_int(seed=seed)
+    if not 0 <= seed < 2 ** 128:
+        raise ParameterError(f"seed must lie in [0, 2**128), got {seed!r}")
     return np.random.Generator(np.random.Philox(key=seed))
 
 
@@ -366,7 +375,7 @@ def simulate_ou(params: OuParams, steps: int, dt: float,
         raise ParameterError("dt must be positive")
     if steps < 1:
         raise ParameterError("need at least one step")
-    rng = seed if isinstance(seed, np.random.Generator) else _rng(seed)
+    rng = _rng(seed)
     b, mu, a = params.mean_reversion, params.level, params.diffusion
     decay = np.exp(-b * dt)
     trans_sd = a * np.sqrt((1.0 - decay * decay) / (2.0 * b))
@@ -405,7 +414,7 @@ def simulate_markov2(rate_01: float, rate_10: float, steps: int, dt: float,
         raise ParameterError("switching rates must be positive")
     if dt <= 0 or steps < 1:
         raise ParameterError("need positive dt and at least one step")
-    rng = seed if isinstance(seed, np.random.Generator) else _rng(seed)
+    rng = _rng(seed)
     pi1 = rate_01 / (rate_01 + rate_10)
     state = int(rng.random() < pi1)
     u = rng.random(steps)
@@ -425,7 +434,7 @@ def simulate_ar_logvol(m: Callable[[float], float], innovation_sd: float,
     """Iterate xi_{t+1} = m(xi_t) + eta_t from xi = 0; xi_0..xi_steps follow AR_BURN_IN steps."""
     if innovation_sd <= 0:
         raise ParameterError("innovation standard deviation must be positive")
-    rng = seed if isinstance(seed, np.random.Generator) else _rng(seed)
+    rng = _rng(seed)
     eta = innovation_sd * rng.standard_normal(AR_BURN_IN + steps)
     x = 0.0
     for k in range(AR_BURN_IN):

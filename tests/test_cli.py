@@ -109,6 +109,8 @@ def test_import_loads_no_heavy_scipy_module(module):
     loaded = _modules_loaded_by(f"import {module}")
     assert {"numpy", "voldens._tables"} <= loaded
     assert not _scipy_modules(loaded)
+    # the Monte Carlo harness runs its replications in one serial loop
+    assert "concurrent.futures" not in loaded
 
 
 @pytest.mark.parametrize("estimator", ["kernel", "wavelet", "ppe", "regression"])

@@ -1,6 +1,5 @@
 """Tests for error metrics and the Monte Carlo experiment harness."""
 
-import os
 from dataclasses import replace
 
 import numpy as np
@@ -11,10 +10,11 @@ from scipy.signal import find_peaks
 from voldens.errors import ConfigError, DataError, ParameterError
 from voldens.grids import DensityGrid
 from voldens.kerneldeconv import estimate_density
-from voldens.metrics import (ExperimentSpec, PureConvolution, _clipped_density,
+from voldens.metrics import (METRIC_NAMES, ExperimentSpec, PureConvolution, _clipped_density,
                              default_evaluation_grid, mise, mode_count, normal_fit,
                              run_experiment, scenario_preset)
 from voldens.ppe import select_and_estimate
+from voldens.svsim import ArParams, ScenarioConfig
 from voldens.waveletdeconv import wavelet_estimate
 
 
@@ -185,16 +185,20 @@ class TestHarness:
         assert mean == pytest.approx(np.mean(vals))
         assert se == pytest.approx(np.std(vals, ddof=1) / 2.0)
 
-    # each thread takes its own `_tables` scratch arrays (kernel and ppe)
-    @pytest.mark.parametrize("estimator", ["kernel", "wavelet", "ppe"])
-    def test_threaded_run_matches_sequential(self, estimator):
-        seq = run_experiment(self._spec(estimator=estimator))
-        os.environ["VOLDENS_THREADS"] = "4"
-        try:
-            par = run_experiment(self._spec(estimator=estimator))
-        finally:
-            del os.environ["VOLDENS_THREADS"]
-        assert seq.rows == par.rows
+    # replication r draws what a 1-replication run at seed_base + stride * r
+    # draws; perfbench's mc check re-derives each replication's data by this rule
+    @pytest.mark.parametrize("scenario, stride", [
+        (PureConvolution(0.0, 1.0, 400), 1), (scenario_preset("ou-exp", 400), 2),
+    ], ids=["pure-convolution", "scenario-config"])
+    def test_replication_seeds(self, scenario, stride):
+        spec = ExperimentSpec(scenario, "kernel", {"bandwidth": 0.6}, replications=3,
+                              seed_base=2024, metrics=METRIC_NAMES)
+        singles = [run_experiment(replace(spec, replications=1,
+                                          seed_base=2024 + stride * rep)).rows[0]
+                   for rep in range(3)]
+        assert run_experiment(spec).rows == [
+            {**row, "replication": rep} for rep, row in enumerate(singles)]
+        assert [row["seed"] for row in singles] == [2024 + stride * rep for rep in range(3)]
 
     # each option set differs from the estimator's defaults; the direct call
     # names them in its own call form, so a dropped or misrouted option shows
@@ -214,6 +218,18 @@ class TestHarness:
         grid = default_evaluation_grid(scenario, spec.grid_points)
         est = direct(replace(scenario, seed=row["seed"]).draw(), grid).density
         assert row["mise"] == mise(est, DensityGrid(grid, scenario.truth(grid), signed=False))
+
+    def test_truth_metrics_need_a_known_law(self):
+        # the tanh AR has no closed-form law, so mise and mse_at_point are
+        # refused; the shape metrics need no truth
+        tanh = ScenarioConfig("nonlinear-ar", ArParams("tanh"), 1.0, 300, substeps=1)
+        for name in ("mise", "mse_at_point"):
+            with pytest.raises(ConfigError, match="known truth"):
+                run_experiment(ExperimentSpec(tanh, "kernel", {"bandwidth": 0.5},
+                                              metrics=(name, "mode_count")))
+        spec = ExperimentSpec(tanh, "kernel", {"bandwidth": 0.5}, replications=2,
+                              metrics=("mode_count", "normal_fit_var"))
+        assert len(run_experiment(spec).rows) == 2
 
     def test_csv_and_summary(self, tmp_path):
         report = run_experiment(self._spec(reps=3))
@@ -238,6 +254,17 @@ class TestHarness:
     def test_unknown_metric_rejected(self):
         with pytest.raises(ConfigError):
             ExperimentSpec(scenario=PureConvolution(), metrics=("rmse",))
+
+    # checked when the spec is built, not at the first replication
+    @pytest.mark.parametrize("estimator, config, message", [
+        ("kernel", {"bandwith": 0.5}, "missing a required argument: 'bandwidth'"),
+        ("ppe", {"kapa": 2.0}, "unexpected keyword argument 'kapa'"),
+        ("kernel", {}, "missing a required argument: 'bandwidth'"),
+        ("kernel", {"bandwidth": 0.5, "grid": None}, "multiple values for keyword argument 'grid'"),
+    ], ids=["misspelt-key", "unknown-key", "no-bandwidth", "grid"])
+    def test_estimator_config_must_fit_the_estimator(self, estimator, config, message):
+        with pytest.raises(ConfigError, match=f"estimator_config for {estimator}: .*{message}"):
+            ExperimentSpec(PureConvolution(n=200), estimator, config)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_parameters_rejected(self, bad):

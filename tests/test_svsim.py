@@ -1,16 +1,20 @@
 """Tests for the stochastic-volatility simulators and invariant-density oracle."""
 
+import json
+
 import numpy as np
 import pytest
 
 from reference import simulate_markov2_loop
+from voldens.cli import main
 from voldens.errors import ConfigError, DataError, ParameterError
 from voldens.svsim import (ArParams, ObservationSeries, OuParams,
                            RegimeSwitchParams, ScenarioConfig, invariant_density,
                            log_squared_transform, simulate_markov2, simulate_ou,
                            simulate_price, simulate_scenario, simulate_volatility)
 from voldens.kerneldeconv import check_gamma_constraint, default_bandwidth, estimate_density
-from voldens.metrics import ExperimentSpec, PureConvolution, scenario_preset
+from voldens.metrics import (ExperimentSpec, PureConvolution, run_experiment,
+                             scenario_preset)
 from voldens.ppe import penalty, ppe_coefficients, select_and_estimate
 from voldens.volreg import default_regression_bandwidth, regression_estimate
 from voldens.waveletdeconv import wavelet_coefficients, wavelet_estimate
@@ -324,11 +328,17 @@ _Y = np.random.default_rng(6).normal(size=50)
     (lambda v: ExperimentSpec(PureConvolution(), replications=v), 2.5, ParameterError),
     (lambda v: ExperimentSpec(PureConvolution(), replications=v), True, ParameterError),
     (lambda v: ExperimentSpec(PureConvolution(), grid_points=v), 100.5, ParameterError),
+    (lambda v: ExperimentSpec(PureConvolution(), seed_base=v), 2.5, ParameterError),
+    (lambda v: PureConvolution(n=v), 2.5, ParameterError),
+    (lambda v: PureConvolution(n=v), True, ParameterError),
+    (lambda v: PureConvolution(seed=v), 2.5, ParameterError),
+    (lambda v: simulate_ou(OuParams(1.0), 10, 0.1, seed=v), 2.5, ParameterError),
 ], ids=["levels", "levels-bool", "level", "truncation", "wavelet_coefficients-m",
         "wavelet_coefficients-truncation", "k_n", "ppe_coefficients-k_n",
         "kernel-grid_points", "wavelet-grid_points", "ppe-grid_points", "scenario-n",
         "substeps", "substeps-bool", "vol_seed", "replications", "replications-bool",
-        "experiment-grid_points"])
+        "experiment-grid_points", "seed_base", "pure-convolution-n", "pure-convolution-n-bool",
+        "pure-convolution-seed", "simulate_ou-seed"])
 def test_integer_options_refuse_non_integers(call, value, error):
     with pytest.raises(error, match=f"must be an integer, got {value!r}"):
         call(value)
@@ -339,6 +349,30 @@ def test_numpy_integers_are_integers():
                            grid_points=np.int32(16))
     assert (est.level, est.truncation, len(est.density)) == (0, 5, 16)
     assert select_and_estimate(_Y, k_n=np.int64(5), levels=(np.int64(1),)).k_n == 5
+
+
+#: a seed outside Philox's key range [0, 2^128) is refused where it keys a
+#: stream, not passed on to fail untyped; None is the CLI
+@pytest.mark.parametrize("call", [
+    lambda: PureConvolution(seed=-1).draw(),
+    lambda: simulate_scenario(ScenarioConfig("ou-exp", OuParams(1.0), 0.1, 10, vol_seed=-3)),
+    lambda: run_experiment(ExperimentSpec(PureConvolution(n=50), "wavelet", seed_base=-5)),
+    lambda: run_experiment(ExperimentSpec(scenario_preset("ou-exp", 50), "wavelet",
+                                          seed_base=-5)),
+    lambda: simulate_ou(OuParams(1.0), 10, 0.1, seed=-1),
+    lambda: simulate_ou(OuParams(1.0), 10, 0.1, seed=2 ** 128),
+    None,
+], ids=["pure-convolution", "vol_seed", "seed_base", "seed_base-scenario", "simulate_ou",
+        "simulate_ou-2**128", "cli"])
+def test_seeds_outside_the_key_range_are_refused(call, tmp_path, capsys):
+    if call is None:  # a failed run exits 1 with a JSON error object, not a traceback
+        argv = ["--scenario", "ou-exp", "--n", "300", "--seed", "-1", "--estimator", "kernel",
+                "--out", str(tmp_path)]
+        assert main(argv) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "parameter"
+    else:
+        with pytest.raises(ParameterError, match=r"seed must lie in \[0, 2\*\*128\)"):
+            call()
 
 
 #: the bandwidth and penalty rules refuse NaN and inf, which `x <= 0` and the
