@@ -9,8 +9,9 @@ wavelet estimator, which also dumps its coefficients):
     plot.gp           a gnuplot script referencing the CSVs
 
 Outputs are plain files and the run is deterministic for a fixed
-configuration, so a rerun is byte-identical.  All failures exit nonzero
-with a machine-readable JSON error object on stderr.
+configuration, so a rerun is byte-identical.  A failure prints one JSON
+error object on stderr and exits 2 for a configuration error (a bad flag
+included) or 1 otherwise.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics as metrics_mod
-from .errors import ConfigError, DataError, ParameterError, VoldensError
+from .errors import ConfigError, DataError, ParameterError, UnknownEstimatorError, VoldensError
 from .grids import uniform_grid
 from .kerneldeconv import check_gamma_constraint, default_bandwidth, estimate_density
 from .ppe import select_and_estimate
@@ -82,8 +83,8 @@ class PipelineConfig:
 
     def __post_init__(self):
         if self.estimator not in ESTIMATORS:
-            raise ConfigError(f"unknown-estimator: {self.estimator!r} "
-                              f"(expected one of {ESTIMATORS})")
+            raise UnknownEstimatorError(f"unknown-estimator: {self.estimator!r} "
+                                        f"(expected one of {ESTIMATORS})")
         if (self.input_csv is None) == (self.scenario is None):
             raise ConfigError("exactly one input source required: --input or --scenario")
         require_finite(self, "delta", "bandwidth", "gamma", "kappa", "denominator_floor")
@@ -223,7 +224,8 @@ def run_pipeline(config: PipelineConfig) -> list[Path]:
         series = simulate_scenario(scenario)[0]
     y = series.log_squared
     n = y.size
-    written: list[Path] = []
+    target = "regression.csv" if config.estimator == "regression" else "density.csv"
+    written = [out / target]
     diag_rows: list[tuple[str, object]] = [
         ("estimator", config.estimator),
         ("n", n),
@@ -231,40 +233,7 @@ def run_pipeline(config: PipelineConfig) -> list[Path]:
         ("zero_increment_count", series.zero_increment_count),
     ]
 
-    if config.estimator == "kernel":
-        h = _kernel_bandwidth(config, n)
-        density = estimate_density(y, h, grid_points=config.grid_points).density
-        diag_rows += [("bandwidth", h),
-                      ("grid_lo", density.x[0]), ("grid_hi", density.x[-1])]
-        _append_shape_diagnostics(diag_rows, density)
-        written.append(_write_density(out / "density.csv", density, "fhat"))
-    elif config.estimator == "wavelet":
-        level = None if config.level == "auto" else int(config.level)
-        trunc = None if config.truncation == "auto" else int(config.truncation)
-        est = wavelet_estimate(y, level=level, truncation=trunc,
-                               grid_points=config.grid_points)
-        density = est.density
-        diag_rows += [("level", est.level), ("level_target", est.level_target),
-                      ("truncation", est.truncation),
-                      ("coefficient_norm", est.diagnostics["coefficient_norm"])]
-        _append_shape_diagnostics(diag_rows, density)
-        written.append(_write_density(out / "density.csv", density, "ghat"))
-        coeff_path = out / "coefficients.csv"
-        ls = np.arange(-est.truncation, est.truncation + 1)
-        np.savetxt(coeff_path, np.column_stack([ls, est.coefficients]),
-                   delimiter=",", header="l,a_hat", comments="")
-        written.append(coeff_path)
-    elif config.estimator == "ppe":
-        est = select_and_estimate(y, config.kappa, config.kn, grid_points=config.grid_points)
-        density = est.density
-        diag_rows += [("selected_level", est.selected_level), ("k_n", est.k_n)]
-        for L in sorted(est.contrasts):
-            diag_rows.append((f"contrast_L{L}", est.contrasts[L]))
-            diag_rows.append((f"penalty_L{L}", est.penalties[L]))
-            diag_rows.append((f"selected_L{L}", int(L == est.selected_level)))
-        _append_shape_diagnostics(diag_rows, density)
-        written.append(_write_density(out / "density.csv", density, "fhat"))
-    else:  # regression
+    if config.estimator == "regression":
         if config.bandwidth is not None:
             h = config.bandwidth
         else:
@@ -274,57 +243,71 @@ def run_pipeline(config: PipelineConfig) -> list[Path]:
         est = regression_estimate(y, h, grid, floor=config.denominator_floor)
         diag_rows += [("bandwidth", h), ("denominator_floor", config.denominator_floor),
                       ("masked_points", int(est.mask.sum()))]
-        path = out / "regression.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "mhat", "fhat", "masked"])
-            for i in range(grid.size):
-                writer.writerow([repr(float(est.x[i])),
-                                 "" if est.mask[i] else repr(float(est.m_hat[i])),
-                                 repr(float(est.denominator[i])), int(est.mask[i])])
-        written.append(path)
+        with open(written[0], "w", newline="") as fh:
+            csv.writer(fh).writerows([("x", "mhat", "fhat", "masked")] + [
+                (repr(float(x)), "" if masked else repr(float(m)), repr(float(f)), int(masked))
+                for x, m, f, masked in zip(est.x, est.m_hat, est.denominator, est.mask)])
+    else:
+        if config.estimator == "kernel":
+            h = _kernel_bandwidth(config, n)
+            density = estimate_density(y, h, grid_points=config.grid_points).density
+            diag_rows += [("bandwidth", h),
+                          ("grid_lo", density.x[0]), ("grid_hi", density.x[-1])]
+        elif config.estimator == "wavelet":
+            level = None if config.level == "auto" else int(config.level)
+            trunc = None if config.truncation == "auto" else int(config.truncation)
+            est = wavelet_estimate(y, level=level, truncation=trunc,
+                                   grid_points=config.grid_points)
+            density = est.density
+            diag_rows += [("level", est.level), ("level_target", est.level_target),
+                          ("truncation", est.truncation),
+                          ("coefficient_norm", est.diagnostics["coefficient_norm"])]
+            written.append(out / "coefficients.csv")
+            ls = np.arange(-est.truncation, est.truncation + 1)
+            np.savetxt(written[-1], np.column_stack([ls, est.coefficients]),
+                       delimiter=",", header="l,a_hat", comments="")
+        else:  # ppe
+            est = select_and_estimate(y, config.kappa, config.kn,
+                                      grid_points=config.grid_points)
+            density = est.density
+            diag_rows += [("selected_level", est.selected_level), ("k_n", est.k_n)]
+            for L in sorted(est.contrasts):
+                diag_rows.append((f"contrast_L{L}", est.contrasts[L]))
+                diag_rows.append((f"penalty_L{L}", est.penalties[L]))
+                diag_rows.append((f"selected_L{L}", int(L == est.selected_level)))
+        diag_rows += _shape_rows(density)
+        density.to_csv(written[0], value_name="ghat" if config.estimator == "wavelet" else "fhat")
 
-    diag_path = out / "diagnostics.csv"
-    with open(diag_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["key", "value"])
-        for key, value in diag_rows:
-            writer.writerow([key, value])
-    written.append(diag_path)
-
-    echo_path = out / "run_config.txt"
-    echo_path.write_text(config.to_kv())
-    written.append(echo_path)
-
-    plot_path = out / "plot.gp"
-    target = "regression.csv" if config.estimator == "regression" else "density.csv"
-    plot_path.write_text(
-        "set datafile separator ','\n"
-        "set key off\n"
-        f"plot '{target}' using 1:2 with lines\n")
-    written.append(plot_path)
-    return written
+    with open(out / "diagnostics.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows([("key", "value"), *diag_rows])
+    (out / "run_config.txt").write_text(config.to_kv())
+    (out / "plot.gp").write_text("set datafile separator ','\n"
+                                 "set key off\n"
+                                 f"plot '{target}' using 1:2 with lines\n")
+    return written + [out / "diagnostics.csv", out / "run_config.txt", out / "plot.gp"]
 
 
-def _write_density(path: Path, density, value_name: str) -> Path:
-    density.to_csv(path, value_name=value_name)
-    return path
-
-
-def _append_shape_diagnostics(rows: list, density) -> None:
+def _shape_rows(density) -> list[tuple[str, object]]:
+    """The mode count and normal fit of an estimate, or one degenerate mode_count row."""
     try:
-        rows.append(("mode_count", metrics_mod.mode_count(density)))
+        modes = metrics_mod.mode_count(density)
         mean, var, _ = metrics_mod.normal_fit(density)
-        rows.append(("normal_fit_mean", mean))
-        rows.append(("normal_fit_var", var))
     except DataError:
-        rows.append(("mode_count", "degenerate"))
+        return [("mode_count", "degenerate")]
+    return [("mode_count", modes), ("normal_fit_mean", mean), ("normal_fit_var", var)]
 
 
 # --------------------------------------------------------------------------- argument parsing
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad flag as a ConfigError, so main prints it as JSON like any other."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="voldens",
         description="Estimate the invariant density of an unobserved volatility "
                     "process from sampled prices, by deconvolution.")
@@ -334,28 +317,28 @@ def build_parser() -> argparse.ArgumentParser:
                      help="simulation preset (ou-exp, regime-switch, nonlinear-ar) "
                           "or a scenario key=value file")
     p.add_argument("--config", help="key=value file mirroring these flags; flags win")
-    p.add_argument("--estimator", choices=ESTIMATORS, default=None)
-    p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--n", type=int, default=None, help="scenario sample count")
-    p.add_argument("--delta", type=float, default=None,
+    p.add_argument("--estimator", help=f"one of: {', '.join(ESTIMATORS)}")
+    p.add_argument("--out", help="output directory")
+    p.add_argument("--n", type=int, help="scenario sample count")
+    p.add_argument("--delta", type=float,
                    help="sampling gap; for real data the time units are yours "
                         "(default 1.0 per observation)")
-    p.add_argument("--seed", type=int, default=None, help="scenario seed")
+    p.add_argument("--seed", type=int, help="scenario seed")
     p.add_argument("--demean", action="store_true", default=None,
                    help="center the log returns before transforming")
-    p.add_argument("--price-column", default=None)
-    p.add_argument("--bandwidth", type=float, default=None,
+    p.add_argument("--price-column")
+    p.add_argument("--bandwidth", type=float,
                    help="kernel/regression bandwidth h (overrides --gamma)")
-    p.add_argument("--gamma", type=float, default=None,
+    p.add_argument("--gamma", type=float,
                    help=f"bandwidth constant: h = gamma*pi/log n for the kernel "
                         f"(default {DEFAULT_GAMMA_KERNEL}), h = gamma/log n for the "
                         f"regression (default {DEFAULT_GAMMA_REGRESSION})")
-    p.add_argument("--grid-points", type=int, default=None)
-    p.add_argument("--level", default=None, help="wavelet detail level m or 'auto'")
-    p.add_argument("--truncation", default=None, help="wavelet truncation L or 'auto'")
-    p.add_argument("--kappa", type=float, default=None, help="ppe penalty constant")
-    p.add_argument("--kn", type=int, default=None, help="ppe coefficient truncation K_n")
-    p.add_argument("--denominator-floor", type=float, default=None)
+    p.add_argument("--grid-points", type=int)
+    p.add_argument("--level", help="wavelet detail level m or 'auto'")
+    p.add_argument("--truncation", help="wavelet truncation L or 'auto'")
+    p.add_argument("--kappa", type=float, help="ppe penalty constant")
+    p.add_argument("--kn", type=int, help="ppe coefficient truncation K_n")
+    p.add_argument("--denominator-floor", type=float)
     return p
 
 
@@ -379,32 +362,23 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
         raise ConfigError("an --estimator is required")
     if "out_dir" not in values:
         raise ConfigError("an --out directory is required")
-    values.setdefault("demean", False)
     return PipelineConfig(**values)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run the pipeline from the command line; return the exit code (0, 1 or 2)."""
     try:
-        config = resolve_config(args)
-        run_pipeline(config)
+        run_pipeline(resolve_config(build_parser().parse_args(argv)))
+        return 0
     except VoldensError as exc:
-        kind = exc.kind
-        message = str(exc)
-        if message.startswith("unknown-estimator"):
-            kind = "unknown-estimator"
-        json.dump({"error": kind, "message": message}, sys.stderr)
-        sys.stderr.write("\n")
-        return 2 if kind in ("config", "unknown-estimator") else 1
+        kind, message, code = exc.kind, str(exc), 2 if isinstance(exc, ConfigError) else 1
     except OSError as exc:
-        json.dump({"error": "io", "message": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
-        return 1
+        kind, message, code = "io", str(exc), 1
     except MemoryError as exc:
-        json.dump({"error": "memory", "message": str(exc) or "out of memory"}, sys.stderr)
-        sys.stderr.write("\n")
-        return 1
-    return 0
+        kind, message, code = "memory", str(exc) or "out of memory", 1
+    json.dump({"error": kind, "message": message}, sys.stderr)
+    sys.stderr.write("\n")
+    return code
 
 
 if __name__ == "__main__":

@@ -39,3 +39,9 @@ class ConfigError(VoldensError, ValueError):
     """Inconsistent run configuration (unknown estimator, empty level set)."""
 
     kind = "config"
+
+
+class UnknownEstimatorError(ConfigError):
+    """An estimator name the pipeline does not know."""
+
+    kind = "unknown-estimator"

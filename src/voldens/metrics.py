@@ -182,7 +182,7 @@ class ExperimentSpec:
     """
 
     scenario: object
-    estimator: str = "kernel"
+    estimator: str
     estimator_config: dict = field(default_factory=dict)
     replications: int = 20
     seed_base: int = 1000

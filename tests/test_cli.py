@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import voldens.cli as cli
+from voldens import DensityGrid, EstimateReport
 from voldens.cli import (ESTIMATORS, PipelineConfig, build_parser, ingest_prices, main,
                          resolve_config, run_pipeline)
 from voldens.errors import ConfigError, DataError
@@ -310,6 +311,49 @@ class TestPipeline:
         run_pipeline(cfg)
         assert (out / "density.csv").exists()
 
+    @pytest.mark.parametrize("estimator, flags, files, keys", [
+        ("kernel", ["--scenario", "ou-exp", "--bandwidth", "0.5"],
+         ["density.csv"], ["bandwidth", "grid_lo", "grid_hi"]),
+        ("wavelet", ["--scenario", "ou-exp", "--truncation", "60"],
+         ["coefficients.csv", "density.csv"],
+         ["level", "level_target", "truncation", "coefficient_norm"]),
+        ("ppe", ["--scenario", "ou-exp", "--kn", "80"], ["density.csv"],
+         ["selected_level", "k_n"] + [f"{key}_L{L}" for L in range(1, 6)
+                                      for key in ("contrast", "penalty", "selected")]),
+        ("regression", ["--scenario", "nonlinear-ar"], ["regression.csv"],
+         ["bandwidth", "denominator_floor", "masked_points"]),
+    ])
+    def test_output_layout_is_pinned(self, tmp_path, estimator, flags, files, keys):
+        # the files each estimator writes and the order of the diagnostics keys
+        out = tmp_path / estimator
+        assert main(flags + ["--n", "300", "--delta", "0.05", "--grid-points", "64",
+                             "--estimator", estimator, "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            files + ["diagnostics.csv", "run_config.txt", "plot.gp"])
+        shape = [] if estimator == "regression" else [
+            "mode_count", "normal_fit_mean", "normal_fit_var"]
+        with open(out / "diagnostics.csv", newline="") as fh:
+            assert [row[0] for row in csv.reader(fh)] == (
+                ["key", "estimator", "n", "delta", "zero_increment_count"] + keys + shape)
+
+    def test_degenerate_shape_is_one_mode_count_row(self, tmp_path, monkeypatch):
+        # an estimate with one positive point has a mode but no normal fit;
+        # the shape is then one degenerate row, not a count beside it
+        def spike(y, bandwidth, grid_points):
+            x = np.linspace(-5.0, 5.0, grid_points)
+            values = np.full(grid_points, -1.0)
+            values[grid_points // 2] = 1.0
+            return EstimateReport(DensityGrid(x, values))
+
+        monkeypatch.setattr(cli, "estimate_density", spike)
+        out = tmp_path / "spike"
+        run_pipeline(PipelineConfig(estimator="kernel", out_dir=str(out), scenario="ou-exp",
+                                    n=300, delta=0.05, bandwidth=0.5))
+        with open(out / "diagnostics.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [row for row in rows if row[0].startswith(("mode", "normal"))] == [
+            ["mode_count", "degenerate"]]
+
     def test_validation(self, tmp_path):
         with pytest.raises(ConfigError):
             PipelineConfig(estimator="magic", out_dir=str(tmp_path),
@@ -333,8 +377,8 @@ class TestMainEntry:
 
     def test_unknown_estimator_is_rejected_by_parser_or_config(self, tmp_path,
                                                                capsys):
-        # argparse already rejects bad choices; the config-file path reaches
-        # PipelineConfig and must produce the unknown-estimator kind
+        # the config-file path reaches PipelineConfig, as the flag does
+        # (test_bad_flag_is_one_json_line), and gives the unknown-estimator kind
         cfg_file = tmp_path / "run.conf"
         cfg_file.write_text("estimator = magic\nscenario = ou-exp\n"
                             f"out = {tmp_path / 'o3'}\nn = 100\n")
@@ -342,6 +386,24 @@ class TestMainEntry:
         assert code == 2
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "unknown-estimator"
+
+    @pytest.mark.parametrize("flags, kind", [
+        (["--estimator", "kernel", "--n", "abc"], "config"),
+        (["--estimator", "magic"], "unknown-estimator"),
+        (["--estimator", "kernel", "--frobnicate"], "config"),
+    ], ids=["non-integer", "unknown-estimator", "unknown-flag"])
+    def test_bad_flag_is_one_json_line(self, tmp_path, capsys, flags, kind):
+        code = main(["--scenario", "ou-exp", "--out", str(tmp_path / "o")] + flags)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert json.loads(captured.err)["error"] == kind
+
+    def test_help_exits_zero_with_usage(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: voldens")
 
     def test_config_file_flags_win(self, tmp_path):
         cfg_file = tmp_path / "run.conf"

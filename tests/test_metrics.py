@@ -249,11 +249,16 @@ class TestHarness:
     def test_preset_name_rejected(self):
         # a preset name must be resolved with scenario_preset first
         with pytest.raises(ConfigError, match="scenario_preset"):
-            run_experiment(ExperimentSpec(scenario="ou-exp"))
+            run_experiment(ExperimentSpec(scenario="ou-exp", estimator="wavelet"))
 
     def test_unknown_metric_rejected(self):
         with pytest.raises(ConfigError):
-            ExperimentSpec(scenario=PureConvolution(), metrics=("rmse",))
+            ExperimentSpec(scenario=PureConvolution(), estimator="wavelet", metrics=("rmse",))
+
+    def test_estimator_is_required(self):
+        # no default: the kernel has no default bandwidth to go with one
+        with pytest.raises(TypeError, match="estimator"):
+            ExperimentSpec(PureConvolution())
 
     # checked when the spec is built, not at the first replication
     @pytest.mark.parametrize("estimator, config, message", [
@@ -273,6 +278,7 @@ class TestHarness:
         for field, make in (("mean", lambda: PureConvolution(mean=bad)),
                             ("sd", lambda: PureConvolution(sd=bad)),
                             ("mse_point", lambda: ExperimentSpec(scenario=PureConvolution(),
+                                                                 estimator="wavelet",
                                                                  mse_point=bad))):
             with pytest.raises(ParameterError, match=field):
                 make()

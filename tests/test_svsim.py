@@ -325,10 +325,10 @@ _Y = np.random.default_rng(6).normal(size=50)
     # Philox keys 2.5 as 2: the two streams would be one, though the seeds differ
     (lambda v: ScenarioConfig("ou-exp", OuParams(1.0), 0.1, 10, vol_seed=v, price_seed=2), 2.5,
      ParameterError),
-    (lambda v: ExperimentSpec(PureConvolution(), replications=v), 2.5, ParameterError),
-    (lambda v: ExperimentSpec(PureConvolution(), replications=v), True, ParameterError),
-    (lambda v: ExperimentSpec(PureConvolution(), grid_points=v), 100.5, ParameterError),
-    (lambda v: ExperimentSpec(PureConvolution(), seed_base=v), 2.5, ParameterError),
+    (lambda v: ExperimentSpec(PureConvolution(), "wavelet", replications=v), 2.5, ParameterError),
+    (lambda v: ExperimentSpec(PureConvolution(), "wavelet", replications=v), True, ParameterError),
+    (lambda v: ExperimentSpec(PureConvolution(), "wavelet", grid_points=v), 100.5, ParameterError),
+    (lambda v: ExperimentSpec(PureConvolution(), "wavelet", seed_base=v), 2.5, ParameterError),
     (lambda v: PureConvolution(n=v), 2.5, ParameterError),
     (lambda v: PureConvolution(n=v), True, ParameterError),
     (lambda v: PureConvolution(seed=v), 2.5, ParameterError),
