@@ -28,11 +28,11 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics as metrics_mod
-from .errors import ConfigError, DataError, ParameterError, UnknownEstimatorError, VoldensError
+from .errors import ConfigError, DataError, UnknownEstimatorError, VoldensError
 from .grids import uniform_grid
 from .kerneldeconv import check_gamma_constraint, default_bandwidth, estimate_density
 from .ppe import select_and_estimate
-from .svsim import (ObservationSeries, ScenarioConfig, parse_kv, parse_value, require_finite,
+from .svsim import (ObservationSeries, ScenarioConfig, parse_kv, parse_value, require_positive,
                     simulate_scenario)
 from .volreg import (DENOMINATOR_FLOOR, default_regression_bandwidth,
                      regression_estimate)
@@ -87,9 +87,7 @@ class PipelineConfig:
                                         f"(expected one of {ESTIMATORS})")
         if (self.input_csv is None) == (self.scenario is None):
             raise ConfigError("exactly one input source required: --input or --scenario")
-        require_finite(self, "delta", "bandwidth", "gamma", "kappa", "denominator_floor")
-        if self.delta <= 0:
-            raise ParameterError("delta must be positive")
+        require_positive(self, "delta", "bandwidth", "gamma", "kappa", "denominator_floor")
         for key in ("level", "truncation"):
             value = str(getattr(self, key))
             if not re.fullmatch(r"auto|\s*[+-]?\d+\s*", value):
@@ -338,7 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truncation", help="wavelet truncation L or 'auto'")
     p.add_argument("--kappa", type=float, help="ppe penalty constant")
     p.add_argument("--kn", type=int, help="ppe coefficient truncation K_n")
-    p.add_argument("--denominator-floor", type=float)
+    p.add_argument("--denominator-floor", type=float,
+                   help=f"regression: mask |fhat| below this floor, > 0 ({DENOMINATOR_FLOOR})")
     return p
 
 

@@ -8,11 +8,14 @@ import numpy as np
 
 from .errors import DataError, ParameterError
 
+#: fewest points of a default evaluation grid
+MIN_GRID_POINTS = 8
+
 
 def uniform_grid(lo: float, hi: float, points: int) -> np.ndarray:
     """The default evaluation grid of every estimator: linspace(lo, hi, points)."""
-    if points < 8:
-        raise ParameterError("grid needs at least 8 points")
+    if points < MIN_GRID_POINTS:
+        raise ParameterError(f"grid needs at least {MIN_GRID_POINTS} points")
     return np.linspace(lo, hi, points)
 
 

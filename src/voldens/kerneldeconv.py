@@ -45,7 +45,7 @@ from ._tables import Band, Table1D, fourier_table, lattice_means
 from .errors import ParameterError
 from .grids import DensityGrid, estimator_grid
 from .noisemodel import CHARFN_CUTOFF, inv_noise_charfn
-from .svsim import ObservationSeries, as_log_squared, require_finite, require_int
+from .svsim import ObservationSeries, as_log_squared, require_int, require_positive
 
 # smallest usable bandwidth: 1/phi_k(s/h) must stay inside double range on |s| <= 1,
 # so 1/h may not pass CHARFN_CUTOFF (at pi/700 itself it does, by one ulp)
@@ -102,8 +102,7 @@ def _kernel_spectrum(s, h):
 
 def kernel_band(h: float) -> Band:
     """v_h as a `Band` on [-1, 1], tabulated at TABLE_STEP."""
-    if not 0 < h < math.inf:
-        raise ParameterError("bandwidth must be positive and finite")
+    require_positive(bandwidth=h)
     if 1.0 / h > CHARFN_CUTOFF:
         raise ParameterError(f"bandwidth below {MIN_BANDWIDTH:.5f} overflows 1/phi_k")
     return Band(_kernel_spectrum, float(h), 1.0, TABLE_STEP)
@@ -146,11 +145,8 @@ class EstimateReport:
 
 def default_bandwidth(n: int, gamma: float) -> float:
     """Theory bandwidth h = gamma * pi / log n for the deconvolution estimator."""
-    require_finite(gamma=gamma)
-    if n < 3:
-        raise ParameterError("bandwidth rule needs n >= 3")
-    if gamma <= 0:
-        raise ParameterError("gamma must be positive")
+    require_positive(gamma=gamma)
+    require_int(n=n, least=3)
     return gamma * np.pi / math.log(n)
 
 
@@ -160,9 +156,8 @@ def check_gamma_constraint(n: int, delta: float, gamma: float) -> bool:
     Returns True when satisfied; emits a warning (and returns False)
     otherwise, including when Delta >= 1 so no valid exponent exists.
     """
-    require_finite(delta=delta, gamma=gamma)
-    if n < 3 or delta <= 0:
-        raise ParameterError("need n >= 3 and delta > 0")
+    require_positive(delta=delta, gamma=gamma)
+    require_int(n=n, least=3)
     if delta >= 1.0:
         warnings.warn(
             f"Delta = {delta:g} is not below 1, so no rate exponent with "
@@ -196,10 +191,8 @@ def estimate_density(y, bandwidth: float, grid: np.ndarray | None = None,
     The estimator is linear in the empirical measure and can be negative;
     it is returned as is, a signed density.
     """
-    require_finite(bandwidth=bandwidth)
+    require_positive(bandwidth=bandwidth)
     require_int(grid_points=grid_points)
-    if bandwidth <= 0:
-        raise ParameterError("bandwidth must be positive")
     y_arr = as_log_squared(y)
     grid = estimator_grid(grid, y_arr, 3.0 * bandwidth, grid_points)
     table = deconv_kernel_table(bandwidth, _kernel_extent(y_arr, grid, bandwidth))

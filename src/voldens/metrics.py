@@ -21,13 +21,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ParameterError
-from .grids import DensityGrid
+from .errors import ConfigError, DataError
+from .grids import MIN_GRID_POINTS, DensityGrid, uniform_grid
 from .kerneldeconv import estimate_density
 from .noisemodel import sample_noise
 from .ppe import select_and_estimate
 from .svsim import (ArParams, OuParams, RegimeSwitchParams, ScenarioConfig, _rng,
-                    normal_mixture_density, require_finite, require_int, simulate_scenario)
+                    normal_mixture_density, require_finite, require_int, require_positive,
+                    simulate_scenario)
 from .waveletdeconv import wavelet_estimate
 
 
@@ -103,12 +104,10 @@ class PureConvolution:
     seed: int = 1
 
     def __post_init__(self):
-        require_finite(self, "mean", "sd")
-        require_int(self, "n", "seed")
-        if self.sd <= 0:
-            raise ParameterError("sd must be positive")
-        if self.n < 1:
-            raise ParameterError("n must be >= 1")
+        require_finite(self, "mean")
+        require_positive(self, "sd")
+        require_int(self, "n", least=1)
+        require_int(self, "seed")
 
     def stationary_law(self) -> tuple[tuple, tuple, tuple]:
         """(weights, means, variances) of the normal law of xi, as `ScenarioConfig` gives it."""
@@ -160,7 +159,7 @@ def default_evaluation_grid(scenario, points: int = 512) -> np.ndarray:
         _, means, variances = law
         lo = min(mean - 6 * np.sqrt(var) for mean, var in zip(means, variances))
         hi = max(mean + 6 * np.sqrt(var) for mean, var in zip(means, variances))
-    return np.linspace(lo, hi, points)
+    return uniform_grid(lo, hi, points)
 
 
 # --------------------------------------------------------------------------- harness
@@ -194,9 +193,9 @@ class ExperimentSpec:
         if isinstance(self.scenario, str):
             raise ConfigError("resolve preset names with scenario_preset(...) first")
         require_finite(self, "mse_point")
-        require_int(self, "replications", "seed_base", "grid_points")
-        if self.replications < 1:
-            raise ParameterError("need at least one replication")
+        require_int(self, "replications", least=1)
+        require_int(self, "grid_points", least=MIN_GRID_POINTS)
+        require_int(self, "seed_base")
         unknown = set(self.metrics) - set(METRIC_NAMES)
         if unknown:
             raise ConfigError(f"unknown metrics {sorted(unknown)}; expected {METRIC_NAMES}")

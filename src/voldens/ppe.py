@@ -44,7 +44,7 @@ from ._tables import Band, Table1D, fourier_table, lattice_means
 from .errors import ConfigError, DataError, ParameterError
 from .grids import DensityGrid, estimator_grid
 from .noisemodel import CHARFN_CUTOFF, inv_noise_charfn
-from .svsim import as_log_squared, require_finite, require_int
+from .svsim import as_log_squared, require_int, require_positive
 
 #: past this level the band edge pi L leaves the range where 1/phi_k is finite
 MAX_LEVEL = math.floor(CHARFN_CUTOFF / math.pi)
@@ -91,9 +91,7 @@ def ppe_coefficients(y, L: int, k_n: int) -> np.ndarray:
     tabulated u_{psi_{L,0}}; entry i corresponds to j = i - k_n.
     """
     y_arr = as_log_squared(y)
-    require_int(k_n=k_n)
-    if k_n < 0:
-        raise ParameterError("coefficient truncation must be >= 0")
+    require_int(k_n=k_n, least=0)
     _check_level(L)
     table = u_zero_table(L, float(np.max(np.abs(y_arr))) + k_n / L)
     return lattice_means(y_arr, table, step=1.0 / L, j_lo=-k_n, j_hi=k_n)
@@ -115,11 +113,8 @@ def phi_k_integral(L: int) -> float:
 
 def penalty(L: int, n: int, kappa: float) -> float:
     """pen_n(L) = kappa (1 + L) Phi_k(L) / n."""
-    require_finite(kappa=kappa)
-    if kappa <= 0:
-        raise ParameterError("kappa must be positive")
-    if n < 1:
-        raise ParameterError("n must be >= 1")
+    require_positive(kappa=kappa)
+    require_int(n=n, least=1)
     return kappa * (1.0 + L) * phi_k_integral(L) / n
 
 
@@ -184,12 +179,9 @@ def select_and_estimate(y, kappa: float = 1.0, k_n: int | None = None,
     level (the smoothest model); the selected estimate is rendered on `grid`
     (default: `grid_points` uniform points over the data range padded by 3).
     """
-    require_finite(kappa=kappa)
+    require_positive(kappa=kappa)
     require_int(grid_points=grid_points)
-    if kappa <= 0:
-        raise ParameterError("kappa must be positive")
-    if k_n is not None and k_n < 1:
-        raise ParameterError("K_n must be >= 1")
+    require_int(k_n=k_n, least=1)
     if levels is not None:
         if len(levels) == 0:
             raise ConfigError("candidate level set must be nonempty")

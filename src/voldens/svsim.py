@@ -42,20 +42,36 @@ AR_BURN_IN = 1000
 
 # --------------------------------------------------------------------------- parameters
 
+def _picked(owner, names, values) -> list[tuple[str, object]]:
+    """(name, value) of the attributes `names` of `owner`, then of `values`; None is left out."""
+    pairs = [(name, getattr(owner, name)) for name in names] + [*values.items()]
+    return [(name, value) for name, value in pairs if value is not None]
+
+
 def require_finite(owner=None, /, *names: str, **values) -> None:
-    """ParameterError naming the first NaN or inf among the attributes `names` of
-    `owner` and the keyword `values` (None passes); `x <= 0` misses both."""
-    for name, value in [(name, getattr(owner, name)) for name in names] + [*values.items()]:
-        if value is not None and not np.isfinite(value):
+    """ParameterError naming the first `_picked` value that is NaN or inf (`x <= 0` misses both)."""
+    for name, value in _picked(owner, names, values):
+        if not np.isfinite(value):
             raise ParameterError(f"{name} must be finite, got {value!r}")
 
 
-def require_int(owner=None, /, *names: str, **values) -> None:
-    """ParameterError naming the first value (picked as in `require_finite`) that
-    is a float, even 2.0, or a bool where an integer belongs; None passes."""
-    for name, value in [(name, getattr(owner, name)) for name in names] + [*values.items()]:
-        if value is not None and (isinstance(value, bool) or not isinstance(value, Integral)):
+def require_positive(owner=None, /, *names: str, **values) -> None:
+    """ParameterError naming the first `_picked` value that is not finite (as
+    `require_finite` words it) or not above 0: bandwidths, rates, gaps, kappa."""
+    require_finite(owner, *names, **values)
+    for name, value in _picked(owner, names, values):
+        if value <= 0:
+            raise ParameterError(f"{name} must be positive, got {value!r}")
+
+
+def require_int(owner=None, /, *names: str, least: int | None = None, **values) -> None:
+    """ParameterError naming the first `_picked` value that is a float, even 2.0,
+    or a bool where an integer belongs, or that is below `least` when given."""
+    for name, value in _picked(owner, names, values):
+        if isinstance(value, bool) or not isinstance(value, Integral):
             raise ParameterError(f"{name} must be an integer, got {value!r}")
+        if least is not None and value < least:
+            raise ParameterError(f"{name} must be at least {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -72,11 +88,8 @@ class OuParams:
     x0: float | None = None
 
     def __post_init__(self):
-        require_finite(self, "mean_reversion", "level", "diffusion", "x0")
-        if self.mean_reversion <= 0:
-            raise ParameterError("mean reversion rate must be positive")
-        if self.diffusion <= 0:
-            raise ParameterError("diffusion coefficient must be positive")
+        require_finite(self, "level", "x0")
+        require_positive(self, "mean_reversion", "diffusion")
 
     @property
     def stationary_variance(self) -> float:
@@ -102,9 +115,7 @@ class RegimeSwitchParams:
     rate_10: float
 
     def __post_init__(self):
-        require_finite(self, "rate_01", "rate_10")
-        if self.rate_01 <= 0 or self.rate_10 <= 0:
-            raise ParameterError("switching rates must be positive")
+        require_positive(self, "rate_01", "rate_10")
 
     @property
     def stationary_prob_1(self) -> float:
@@ -137,9 +148,8 @@ class ArParams:
             raise ParameterError(f"unknown regression function {self.function!r}")
         if self.function == "linear" and not abs(self.slope) < 1.0:
             raise ParameterError(f"slope {self.slope!r} breaks the stability condition |slope| < 1")
-        require_finite(self, "slope", "intercept", "scale", "innovation_sd")
-        if self.innovation_sd <= 0:
-            raise ParameterError("innovation standard deviation must be positive")
+        require_finite(self, "slope", "intercept", "scale")
+        require_positive(self, "innovation_sd")
 
     def regression(self) -> Callable[[np.ndarray], np.ndarray]:
         if self.function == "linear":
@@ -184,14 +194,11 @@ class ScenarioConfig:
             raise ConfigError(f"unknown model tag {self.model!r}; expected one of {tuple(MODELS)}")
         if not isinstance(self.params, MODELS[self.model]):
             raise ConfigError(f"{self.model} needs {MODELS[self.model].__name__} parameters")
-        require_finite(self, "delta", "drift")
-        require_int(self, "n", "substeps", "vol_seed", "price_seed")
-        if self.delta <= 0:
-            raise ParameterError("sampling gap delta must be positive")
-        if self.n < 2:
-            raise ParameterError("need at least n = 2 observations")
-        if self.substeps < 1:
-            raise ParameterError("substeps must be a positive integer")
+        require_positive(self, "delta")
+        require_finite(self, "drift")
+        require_int(self, "n", least=2)
+        require_int(self, "substeps", least=1)
+        require_int(self, "vol_seed", "price_seed")
         if self.vol_seed == self.price_seed:
             raise ConfigError("volatility and price seeds must differ")
 
@@ -305,9 +312,7 @@ class ObservationSeries:
         self.log_prices = np.asarray(self.log_prices, dtype=float)
         if self.log_prices.ndim != 1 or self.log_prices.size < 2:
             raise DataError("need at least two price observations")
-        require_finite(self, "delta")
-        if self.delta <= 0:
-            raise ParameterError("delta must be positive")
+        require_positive(self, "delta")
         if self.xi is not None:
             self.xi = np.asarray(self.xi, dtype=float)
             if self.xi.shape != (self.n,):
@@ -371,10 +376,8 @@ def simulate_ou(params: OuParams, steps: int, dt: float,
     X_{t+dt} = mu + (X_t - mu) e^{-b dt} + N(0, a^2 (1 - e^{-2 b dt}) / (2b));
     the start is a stationary draw unless params.x0 is set.
     """
-    if dt <= 0:
-        raise ParameterError("dt must be positive")
-    if steps < 1:
-        raise ParameterError("need at least one step")
+    require_positive(dt=dt)
+    require_int(steps=steps, least=1)
     rng = _rng(seed)
     b, mu, a = params.mean_reversion, params.level, params.diffusion
     decay = np.exp(-b * dt)
@@ -410,10 +413,8 @@ def simulate_markov2(rate_01: float, rate_10: float, steps: int, dt: float,
     [u < p_01] whatever it was, and otherwise it holds.  So each state is the
     last set value (or the initial state) XOR the parity of the toggles since.
     """
-    if rate_01 <= 0 or rate_10 <= 0:
-        raise ParameterError("switching rates must be positive")
-    if dt <= 0 or steps < 1:
-        raise ParameterError("need positive dt and at least one step")
+    require_positive(rate_01=rate_01, rate_10=rate_10, dt=dt)
+    require_int(steps=steps, least=1)
     rng = _rng(seed)
     pi1 = rate_01 / (rate_01 + rate_10)
     state = int(rng.random() < pi1)
@@ -432,8 +433,8 @@ def simulate_markov2(rate_01: float, rate_10: float, steps: int, dt: float,
 def simulate_ar_logvol(m: Callable[[float], float], innovation_sd: float,
                        steps: int, seed: int | np.random.Generator) -> np.ndarray:
     """Iterate xi_{t+1} = m(xi_t) + eta_t from xi = 0; xi_0..xi_steps follow AR_BURN_IN steps."""
-    if innovation_sd <= 0:
-        raise ParameterError("innovation standard deviation must be positive")
+    require_positive(innovation_sd=innovation_sd)
+    require_int(steps=steps, least=0)
     rng = _rng(seed)
     eta = innovation_sd * rng.standard_normal(AR_BURN_IN + steps)
     x = 0.0

@@ -41,10 +41,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, ParameterError
+from .errors import DataError
 from .grids import as_grid
 from .kerneldeconv import _kernel_extent, deconv_kernel_table, kernel_sums
-from .svsim import as_log_squared, require_finite
+from .svsim import as_log_squared, require_int, require_positive
 
 DENOMINATOR_FLOOR = 1e-4
 #: E log Z^2 for standard normal Z: psi(1/2) + log 2 = -(euler_gamma + log 2).
@@ -55,11 +55,8 @@ NOISE_MEAN = -(np.euler_gamma + np.log(2.0))
 
 def default_regression_bandwidth(n: int, gamma: float) -> float:
     """h = gamma / log n; the variance theory wants gamma > pi (warned below)."""
-    require_finite(gamma=gamma)
-    if n < 3:
-        raise ParameterError("bandwidth rule needs n >= 3")
-    if gamma <= 0:
-        raise ParameterError("gamma must be positive")
+    require_positive(gamma=gamma)
+    require_int(n=n, least=3)
     if gamma <= np.pi:
         warnings.warn(
             f"regression bandwidth constant gamma = {gamma:g} is not above pi; "
@@ -104,9 +101,7 @@ def regression_estimate(y, h: float, grid: np.ndarray,
     y_arr = as_log_squared(y)
     if y_arr.size < 2:
         raise DataError("regression needs at least two observations")
-    require_finite(h=h, floor=floor)
-    if h <= 0:
-        raise ParameterError("bandwidth must be positive")
+    require_positive(h=h, floor=floor)
     grid = as_grid(grid)
     y_now = y_arr[:-1]
     y_next = y_arr[1:] - NOISE_MEAN

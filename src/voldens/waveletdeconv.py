@@ -144,9 +144,8 @@ def wavelet_coefficients(y, m: int, truncation: int) -> np.ndarray:
     spectrum times the empirical characteristic function of the 2^m Y_i.
     """
     y_arr = as_log_squared(y)
-    require_int(m=m, truncation=truncation)
-    if truncation < 0:
-        raise ParameterError("truncation must be >= 0")
+    require_int(m=m)
+    require_int(truncation=truncation, least=0)
     pts = (2.0 ** m) * y_arr
     samples = um_table(m, float(np.max(np.abs(pts))) + truncation)
     return (2.0 ** (m / 2.0)) * band_lattice(samples, pts, -truncation, truncation)
@@ -158,8 +157,7 @@ def default_level(n: int) -> tuple[int, float]:
     The target is below 1 for every practical n, so the rounded level floors
     at 0; both the target and the realized level are reported.
     """
-    if n < 3:
-        raise ParameterError("level rule needs n >= 3")
+    require_int(n=n, least=3)
     target = math.log(n) / LEVEL_DENOMINATOR
     level = max(0, round(math.log2(target)))
     return min(level, MAX_LEVEL), target

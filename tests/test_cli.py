@@ -598,6 +598,18 @@ class TestMainEntry:
         name = flag[2:].replace("-", "_")
         assert err["error"] == "parameter" and f"{name} must be finite" in err["message"]
 
+    @pytest.mark.parametrize("value", ["-1", "0"])
+    def test_non_positive_denominator_floor_is_a_parameter_error(self, tmp_path, capsys, value):
+        # |fhat| < floor is never true then: the run exited 0 with masked_points,0
+        # and an unguarded m_hat
+        code = main(["--scenario", "ou-exp", "--n", "300", "--estimator", "regression",
+                     "--denominator-floor", value, "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "parameter"
+        assert "denominator_floor must be positive" in err["message"]
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("line, key", [("n = abc", "n"), ("grid_points = 12.5", "grid_points")])
     def test_unparsable_config_value_is_a_config_error(self, tmp_path, capsys, line, key):
         cfg_file = tmp_path / "run.conf"

@@ -99,7 +99,7 @@ class TestDeconvKernel:
     def test_non_finite_bandwidth_rejected_before_any_table(self, h):
         # nan reached NumericsError from the spectrum samples; inf built the
         # plain Wand kernel's table
-        with pytest.raises(ParameterError, match="bandwidth must be positive and finite"):
+        with pytest.raises(ParameterError, match="^bandwidth must be finite"):
             deconv_kernel_table(h, 10.0)
 
     def test_smallest_bandwidth_evaluates_its_band_edge(self):
@@ -274,6 +274,12 @@ class TestBandwidthRule:
         assert check_gamma_constraint(10_000, 0.01, 9.0)
         with pytest.warns(UserWarning):
             assert not check_gamma_constraint(10_000, 1.5, 100.0)
+
+    @pytest.mark.parametrize("gamma", [0.0, -1.0])
+    def test_non_positive_gamma_fails_the_constraint_check(self, gamma):
+        # it warned and returned False, though no bandwidth rule takes such a gamma
+        with pytest.raises(ParameterError, match="^gamma must be positive"):
+            check_gamma_constraint(10_000, 0.01, gamma)
 
 
 class TestVarianceDecay:

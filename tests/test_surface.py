@@ -114,6 +114,28 @@ def test_every_public_name_is_exported_or_used_in_src():
     assert not orphans, f"public names neither exported nor used in src/: {orphans}"
 
 
+def test_every_import_is_read():
+    # a name a module imports and never reads is a dead import.  A read is a
+    # bare name or a string naming it (`metrics` looks its estimators up by
+    # name per call); `__init__` only re-exports, and `__future__` imports are
+    # directives
+    dead = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {sub.id if isinstance(sub, ast.Name) else sub.value for sub in ast.walk(tree)
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+                or isinstance(sub, ast.Constant) and isinstance(sub.value, str)}
+        for stmt in ast.walk(tree):
+            if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+                continue
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                dead += [f"{path.name}:{name}" for alias in stmt.names
+                         if (name := alias.asname or alias.name.split(".")[0]) not in read]
+    assert not dead, f"imported but never read: {dead}"
+
+
 def test_entry_point_parameters_are_pinned():
     params = {f.__name__: tuple(inspect.signature(f).parameters) for f in PARAMETERS}
     assert params == {f.__name__: names for f, names in PARAMETERS.items()}

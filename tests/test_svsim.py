@@ -10,14 +10,15 @@ from voldens.cli import main
 from voldens.errors import ConfigError, DataError, ParameterError
 from voldens.svsim import (ArParams, ObservationSeries, OuParams,
                            RegimeSwitchParams, ScenarioConfig, invariant_density,
-                           log_squared_transform, simulate_markov2, simulate_ou,
-                           simulate_price, simulate_scenario, simulate_volatility)
+                           log_squared_transform, simulate_ar_logvol, simulate_markov2,
+                           simulate_ou, simulate_price, simulate_scenario,
+                           simulate_volatility)
 from voldens.kerneldeconv import check_gamma_constraint, default_bandwidth, estimate_density
 from voldens.metrics import (ExperimentSpec, PureConvolution, run_experiment,
                              scenario_preset)
 from voldens.ppe import penalty, ppe_coefficients, select_and_estimate
 from voldens.volreg import default_regression_bandwidth, regression_estimate
-from voldens.waveletdeconv import wavelet_coefficients, wavelet_estimate
+from voldens.waveletdeconv import default_level, wavelet_coefficients, wavelet_estimate
 
 
 def _philox(seed):
@@ -303,8 +304,9 @@ def test_non_finite_parameter_names_its_field(field, value):
 _Y = np.random.default_rng(6).normal(size=50)
 
 
-#: an integer option set to a float or a bool raises the error kind of that
-#: option's range check, rather than being truncated or failing untyped later
+#: an integer option set to a float or a bool, or below its floor, raises the
+#: error kind of that option's range check, rather than being truncated,
+#: running or failing untyped later
 @pytest.mark.parametrize("call, value, error", [
     (lambda v: select_and_estimate(_Y, levels=(v,)), 2.7, ConfigError),
     (lambda v: select_and_estimate(_Y, levels=(v,)), True, ConfigError),
@@ -333,14 +335,28 @@ _Y = np.random.default_rng(6).normal(size=50)
     (lambda v: PureConvolution(n=v), True, ParameterError),
     (lambda v: PureConvolution(seed=v), 2.5, ParameterError),
     (lambda v: simulate_ou(OuParams(1.0), 10, 0.1, seed=v), 2.5, ParameterError),
+    (lambda v: simulate_ou(OuParams(1.0), v, 0.1, seed=1), 2.5, ParameterError),
+    (lambda v: simulate_markov2(1.0, 1.0, v, 0.1, seed=1), 2.5, ParameterError),
+    (lambda v: simulate_ar_logvol(np.tanh, 1.0, v, 1), 2.5, ParameterError),
+    (lambda v: simulate_ar_logvol(np.tanh, 1.0, v, 1), -1, ParameterError),
+    (lambda v: default_bandwidth(v, 1.0), 2600.5, ParameterError),
+    (lambda v: default_regression_bandwidth(v, 4.0), 2600.5, ParameterError),
+    (lambda v: check_gamma_constraint(v, 0.01, 10.0), 100.5, ParameterError),
+    (lambda v: penalty(1, v, 1.0), 10.5, ParameterError),
+    (lambda v: default_level(v), 100.5, ParameterError),
+    (lambda v: ExperimentSpec(PureConvolution(), "wavelet", grid_points=v), 3, ParameterError),
+    (lambda v: ExperimentSpec(PureConvolution(), "wavelet", grid_points=v), -5, ParameterError),
 ], ids=["levels", "levels-bool", "level", "truncation", "wavelet_coefficients-m",
         "wavelet_coefficients-truncation", "k_n", "ppe_coefficients-k_n",
         "kernel-grid_points", "wavelet-grid_points", "ppe-grid_points", "scenario-n",
         "substeps", "substeps-bool", "vol_seed", "replications", "replications-bool",
         "experiment-grid_points", "seed_base", "pure-convolution-n", "pure-convolution-n-bool",
-        "pure-convolution-seed", "simulate_ou-seed"])
+        "pure-convolution-seed", "simulate_ou-seed", "simulate_ou-steps",
+        "simulate_markov2-steps", "simulate_ar_logvol-steps", "simulate_ar_logvol-steps-negative",
+        "default_bandwidth-n", "default_regression_bandwidth-n", "gamma_constraint-n",
+        "penalty-n", "default_level-n", "experiment-grid_points-3", "experiment-grid_points-neg"])
 def test_integer_options_refuse_non_integers(call, value, error):
-    with pytest.raises(error, match=f"must be an integer, got {value!r}"):
+    with pytest.raises(error, match=f"must be (an integer|at least \\d+), got {value!r}"):
         call(value)
 
 
@@ -375,8 +391,9 @@ def test_seeds_outside_the_key_range_are_refused(call, tmp_path, capsys):
             call()
 
 
-#: the bandwidth and penalty rules refuse NaN and inf, which `x <= 0` and the
-#: gamma constraint let through to a nan or inf result or a "satisfied"
+#: the bandwidth and penalty rules and the simulators refuse NaN and inf, which
+#: `x <= 0` and the gamma constraint let through to a nan or inf result (a NaN
+#: path, an all-zero chain) or a "satisfied"
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
 @pytest.mark.parametrize("name, call", [
     ("delta", lambda v: check_gamma_constraint(1000, v, 5.0)),
@@ -384,8 +401,13 @@ def test_seeds_outside_the_key_range_are_refused(call, tmp_path, capsys):
     ("gamma", lambda v: default_bandwidth(100, v)),
     ("gamma", lambda v: default_regression_bandwidth(100, v)),
     ("kappa", lambda v: penalty(1, 10, v)),
+    ("dt", lambda v: simulate_ou(OuParams(1.0), 10, v, seed=1)),
+    ("rate_01", lambda v: simulate_markov2(v, 1.0, 10, 0.1, seed=1)),
+    ("dt", lambda v: simulate_markov2(1.0, 1.0, 10, v, seed=1)),
+    ("innovation_sd", lambda v: simulate_ar_logvol(np.tanh, v, 10, 1)),
 ], ids=["gamma_constraint-delta", "gamma_constraint-gamma", "default_bandwidth",
-        "default_regression_bandwidth", "penalty"])
+        "default_regression_bandwidth", "penalty", "simulate_ou-dt", "simulate_markov2-rate_01",
+        "simulate_markov2-dt", "simulate_ar_logvol-innovation_sd"])
 def test_rule_functions_refuse_non_finite(name, call, value):
     with pytest.raises(ParameterError, match=f"^{name} must be finite"):
         call(value)

@@ -216,3 +216,9 @@ class TestRegressionEstimate:
     def test_non_finite_bandwidth_or_floor_rejected(self, h, floor):
         with pytest.raises(ParameterError, match="must be finite"):
             regression_estimate(np.array([0.0, 1.0]), h, np.linspace(-1, 1, 5), floor)
+
+    @pytest.mark.parametrize("floor", [0.0, -1.0])
+    def test_non_positive_floor_rejected(self, floor):
+        # |denominator| < floor is never true then: the mask was switched off
+        with pytest.raises(ParameterError, match="^floor must be positive"):
+            regression_estimate(np.array([0.0, 1.0]), 0.5, np.linspace(-1, 1, 5), floor)
