@@ -20,7 +20,6 @@ import argparse
 import csv
 import io
 import json
-import re
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -32,8 +31,8 @@ from .errors import ConfigError, DataError, UnknownEstimatorError, VoldensError
 from .grids import uniform_grid
 from .kerneldeconv import check_gamma_constraint, default_bandwidth, estimate_density
 from .ppe import select_and_estimate
-from .svsim import (ObservationSeries, ScenarioConfig, parse_kv, parse_value, require_positive,
-                    simulate_scenario)
+from .svsim import (ObservationSeries, ScenarioConfig, parse_kv, parse_value, require_int,
+                    require_positive, simulate_scenario)
 from .volreg import (DENOMINATOR_FLOOR, default_regression_bandwidth,
                      regression_estimate)
 from .waveletdeconv import wavelet_estimate
@@ -43,19 +42,45 @@ DEFAULT_GAMMA_REGRESSION = 3.5
 ESTIMATORS = ("kernel", "wavelet", "ppe", "regression")
 
 
-#: config-file key (= argparse dest) -> (PipelineConfig field, parser), in
-#: the order run_config.txt lists them
-_CONFIG_KEYS = {
-    "estimator": ("estimator", str), "out": ("out_dir", str),
-    "input": ("input_csv", str), "scenario": ("scenario", str),
-    "n": ("n", int), "delta": ("delta", float), "seed": ("seed", int),
-    "demean": ("demean", lambda s: s.lower() in ("1", "true", "yes", "on")),
-    "price_column": ("price_column", str),
-    "bandwidth": ("bandwidth", float), "gamma": ("gamma", float),
-    "grid_points": ("grid_points", int),
-    "level": ("level", str), "truncation": ("truncation", str),
-    "kappa": ("kappa", float), "kn": ("kn", int),
-    "denominator_floor": ("denominator_floor", float),
+def _boolean(raw: str) -> bool:
+    """true/false, 1/0, yes/no or on/off, in any case; any other word is a ValueError."""
+    if raw.lower() not in ("true", "1", "yes", "on", "false", "0", "no", "off"):
+        raise ValueError(raw)
+    return raw.lower() in ("true", "1", "yes", "on")
+
+
+def _int_or_auto(raw: str) -> int | None:
+    """None for `auto`, the estimator's theory default."""
+    return None if raw == "auto" else int(raw)
+
+
+#: option key -> (PipelineConfig field, parser, --help text), in the order
+#: run_config.txt lists them.  The key is the --config key and, with - for _,
+#: the flag; a flag value and a file value are parsed alike, and
+#: PipelineConfig checks each field by its parser's kind.
+_OPTIONS = {
+    "estimator": ("estimator", str, f"one of: {', '.join(ESTIMATORS)}"),
+    "out": ("out_dir", str, "output directory"),
+    "input": ("input_csv", str, "price CSV with a header row"),
+    "scenario": ("scenario", str, "simulation preset (ou-exp, regime-switch, "
+                                  "nonlinear-ar) or a scenario key=value file"),
+    "n": ("n", int, "scenario sample count"),
+    "delta": ("delta", float, "sampling gap; for real data the time units are yours "
+                              "(default 1.0 per observation)"),
+    "seed": ("seed", int, "scenario seed"),
+    "demean": ("demean", _boolean, "center the log returns before transforming"),
+    "price_column": ("price_column", str, None),
+    "bandwidth": ("bandwidth", float, "kernel/regression bandwidth h (overrides --gamma)"),
+    "gamma": ("gamma", float, f"bandwidth constant: h = gamma*pi/log n for the kernel "
+                              f"(default {DEFAULT_GAMMA_KERNEL}), h = gamma/log n for the "
+                              f"regression (default {DEFAULT_GAMMA_REGRESSION})"),
+    "grid_points": ("grid_points", int, None),
+    "level": ("level", _int_or_auto, "wavelet detail level m or 'auto'"),
+    "truncation": ("truncation", _int_or_auto, "wavelet truncation L or 'auto'"),
+    "kappa": ("kappa", float, "ppe penalty constant"),
+    "kn": ("kn", int, "ppe coefficient truncation K_n"),
+    "denominator_floor": ("denominator_floor", float,
+                          f"regression: mask |fhat| below this floor, > 0 ({DENOMINATOR_FLOOR})"),
 }
 
 
@@ -75,8 +100,8 @@ class PipelineConfig:
     bandwidth: float | None = None
     gamma: float | None = None
     grid_points: int = 512
-    level: str = "auto"
-    truncation: str = "auto"
+    level: int | None = None
+    truncation: int | None = None
     kappa: float = 1.0
     kn: int | None = None
     denominator_floor: float = DENOMINATOR_FLOOR
@@ -87,18 +112,18 @@ class PipelineConfig:
                                         f"(expected one of {ESTIMATORS})")
         if (self.input_csv is None) == (self.scenario is None):
             raise ConfigError("exactly one input source required: --input or --scenario")
-        require_positive(self, "delta", "bandwidth", "gamma", "kappa", "denominator_floor")
-        for key in ("level", "truncation"):
-            value = str(getattr(self, key))
-            if not re.fullmatch(r"auto|\s*[+-]?\d+\s*", value):
-                raise ConfigError(f"{key} must be an integer or 'auto', got {value!r}")
+        for attr, parser, _ in _OPTIONS.values():
+            if parser is float:
+                require_positive(self, attr)
+            elif parser in (int, _int_or_auto):
+                require_int(self, attr)
 
     def to_kv(self) -> str:
         lines = []
-        for key, (attr, _) in _CONFIG_KEYS.items():
+        for key, (attr, parser, _) in _OPTIONS.items():
             value = getattr(self, attr)
             if value is None:
-                value = ""
+                value = "auto" if parser is _int_or_auto else ""
             elif isinstance(value, bool):
                 value = str(value).lower()
             lines.append(f"{key} = {value}\n")
@@ -252,9 +277,7 @@ def run_pipeline(config: PipelineConfig) -> list[Path]:
             diag_rows += [("bandwidth", h),
                           ("grid_lo", density.x[0]), ("grid_hi", density.x[-1])]
         elif config.estimator == "wavelet":
-            level = None if config.level == "auto" else int(config.level)
-            trunc = None if config.truncation == "auto" else int(config.truncation)
-            est = wavelet_estimate(y, level=level, truncation=trunc,
+            est = wavelet_estimate(y, level=config.level, truncation=config.truncation,
                                    grid_points=config.grid_points)
             density = est.density
             diag_rows += [("level", est.level), ("level_target", est.level_target),
@@ -310,53 +333,27 @@ def build_parser() -> argparse.ArgumentParser:
         description="Estimate the invariant density of an unobserved volatility "
                     "process from sampled prices, by deconvolution.")
     src = p.add_argument_group("input (exactly one)")
-    src.add_argument("--input", help="price CSV with a header row")
-    src.add_argument("--scenario",
-                     help="simulation preset (ou-exp, regime-switch, nonlinear-ar) "
-                          "or a scenario key=value file")
     p.add_argument("--config", help="key=value file mirroring these flags; flags win")
-    p.add_argument("--estimator", help=f"one of: {', '.join(ESTIMATORS)}")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--n", type=int, help="scenario sample count")
-    p.add_argument("--delta", type=float,
-                   help="sampling gap; for real data the time units are yours "
-                        "(default 1.0 per observation)")
-    p.add_argument("--seed", type=int, help="scenario seed")
-    p.add_argument("--demean", action="store_true", default=None,
-                   help="center the log returns before transforming")
-    p.add_argument("--price-column")
-    p.add_argument("--bandwidth", type=float,
-                   help="kernel/regression bandwidth h (overrides --gamma)")
-    p.add_argument("--gamma", type=float,
-                   help=f"bandwidth constant: h = gamma*pi/log n for the kernel "
-                        f"(default {DEFAULT_GAMMA_KERNEL}), h = gamma/log n for the "
-                        f"regression (default {DEFAULT_GAMMA_REGRESSION})")
-    p.add_argument("--grid-points", type=int)
-    p.add_argument("--level", help="wavelet detail level m or 'auto'")
-    p.add_argument("--truncation", help="wavelet truncation L or 'auto'")
-    p.add_argument("--kappa", type=float, help="ppe penalty constant")
-    p.add_argument("--kn", type=int, help="ppe coefficient truncation K_n")
-    p.add_argument("--denominator-floor", type=float,
-                   help=f"regression: mask |fhat| below this floor, > 0 ({DENOMINATOR_FLOOR})")
+    for key, (_, _, text) in _OPTIONS.items():
+        group = src if key in ("input", "scenario") else p
+        # --demean takes no value: it stands for `demean = true`
+        flag = {"action": "store_const", "const": "true"} if key == "demean" else {}
+        group.add_argument("--" + key.replace("_", "-"), help=text, **flag)
     return p
 
 
 def resolve_config(args: argparse.Namespace) -> PipelineConfig:
-    """Merge a --config file (if any) with command-line flags; flags win."""
+    """Merge a --config file (if any) with command-line flags; flags win.  Each
+    value is a string its option's parser reads once; an empty one is unset."""
+    pairs = list(parse_kv(Path(args.config).read_text()).items()) if args.config else []
+    pairs += [(key, getattr(args, key)) for key in _OPTIONS if getattr(args, key) is not None]
     values: dict = {}
-    if args.config:
-        kv = parse_kv(Path(args.config).read_text())
-        for key, raw in kv.items():
-            if key not in _CONFIG_KEYS:
-                raise ConfigError(f"unknown config key {key!r}")
-            if raw == "":
-                continue
-            attr, conv = _CONFIG_KEYS[key]
-            values[attr] = parse_value(key, raw, conv)
-    for key, (attr, _) in _CONFIG_KEYS.items():
-        flag = getattr(args, key)
-        if flag is not None:
-            values[attr] = flag
+    for key, raw in pairs:
+        if key not in _OPTIONS:
+            raise ConfigError(f"unknown config key {key!r}")
+        attr, parser, _ = _OPTIONS[key]
+        if raw != "":
+            values[attr] = parse_value(key, raw, parser)
     if "estimator" not in values:
         raise ConfigError("an --estimator is required")
     if "out_dir" not in values:

@@ -273,7 +273,8 @@ def parse_value(key: str, raw: str, conv):
     try:
         return conv(raw)
     except ValueError:
-        raise ConfigError(f"cannot parse {key} = {raw!r} as {conv.__name__}") from None
+        kind = conv.__name__.strip("_").replace("_", " ")  # `_int_or_auto`: "int or auto"
+        raise ConfigError(f"cannot parse {key} = {raw!r} as {kind}") from None
 
 
 def parse_kv(text: str) -> dict[str, str]:

@@ -95,10 +95,16 @@ def _um_spectrum(w, m):
 SCALING_BAND = Band(_scaling_spectrum, None, OMEGA_MAX, TABLE_STEP)
 
 
+def _check_level(m: int) -> None:
+    """Detail levels are the integers 0..MAX_LEVEL; checked before 2^m is formed."""
+    require_int(level=m)
+    if not 0 <= m <= MAX_LEVEL:
+        raise ParameterError(f"detail level must be in [0, {MAX_LEVEL}], got {m!r}")
+
+
 def um_band(m: int) -> Band:
     """U_m(x) = (1/2pi) int phi~(omega)/k~(-2^m omega) e^{i omega x} d omega, as a `Band`."""
-    if not (0 <= m <= MAX_LEVEL):
-        raise ParameterError(f"detail level must be in [0, {MAX_LEVEL}]")
+    _check_level(m)
     return Band(_um_spectrum, int(m), OMEGA_MAX, TABLE_STEP)
 
 
@@ -144,7 +150,7 @@ def wavelet_coefficients(y, m: int, truncation: int) -> np.ndarray:
     spectrum times the empirical characteristic function of the 2^m Y_i.
     """
     y_arr = as_log_squared(y)
-    require_int(m=m)
+    _check_level(m)
     require_int(truncation=truncation, least=0)
     pts = (2.0 ** m) * y_arr
     samples = um_table(m, float(np.max(np.abs(pts))) + truncation)
@@ -181,7 +187,8 @@ def wavelet_estimate(y, level: int | None = None, truncation: int | None = None,
     if level is None:
         m, target = default_level(n)
     else:
-        m, target = level, float(2.0 ** level)  # um_table checks the cap
+        _check_level(level)
+        m, target = level, float(2.0 ** level)
     truncation = n if truncation is None else truncation
     grid = estimator_grid(grid, y_arr, 3.0, grid_points)
 

@@ -1,6 +1,7 @@
 """Tests for price ingestion and the end-user pipeline."""
 
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -262,7 +263,7 @@ class TestPipeline:
         out = tmp_path / "w"
         cfg = PipelineConfig(estimator="wavelet", out_dir=str(out),
                              scenario="ou-exp", n=200, delta=0.05, seed=2,
-                             truncation="100")
+                             truncation=100)
         run_pipeline(cfg)
         coeffs = np.loadtxt(out / "coefficients.csv", delimiter=",", skiprows=1)
         assert coeffs.shape == (201, 2)
@@ -619,3 +620,114 @@ class TestMainEntry:
         assert code == 2
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "config" and f"{key} = " in err["message"]
+
+
+#: per option: the estimator that reads it, then each refused value and the
+#: error kind it gives.  An unparsable string is a config error (exit 2); a
+#: parsed value out of range is refused by the option's check (exit 1).  No
+#: value here makes the run allocate anything large.
+OPTION_REFUSALS = {
+    "estimator": ("kernel", {"magic": "unknown-estimator"}),
+    "out": ("wavelet", {"a-file": "io"}),
+    "input": ("kernel", {"no-such.csv": "io"}),
+    "scenario": ("wavelet", {"no-such-preset": "config"}),
+    "n": ("wavelet", {"abc": "config", "2.5": "config", "0": "parameter", "-1": "parameter"}),
+    "delta": ("wavelet", {"abc": "config", "0": "parameter", "-1": "parameter",
+                          "nan": "parameter"}),
+    "seed": ("wavelet", {"abc": "config", "2.5": "config", "-1": "parameter"}),
+    "demean": ("kernel", {"ture": "config", "2": "config"}),
+    "price_column": ("kernel", {"volume": "data"}),
+    "bandwidth": ("kernel", {"abc": "config", "0": "parameter", "-1": "parameter",
+                             "nan": "parameter"}),
+    "gamma": ("kernel", {"abc": "config", "0": "parameter", "-1": "parameter",
+                         "nan": "parameter"}),
+    "grid_points": ("wavelet", {"abc": "config", "2.5": "config", "0": "parameter",
+                                "-1": "parameter"}),
+    "level": ("wavelet", {"abc": "config", "2.5": "config", "-1": "parameter",
+                          "2000": "parameter"}),
+    "truncation": ("wavelet", {"abc": "config", "2.5": "config", "-1": "parameter"}),
+    "kappa": ("ppe", {"abc": "config", "0": "parameter", "-1": "parameter", "nan": "parameter"}),
+    "kn": ("ppe", {"abc": "config", "2.5": "config", "0": "parameter", "-1": "parameter"}),
+    "denominator_floor": ("regression", {"abc": "config", "0": "parameter", "-1": "parameter",
+                                         "nan": "parameter"}),
+}
+
+
+def _as_flags(options: dict) -> list[str]:
+    return [arg for key, value in options.items()
+            for arg in ("--" + key.replace("_", "-"), value)]
+
+
+class TestOptionTable:
+    """Every option of the CLI, given through its flag and through --config."""
+
+    # --demean takes no value, so a bad one can only come from a file
+    @pytest.mark.parametrize("key, value, kind, via", [
+        (key, value, kind, via) for key, (_, refusals) in OPTION_REFUSALS.items()
+        for value, kind in refusals.items()
+        for via in (("config",) if key == "demean" else ("flag", "config"))])
+    def test_refused_value_is_one_json_line(self, tmp_path, capsys, key, value, kind, via):
+        prices = tmp_path / "prices.csv"
+        _write_prices(prices, np.exp(np.cumsum(np.random.default_rng(8).normal(0, 0.1, 300))))
+        (tmp_path / "a-file").write_text("")
+        source = ({"input": str(prices)} if key in ("input", "price_column", "demean")
+                  else {"scenario": "ou-exp", "n": "300"})
+        options = {"estimator": OPTION_REFUSALS[key][0], "out": str(tmp_path / "o"),
+                   **source, key: str(tmp_path / value) if key == "out" else value}
+        if via == "flag":
+            args = _as_flags(options)
+        else:
+            (tmp_path / "run.conf").write_text(
+                "".join(f"{k} = {v}\n" for k, v in options.items()))
+            args = ["--config", str(tmp_path / "run.conf")]
+        code = main(args)
+        captured = capsys.readouterr()
+        assert code == (2 if kind in ("config", "unknown-estimator") else 1)
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+        err = json.loads(captured.err)
+        assert err["error"] == kind
+        if kind == "config":
+            assert key in err["message"]
+
+    @pytest.mark.parametrize("word, demean", [(w, True) for w in ("true", "1", "Yes", "ON")]
+                             + [(w, False) for w in ("FALSE", "0", "no", "Off")])
+    def test_demean_words(self, tmp_path, word, demean):
+        (tmp_path / "run.conf").write_text(f"estimator = kernel\nscenario = ou-exp\n"
+                                           f"out = {tmp_path}\ndemean = {word}\n")
+        args = build_parser().parse_args(["--config", str(tmp_path / "run.conf")])
+        assert resolve_config(args).demean is demean
+
+    @pytest.mark.parametrize("source", ["input", "scenario"])
+    @pytest.mark.parametrize("estimator", ESTIMATORS)
+    def test_every_option_round_trips(self, tmp_path, source, estimator):
+        # every option at a value other than its default; run_config.txt read
+        # back through --config gives an equal config and the same files
+        prices = tmp_path / "prices.csv"
+        _write_prices(prices, np.exp(np.cumsum(np.random.default_rng(9).normal(0, 0.1, 300))))
+        first, second = tmp_path / "first", tmp_path / "second"
+        options = {"estimator": estimator, "out": str(first),
+                   source: str(prices) if source == "input" else "regime-switch",
+                   "n": "400", "delta": "0.5", "seed": "6", "price_column": "price",
+                   "bandwidth": "0.7", "gamma": "2.5", "grid_points": "96", "level": "1",
+                   "truncation": "60", "kappa": "2.0", "kn": "40",
+                   "denominator_floor": "0.001"}
+        args = _as_flags(options) + ["--demean"]
+        config = resolve_config(build_parser().parse_args(args))
+        # the one option left at its default is the other input source
+        assert [field.name for field in dataclasses.fields(PipelineConfig)
+                if getattr(config, field.name) == field.default] == [
+            "scenario" if source == "input" else "input_csv"]
+        assert main(args) == 0
+        text = (first / "run_config.txt").read_text()
+        cfg_file = tmp_path / "again.conf"
+        cfg_file.write_text(text.replace(f"out = {first}\n", f"out = {second}\n"))
+        again = resolve_config(build_parser().parse_args(["--config", str(cfg_file)]))
+        assert again == dataclasses.replace(config, out_dir=str(second))
+        assert main(["--config", str(cfg_file)]) == 0
+        names = sorted(p.name for p in first.iterdir())
+        assert names == sorted(p.name for p in second.iterdir())
+        for name in names:
+            if name != "run_config.txt":
+                assert (first / name).read_bytes() == (second / name).read_bytes()
+        assert (second / "run_config.txt").read_text() == cfg_file.read_text()

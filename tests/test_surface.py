@@ -4,7 +4,8 @@ Every public top-level name in `src/voldens` must either be exported through
 `__all__` or be used somewhere else in `src/`.  Code that only the tests call
 belongs in `tests/reference.py`.  The parameters of the entry points and the
 fields of the option and result classes (and of `_tables.Band`) are pinned
-too, so that a new option is a reviewed edit here.
+too, and so are the CLI's option keys, so that a new option or flag is a
+reviewed edit here.
 """
 
 import ast
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import voldens
 from voldens._tables import Band
-from voldens.cli import PipelineConfig, ingest_prices
+from voldens.cli import _OPTIONS, PipelineConfig, build_parser, ingest_prices
 from voldens.svsim import VolatilityPath, simulate_ar_logvol
 
 SRC = Path(voldens.__file__).resolve().parent
@@ -68,6 +69,12 @@ FIELDS = {
     # one description per transform: a second per-band description is an edit here
     Band: ("spectrum", "param", "s_max", "step", "bridged"),
 }
+
+#: the CLI's options in run_config.txt order: each is a --config key and,
+#: with - for _, a flag
+OPTION_KEYS = ("estimator", "out", "input", "scenario", "n", "delta", "seed", "demean",
+               "price_column", "bandwidth", "gamma", "grid_points", "level", "truncation",
+               "kappa", "kn", "denominator_floor")
 
 
 def _defined(stmt: ast.stmt) -> list[str]:
@@ -141,3 +148,13 @@ def test_entry_point_parameters_are_pinned():
     assert params == {f.__name__: names for f, names in PARAMETERS.items()}
     fields = {c.__name__: tuple(f.name for f in dataclasses.fields(c)) for c in FIELDS}
     assert fields == {c.__name__: names for c, names in FIELDS.items()}
+
+
+def test_cli_options_are_pinned():
+    # one table row per PipelineConfig field, in field order, and one flag per row
+    assert tuple(_OPTIONS) == OPTION_KEYS
+    assert tuple(attr for attr, _, _ in _OPTIONS.values()) == tuple(
+        f.name for f in dataclasses.fields(PipelineConfig))
+    flags = {flag for action in build_parser()._actions for flag in action.option_strings}
+    assert flags == {"-h", "--help", "--config"} | {
+        "--" + key.replace("_", "-") for key in OPTION_KEYS}

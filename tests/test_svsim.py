@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from reference import simulate_markov2_loop
-from voldens.cli import main
+from voldens.cli import PipelineConfig, main
 from voldens.errors import ConfigError, DataError, ParameterError
 from voldens.svsim import (ArParams, ObservationSeries, OuParams,
                            RegimeSwitchParams, ScenarioConfig, invariant_density,
@@ -302,6 +302,9 @@ def test_non_finite_parameter_names_its_field(field, value):
 
 
 _Y = np.random.default_rng(6).normal(size=50)
+#: the integer options of a CLI run; the config is refused when built, before any file
+_PIPELINE_INTS = [(field, value) for field in ("n", "seed", "grid_points", "kn", "level",
+                                               "truncation") for value in (2.5, True)]
 
 
 #: an integer option set to a float or a bool, or below its floor, raises the
@@ -346,6 +349,9 @@ _Y = np.random.default_rng(6).normal(size=50)
     (lambda v: default_level(v), 100.5, ParameterError),
     (lambda v: ExperimentSpec(PureConvolution(), "wavelet", grid_points=v), 3, ParameterError),
     (lambda v: ExperimentSpec(PureConvolution(), "wavelet", grid_points=v), -5, ParameterError),
+    *[(lambda v, field=field: PipelineConfig("regression", "never-written", scenario="ou-exp",
+                                             **{field: v}), value, ParameterError)
+      for field, value in _PIPELINE_INTS],
 ], ids=["levels", "levels-bool", "level", "truncation", "wavelet_coefficients-m",
         "wavelet_coefficients-truncation", "k_n", "ppe_coefficients-k_n",
         "kernel-grid_points", "wavelet-grid_points", "ppe-grid_points", "scenario-n",
@@ -354,7 +360,8 @@ _Y = np.random.default_rng(6).normal(size=50)
         "pure-convolution-seed", "simulate_ou-seed", "simulate_ou-steps",
         "simulate_markov2-steps", "simulate_ar_logvol-steps", "simulate_ar_logvol-steps-negative",
         "default_bandwidth-n", "default_regression_bandwidth-n", "gamma_constraint-n",
-        "penalty-n", "default_level-n", "experiment-grid_points-3", "experiment-grid_points-neg"])
+        "penalty-n", "default_level-n", "experiment-grid_points-3", "experiment-grid_points-neg",
+        *[f"pipeline-{field}-{value}" for field, value in _PIPELINE_INTS]])
 def test_integer_options_refuse_non_integers(call, value, error):
     with pytest.raises(error, match=f"must be (an integer|at least \\d+), got {value!r}"):
         call(value)

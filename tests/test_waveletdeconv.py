@@ -105,6 +105,17 @@ class TestUmFunction:
         with pytest.raises(ParameterError):
             um_band(9)
 
+    @pytest.mark.parametrize("level", [-1, MAX_LEVEL + 1, 2000])
+    @pytest.mark.parametrize("call", [
+        lambda y, m: wavelet_estimate(y, level=m, truncation=5),
+        lambda y, m: wavelet_coefficients(y, m, 5),
+    ], ids=["wavelet_estimate", "wavelet_coefficients"])
+    def test_level_out_of_range_is_refused_before_2_to_the_m(self, call, level):
+        # 2.0 ** 2000 raised OverflowError before um_band checked the cap
+        y = np.random.default_rng(3).normal(size=50)
+        with pytest.raises(ParameterError, match=f"level must be in \\[0, {MAX_LEVEL}\\]"):
+            call(y, level)
+
 
 class TestOrthonormality:
     def test_scaling_translates_orthonormal(self):
